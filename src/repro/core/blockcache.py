@@ -234,6 +234,8 @@ class ProxyBlockCache:
         Returns ``(inode, frame_offset, victim)`` — the caller performs
         (and is charged for) the actual bank-file write, so a run of
         placements can merge physically adjacent frames into one I/O.
+        Returns None, placing nothing, for a clean block over a resident
+        dirty frame: the fill raced a WRITE, whose bytes are newer.
         Evicting a dirty frame reads the old bytes back (charged here)
         and hands them out as ``victim``; with
         ``capture_clean_victims`` set, clean victims are read back and
@@ -252,6 +254,8 @@ class ProxyBlockCache:
         existing = self._where.get(key)
         if existing is not None and existing[0] == bank_index:
             frame_index = existing[1]
+            if bank.dirty[frame_index] and not dirty:
+                return None
         else:
             # Choose a frame in the set: free first, else ask the
             # eviction policy to pick a victim within the full set.
@@ -322,7 +326,10 @@ class ProxyBlockCache:
         :class:`CachedBlock` victim or None.  Victims are dirty frames
         needing upstream write-back — plus, with
         ``capture_clean_victims``, clean frames eligible for demotion."""
-        inode, offset, victim = yield from self._place(key, data, dirty)
+        placed = yield from self._place(key, data, dirty)
+        if placed is None:
+            return None
+        inode, offset, victim = placed
         yield from self.storage.timed_write_inode(inode, data, offset)
         if self.observers and not dirty:
             # Publish only after the bank file holds the bytes: a peer
@@ -345,7 +352,10 @@ class ProxyBlockCache:
         victims: List[CachedBlock] = []
         writes: List[Tuple[int, object, int, bytes]] = []
         for key, data in items:
-            inode, offset, victim = yield from self._place(key, data, dirty)
+            placed = yield from self._place(key, data, dirty)
+            if placed is None:
+                continue
+            inode, offset, victim = placed
             if victim is not None:
                 victims.append(victim)
             writes.append((id(inode), inode, offset, data))

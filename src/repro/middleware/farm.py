@@ -355,7 +355,9 @@ class FarmOriginClient:
             self._clients[node.name] = RpcClient(
                 self.env, node.endpoint.proxy, out, back,
                 name=f"{name}.{node.name}.rpc")
-        self._inflight: Dict[str, Set] = defaultdict(set)
+        # In-flight attempts per node, in insertion order (a dict, not
+        # a set): abandon() must replay identically run after run.
+        self._inflight: Dict[str, Dict] = defaultdict(dict)
         # Counters.
         self.failovers = 0
         self.aborted_attempts = 0
@@ -463,11 +465,11 @@ class FarmOriginClient:
         proc = self.env.process(
             self._clients[node.name].call(request),
             name=f"{self.name}.{node.name}.attempt")
-        self._inflight[node.name].add(proc)
+        self._inflight[node.name][proc] = None
         try:
             reply = yield proc
         finally:
-            self._inflight[node.name].discard(proc)
+            self._inflight[node.name].pop(proc, None)
         return reply
 
     def _failover_call(self, request,
@@ -608,7 +610,7 @@ class FarmChannelSelector:
         self.name = name
         self.rotation = farm.next_channel_rotation()
         self._channels: Dict[str, FileChannel] = {}
-        self._inflight: Dict[str, Set] = defaultdict(set)
+        self._inflight: Dict[str, Dict] = defaultdict(dict)
         self.failovers = 0
         self.aborted_fetches = 0
         for node in farm.data_servers:
@@ -656,7 +658,7 @@ class FarmChannelSelector:
                 continue
             proc = self.env.process(self._channels[node.name].fetch(fh),
                                     name=f"{self.name}.{node.name}.fetch")
-            self._inflight[node.name].add(proc)
+            self._inflight[node.name][proc] = None
             try:
                 entry = yield proc
             except (Interrupt, RpcTimeout) as error:
@@ -664,7 +666,7 @@ class FarmChannelSelector:
                 self.failovers += 1
                 continue
             finally:
-                self._inflight[node.name].discard(proc)
+                self._inflight[node.name].pop(proc, None)
             if i > 0:
                 self.failovers += 1
             return entry

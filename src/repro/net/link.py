@@ -14,10 +14,12 @@ Both expose ``transmit(nbytes)`` as a process generator::
 Link modes
 ----------
 ``LinkMode.EXACT`` (the default) is the discrete model above: every
-message queues on the transmit resource, so the event cost per message
-is a resource grant, a serialization timeout, a release and a
-propagation timeout.  ``LinkMode.FLUID`` is an opt-in fast path for
-fleet-scale runs: the transmitter becomes a scalar ``busy-until``
+message queues on the transmit resource.  A message that finds the
+transmitter free takes it synchronously and sleeps once, until its
+arrival instant ``(grant + serialization) + latency``; a message that
+has to queue also costs its grant event, and the holder it waits
+behind one hand-back timer.  ``LinkMode.FLUID`` is an opt-in fast path
+for fleet-scale runs: the transmitter becomes a scalar ``busy-until``
 clock, and a message costs exactly one engine event.  Completion times
 are identical to EXACT for FIFO traffic (``max(now, busy_until) +
 serialization + latency`` is precisely what the FIFO resource
@@ -29,6 +31,7 @@ why fluid mode is opt-in and golden-checked against the exact DES (see
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from typing import Generator, Iterable, List, Optional, Tuple
 
 from repro.sim import Environment, FifoResource
@@ -72,6 +75,12 @@ class Link:
         self.name = name
         self.mode = mode
         self._tx = FifoResource(env, capacity=1, name=f"{name}.tx")
+        # The holder sleeps straight through to its arrival, so the
+        # transmitter is handed back lazily once ``_tx_done`` has passed;
+        # ``_tx_timer_for`` is the holder whose hand-back timer is set.
+        self._tx_token: Optional[object] = None
+        self._tx_done = 0.0
+        self._tx_timer_for: Optional[object] = None
         # Fluid-mode transmitter state: the instant the wire frees up.
         self._fluid_busy_until = 0.0
         # Fault state: a failed link either stalls traffic until
@@ -82,6 +91,9 @@ class Link:
         self.failed = False
         self.drop_on_fail = False
         self._repair_gates: List[Event] = []
+        # Append-only fail/restore instants (odd length = down), read
+        # on arrival: was the link up when serialization ended?
+        self._outage_log: List[float] = []
         # Statistics
         self.bytes_sent = 0
         self.messages_sent = 0
@@ -113,12 +125,14 @@ class Link:
         if not self.failed:
             self.failed = True
             self.outages += 1
+            self._outage_log.append(self.env.now)
 
     def restore(self) -> None:
         """Bring the link back up and release every stalled message."""
         if not self.failed:
             return
         self.failed = False
+        self._outage_log.append(self.env.now)
         gates, self._repair_gates = self._repair_gates, []
         for gate in gates:
             gate.succeed()
@@ -162,7 +176,12 @@ class Link:
         self.messages_sent += 1
 
     def transmit(self, nbytes: int) -> Generator:
-        """Process: queue for the transmitter, serialize, propagate."""
+        """Process: queue for the transmitter, serialize, propagate.
+
+        One wake-up per uncontended hop, at the very instants a grant,
+        a serialization timeout and a propagation timeout would produce
+        (``tests/net/reference_link.py`` is that model).
+        """
         if nbytes < 0:
             raise ValueError(f"negative message size: {nbytes}")
         if self.fluid_ready:
@@ -170,30 +189,81 @@ class Link:
             return
         if self.failed:
             yield from self._blocked()
-        if self._fluid_busy_until > self.env.now:
+        env = self.env
+        if self._fluid_busy_until > env.now:
             # A fluid link that just fell back to the exact path after
             # its first outage: traffic that entered fluid still owns
             # the wire until busy-until; queue behind it.  Zero-cost on
             # always-exact links (busy-until never moves off 0).
-            yield self.env.timeout(self._fluid_busy_until - self.env.now)
-        req = self._tx.request()
+            yield env.timeout(self._fluid_busy_until - env.now)
+        tx = self._tx
+        if self._tx_token is not None and self._tx_done <= env.now:
+            self._free_tx(self._tx_token)   # lazy hand-back
+        token = tx.try_acquire()
+        if token is None:
+            if self._tx_token is not None:
+                self._arm_hand_back()
+            token = tx.request()
+            try:
+                yield token
+            except BaseException:
+                tx.release(token)   # left the queue, or granted and unused
+                raise
+        delay = self.serialization_delay(nbytes)
+        done = env.now + delay
+        uncharged = self.busy_time
+        self.busy_time = uncharged + delay
+        self._tx_token = token
+        self._tx_done = done
+        if tx.queue_length:
+            self._arm_hand_back()
         try:
-            # ``yield req`` sits inside the try so an interrupt landing
-            # while we queue (or hold) the transmitter still releases it
-            # — FifoResource.release handles the not-yet-granted case.
-            yield req
-            delay = self.serialization_delay(nbytes)
-            yield self.env.timeout(delay)
-            self.busy_time += delay
-        finally:
-            self._tx.release(req)
-        if self.failed:
-            # Went down mid-flight: the message is on the wire when the
-            # outage hits, so it stalls (or is lost) like queued traffic.
-            yield from self._blocked()
-        yield self.env.timeout(self.latency)
+            yield env.timeout_at(done + self.latency)
+        except BaseException:
+            if env.now < done:
+                # Interrupted mid-serialization: the wire frees up now
+                # and the aborted message is never charged.
+                self.busy_time = uncharged
+                self._free_tx(token)
+            elif self.drop_on_fail and self._outage_at(done):
+                self.drops += 1     # lost on the wire before the interrupt
+            raise
+        repair = self._outage_at(done) if self._outage_log else 0
+        if repair:
+            # Down when serialization ended: the message was on the wire
+            # when the outage hit, so it stalls (or is lost) like queued
+            # traffic and propagates once the link is back.
+            if repair == len(self._outage_log) or self.drop_on_fail:
+                yield from self._blocked()
+                yield env.timeout(self.latency)
+            else:
+                yield env.timeout_at(self._outage_log[repair] + self.latency)
         self.bytes_sent += nbytes
         self.messages_sent += 1
+
+    def _outage_at(self, when: float) -> int:
+        """Outage-log index of the repair ending the outage that covers
+        ``when`` (the log's length while still down); 0 if the link was up."""
+        k = bisect_right(self._outage_log, when)
+        return k if k & 1 else 0
+
+    def _free_tx(self, token: object) -> None:
+        self._tx_token = None
+        self._tx.release(token)
+
+    def _arm_hand_back(self) -> None:
+        """Set the holder's one timer that frees the transmitter for waiters."""
+        if self._tx_timer_for is not self._tx_token:
+            self._tx_timer_for = self._tx_token
+            self.env.timeout_at(self._tx_done, self._tx_token) \
+                .callbacks.append(self._hand_back)
+
+    def _hand_back(self, timer: Event) -> None:
+        # Stale if the holder was interrupted, or an arrival at this
+        # very instant already handed the transmitter back.
+        token = timer.value
+        if self._tx_token is token:
+            self._free_tx(token)
 
     @property
     def queue_length(self) -> int:

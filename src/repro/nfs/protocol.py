@@ -197,9 +197,18 @@ class NfsRequest:
         return n
 
     def replace(self, **kwargs) -> "NfsRequest":
-        """A copy with some fields substituted (proxy rewriting)."""
-        from dataclasses import replace as _replace
-        return _replace(self, **kwargs)
+        """A copy with some fields substituted (proxy rewriting), built
+        dict to dict — it runs once per request a proxy remaps — and
+        without the memoised wire size, which the new fields may change."""
+        for name in kwargs:
+            if name not in self.__dataclass_fields__:
+                raise TypeError(f"NfsRequest has no field {name!r}")
+        copy = object.__new__(NfsRequest)
+        state = copy.__dict__
+        state.update(self.__dict__)
+        state.pop("_wire_size", None)
+        state.update(kwargs)
+        return copy
 
 
 @dataclass(frozen=True)

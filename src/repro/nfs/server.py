@@ -109,12 +109,15 @@ class NfsServer:
             # caller's retransmission timer is the recovery mechanism).
             yield self.env.event()
         epoch = self._crash_epoch
-        slot = self._nfsd.request()
+        # A free nfsd thread (the common case) costs no grant event.
+        slot = self._nfsd.try_acquire()
         try:
-            yield slot
-            if self.crashed or self._crash_epoch != epoch:
-                # Crashed while we queued for a thread: nobody serves us.
-                yield self.env.event()
+            if slot is None:
+                slot = self._nfsd.request()
+                yield slot
+                if self.crashed or self._crash_epoch != epoch:
+                    # Crashed while we queued: nobody serves us.
+                    yield self.env.event()
             yield self.env.timeout(self.op_cpu)
             self.calls += 1
             try:

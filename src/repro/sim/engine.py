@@ -384,6 +384,29 @@ class Environment:
             return t
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """An event firing at the absolute instant ``when`` — for a
+        caller that built it as ``(t0 + a) + b``, which ``timeout(when -
+        now)`` would round a second time.  Pooled like :meth:`timeout`."""
+        now = self._now
+        if when < now:
+            raise ValueError(f"timeout_at({when!r}) is in the past (now={now!r})")
+        if self._timeout_pool:
+            t = self._timeout_pool.pop()
+        else:
+            t = Timeout.__new__(Timeout)
+            t.env, t._ok, t._scheduled = self, True, True
+        t.callbacks = []
+        t._value = value
+        t._processed = False
+        t.delay = when - now
+        if when == now:
+            self._immediate.append((self._seq, t))
+        else:
+            heapq.heappush(self._queue, (when, self._seq, t))
+        self._seq += 1
+        return t
+
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Register ``generator`` as a process starting at the current time."""
         return Process(self, generator, name=name)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any
+from typing import Any, Optional
 
 from repro.sim.engine import Environment, Event, SimulationError
 
@@ -79,7 +79,17 @@ class FifoResource:
             self._waiting.append(req)
         return req
 
-    def release(self, req: _Request) -> None:
+    def try_acquire(self) -> Optional[object]:
+        """Take a free slot at once, scheduling no event; returns the
+        token to :meth:`release`, or None when the slots are full or
+        anyone is waiting (a synchronous grant never jumps the queue)."""
+        if self._waiting or len(self._users) >= self.capacity:
+            return None
+        token = object()
+        self._users.add(token)
+        return token
+
+    def release(self, req: object) -> None:
         """Return a previously granted slot, admitting the next waiter."""
         if req in self._users:
             self._users.remove(req)
@@ -116,7 +126,7 @@ class PriorityResource(FifoResource):
             self._seq += 1
         return req
 
-    def release(self, req: _Request) -> None:  # type: ignore[override]
+    def release(self, req: object) -> None:
         if req in self._users:
             self._users.remove(req)
         else:

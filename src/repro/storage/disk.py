@@ -81,9 +81,12 @@ class Disk:
     def _access(self, stream: object, offset: int, nbytes: int) -> Generator:
         if nbytes < 0 or offset < 0:
             raise ValueError(f"bad access offset={offset} nbytes={nbytes}")
-        req = self._arm.request()
+        # An idle arm (the common case) is taken without a grant event.
+        req = self._arm.try_acquire()
         try:
-            yield req
+            if req is None:
+                req = self._arm.request()
+                yield req
             sid = id(stream)
             sequential = self._stream_pos.get(sid) == offset
             switched = self._last_served != sid

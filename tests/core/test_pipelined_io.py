@@ -200,6 +200,40 @@ def test_dirty_eviction_writes_back_before_flush():
     assert proxy.stats.merged_write_blocks == 2
 
 
+def test_write_racing_a_readahead_window_reaches_origin():
+    """A window lands after the guest overwrote one of its blocks: the
+    stale origin bytes must not replace (and mark clean) the dirty
+    frame, or the flush silently loses an acknowledged write."""
+    rig = Rig(metadata=False)
+    proxy = rig.session.client_proxy
+    fh = fh_for(rig)
+    server_fs = rig.endpoint.export.fs
+    fresh = b"\xa5" * BS
+
+    def job(env):
+        for b in range(4):
+            reply = yield from proxy.handle(NfsRequest(
+                NfsProc.READ, fh=fh, offset=b * BS, count=BS))
+            assert reply.ok
+        # The window runs ahead of the reader: these fetches are still
+        # on the wire.  Overwrite the furthest of them now.
+        idx = max(block for f, block in proxy._block_gates if f == fh)
+        reply = yield from proxy.handle(NfsRequest(
+            NfsProc.WRITE, fh=fh, offset=idx * BS, data=fresh))
+        assert reply.ok and (fh, idx) in proxy._block_gates
+        return idx
+
+    idx, _ = rig.run(job(rig.env))      # ... and the window lands
+    assert not proxy._block_gates
+    assert server_fs.read(PATH, idx * BS, BS) != fresh
+    assert proxy.block_cache.is_dirty((fh, idx))
+    rig.run(proxy.flush())
+    assert server_fs.read(PATH, idx * BS, BS) == fresh
+    # The rest of the window was installed as usual.
+    assert (fh, idx - 1) in proxy.block_cache
+    assert not proxy.block_cache.is_dirty((fh, idx - 1))
+
+
 def test_cold_caches_quiesces_inflight_readahead():
     rig = Rig(metadata=False)
     proxy = rig.session.client_proxy

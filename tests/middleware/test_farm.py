@@ -26,9 +26,10 @@ def make_farm(n_servers=4, seed=0, register=True):
 
 
 def run_small_storm(n_servers=4, sessions=8, crash_at=None,
-                    crash_index=1, seed=0):
+                    crash_index=1, seed=0, finished=None):
     """A small clone storm (with per-session checkpoint writes) against
-    a fresh farm; returns (farm, manager, env)."""
+    a fresh farm; returns (farm, manager, env).  ``finished`` collects
+    ``(user index, completion instant)`` pairs."""
     from repro.middleware.imageserver import ImageRequirements
     from repro.middleware.sessions import VmSessionManager
     from repro.sim import AllOf
@@ -59,6 +60,8 @@ def run_small_storm(n_servers=4, sessions=8, crash_at=None,
             yield from ckpt.write(b * BLOCK, payload)
         yield from ckpt.close()
         yield env.process(manager.end_session(session))
+        if finished is not None:
+            finished.append((index, env.now))
 
     def driver(env):
         yield AllOf(env, [env.process(one_user(env, i))
@@ -210,6 +213,23 @@ def test_crash_determinism_same_seed_same_timeline():
                         farm.client_totals(),
                         [r["finished"] for r in farm.recovery_log]))
     assert results[0] == results[1]
+
+
+def test_crash_replay_independent_of_allocation_history():
+    """``abandon`` interrupts in-flight attempts in insertion order, not
+    in the address order of a set: the crash instant replays bit for
+    bit however the interpreter's heap happens to be laid out."""
+    results, ballast = [], []
+    for round_ in range(4):
+        finished = []
+        farm, manager, env = run_small_storm(n_servers=4, sessions=12,
+                                             crash_at=0.7, finished=finished)
+        assert farm.client_totals()["aborted_attempts"] >= 2
+        results.append((finished, env.events_scheduled, env.now))
+        # Shift every later allocation: odd-sized survivors of this round.
+        ballast.append([bytearray(16 * (i % 7 + 1))
+                        for i in range(1009 * (round_ + 1))])
+    assert results[1:] == results[:1] * 3
 
 
 def test_restarted_server_stays_retired():

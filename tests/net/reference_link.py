@@ -1,0 +1,49 @@
+"""Reference model for :class:`repro.net.link.Link`: the three-event
+store-and-forward transmit (grant, serialization timeout, propagation
+timeout), kept verbatim as the oracle the one-wake-up production body
+is compared against in ``test_link_equivalence.py``.
+"""
+
+from __future__ import annotations
+
+from typing import Generator
+
+from repro.net.link import Link
+
+
+class ReferenceLink(Link):
+    """A link whose exact path costs three engine events per hop."""
+
+    def transmit(self, nbytes: int) -> Generator:
+        """Process: queue for the transmitter, serialize, propagate."""
+        if nbytes < 0:
+            raise ValueError(f"negative message size: {nbytes}")
+        if self.fluid_ready:
+            yield from self._transmit_fluid(nbytes)
+            return
+        if self.failed:
+            yield from self._blocked()
+        if self._fluid_busy_until > self.env.now:
+            # A fluid link that just fell back to the exact path after
+            # its first outage: traffic that entered fluid still owns
+            # the wire until busy-until; queue behind it.  Zero-cost on
+            # always-exact links (busy-until never moves off 0).
+            yield self.env.timeout(self._fluid_busy_until - self.env.now)
+        req = self._tx.request()
+        try:
+            # ``yield req`` sits inside the try so an interrupt landing
+            # while we queue (or hold) the transmitter still releases it
+            # — FifoResource.release handles the not-yet-granted case.
+            yield req
+            delay = self.serialization_delay(nbytes)
+            yield self.env.timeout(delay)
+            self.busy_time += delay
+        finally:
+            self._tx.release(req)
+        if self.failed:
+            # Went down mid-flight: the message is on the wire when the
+            # outage hits, so it stalls (or is lost) like queued traffic.
+            yield from self._blocked()
+        yield self.env.timeout(self.latency)
+        self.bytes_sent += nbytes
+        self.messages_sent += 1

@@ -63,3 +63,18 @@ def test_request_replace_rewrites_fields():
     assert rewritten.credentials == (500, 500)
     assert rewritten.count == 10
     assert req.fh == fh1  # original untouched
+
+
+def test_request_replace_is_a_fresh_frozen_equal_copy():
+    req = NfsRequest(NfsProc.WRITE, fh=FileHandle("a", 1), data=b"x" * 100)
+    sized = req.wire_size()                     # memoised on the original
+    longer = req.replace(data=b"y" * 300)
+    assert longer.wire_size() == sized + 200    # ... not on the copy
+    assert req.replace() == req and hash(req.replace()) == hash(req)
+    assert req.replace(credentials=(7, 7)) == NfsRequest(
+        NfsProc.WRITE, fh=FileHandle("a", 1), data=b"x" * 100,
+        credentials=(7, 7))
+    with pytest.raises(Exception):
+        longer.data = b""                       # still frozen
+    with pytest.raises(TypeError):
+        req.replace(offest=0)

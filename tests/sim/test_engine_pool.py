@@ -129,3 +129,68 @@ def test_zero_delay_recycling_matches_fresh_schedule():
     for (_, _, tc), (_, _, tw) in zip(cold_log, warm_log):
         assert tw - warm_start == pytest.approx(tc, abs=1e-12)
     assert (warm.events_scheduled - warm_seq_base) == cold.events_scheduled
+
+
+# -- timeout_at: absolute-time scheduling ---------------------------------
+
+def test_timeout_at_fires_at_exactly_the_given_instant():
+    env = Environment(initial_time=0.1)
+    # (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit;
+    # the caller's own chain of additions is the one that must stand.
+    when = (0.1 + 0.2) + 0.3
+    assert when != 0.1 + (0.2 + 0.3)
+    woke = []
+
+    def proc(env):
+        value = yield env.timeout_at(when, value="v")
+        woke.append((env.now, value))
+
+    env.process(proc(env))
+    env.run()
+    assert woke == [(when, "v")]
+
+
+def test_timeout_at_rejects_a_past_instant():
+    env = Environment(initial_time=5.0)
+    with pytest.raises(ValueError):
+        env.timeout_at(4.999)
+    assert env.events_scheduled == 0
+    env.timeout_at(5.0)          # "now" is not the past
+    env.run()
+    assert env.now == 5.0
+
+
+def test_timeout_at_recycles_pooled_objects():
+    env = Environment()
+    _drain(env)
+    recycled = env._timeout_pool[-1]
+    t = env.timeout_at(env.now + 2.0, value="fresh")
+    assert t is recycled
+    assert t.callbacks == [] and not t.processed
+    assert t.delay == pytest.approx(2.0)
+    env.run()
+    assert t.value == "fresh" and t.processed
+    # A held one stays out of the pool; an unreferenced one goes back.
+    assert t not in env._timeout_pool
+    before = len(env._timeout_pool)
+    env.timeout_at(env.now + 1.0)
+    assert len(env._timeout_pool) == before - 1
+    env.run()
+    assert len(env._timeout_pool) == before
+
+
+def test_timeout_at_orders_with_same_instant_timeouts_by_creation():
+    env = Environment()
+    order = []
+
+    def note(tag):
+        return lambda event: order.append((tag, env.now))
+
+    env.timeout(1.0).callbacks.append(note("rel-1"))
+    env.timeout_at(1.0).callbacks.append(note("abs-2"))
+    env.timeout(1.0).callbacks.append(note("rel-3"))
+    env.timeout_at(0.0).callbacks.append(note("abs-now"))
+    env.timeout(0).callbacks.append(note("rel-now"))
+    env.run()
+    assert order == [("abs-now", 0.0), ("rel-now", 0.0),
+                     ("rel-1", 1.0), ("abs-2", 1.0), ("rel-3", 1.0)]

@@ -104,6 +104,33 @@ def test_release_queued_request_cancels_it():
     assert res.count == 0
 
 
+def test_try_acquire_takes_a_free_slot_without_an_event():
+    env = Environment()
+    res = FifoResource(env, capacity=2)
+    first, second = res.try_acquire(), res.try_acquire()
+    assert first is not None and second is not None and first is not second
+    assert res.count == 2 and env.events_scheduled == 0
+    assert res.try_acquire() is None          # slots full
+    assert res.count == 2 and res.queue_length == 0
+    res.release(first)                        # release accepts the token
+    assert res.count == 1
+    with pytest.raises(SimulationError):
+        res.release(first)
+
+
+@pytest.mark.parametrize("kind", [FifoResource, PriorityResource])
+def test_try_acquire_never_jumps_a_waiter(kind):
+    env = Environment()
+    res = kind(env, capacity=1)
+    token = res.try_acquire()
+    waiter = res.request()
+    assert res.queue_length == 1 and res.try_acquire() is None
+    res.release(token)                        # the slot goes to the waiter
+    assert waiter.triggered and res.try_acquire() is None
+    res.release(waiter)
+    assert res.try_acquire() is not None
+
+
 def test_invalid_capacity():
     env = Environment()
     with pytest.raises(ValueError):
