@@ -38,6 +38,7 @@ from repro.core.layers.peers import PeerCacheLayer
 from repro.core.layers.readahead import ReadaheadLayer
 from repro.core.layers.terminal import UpstreamRpcLayer
 from repro.core.layers.zeromap import ZeroMapLayer
+from repro.sim import Interrupt
 
 __all__ = [
     "LEGACY_COUNTERS",
@@ -183,6 +184,10 @@ class ProxyStack:
     #: CPU cost of proxy request processing (user-level RPC dispatch).
     OP_CPU = 30e-6
 
+    #: ``handle`` takes the arrival instant of a loopback request and
+    #: sleeps hop + admission as one event (``RpcHandler`` protocol).
+    absorbs_hop = True
+
     def __init__(self, env, upstream, config: ProxyConfig = ProxyConfig(),
                  layers: Optional[List[ProxyLayer]] = None):
         self.env = env
@@ -275,10 +280,25 @@ class ProxyStack:
         return layer.cache.get(fh) if layer is not None else None
 
     # ------------------------------------------------------------- front door
-    def handle(self, request) -> Generator:
-        """Process: service one RPC call (the server face of the proxy)."""
-        self.front_stats.requests += 1
-        yield self.env.timeout(self.OP_CPU)
+    def handle(self, request, arrival: Optional[float] = None) -> Generator:
+        """Process: service one RPC call (the server face of the proxy).
+
+        A same-host ``RpcClient`` passes the instant its request, still
+        on the loopback, will arrive: the front door then sleeps once,
+        until ``arrival + OP_CPU`` — where hop sleep + admission sleep end.
+        """
+        if arrival is None:
+            self.front_stats.requests += 1
+            yield self.env.timeout(self.OP_CPU)
+        else:
+            try:
+                yield self.env.timeout_at(arrival + self.OP_CPU)
+            except Interrupt:
+                # An RPC time-out: the request counts only if it got here.
+                if self.env.now >= arrival:
+                    self.front_stats.requests += 1
+                raise
+            self.front_stats.requests += 1
         if self.config.identity is not None:
             request = request.replace(credentials=self.config.identity)
         for observer in self.read_observers:

@@ -41,7 +41,8 @@ class ZeroMapLayer(ProxyLayer):
 
     # ---------------------------------------------------------------- resolve
     def resolve(self, fh: FileHandle) -> Generator:
-        """Process: find (and cache) the meta-data associated with ``fh``.
+        """Process: find (and cache) the meta-data associated with a
+        handle ``handle`` has not resolved yet.
 
         Issued against the upstream RPC client directly — meta-data
         traffic is middleware-internal and is not counted as forwarded
@@ -49,8 +50,6 @@ class ZeroMapLayer(ProxyLayer):
         """
         if not self.config.metadata:
             return None
-        if fh in self.cache:
-            return self.cache[fh]
         name_info = self.stack.names.get(fh)
         if name_info is None:
             # Never saw a LOOKUP for this handle; cannot locate meta-data.
@@ -90,7 +89,9 @@ class ZeroMapLayer(ProxyLayer):
         if request.proc is not NfsProc.READ:
             return (yield from self.next.handle(request))
         fh, offset, count = request.fh, request.offset, request.count
-        meta = yield from self.resolve(fh)
+        # Entries exist only under config.metadata: probe before the generator.
+        cache = self.cache
+        meta = cache[fh] if fh in cache else (yield from self.resolve(fh))
         if meta is not None and meta.covers_read(offset, count):
             # Zero-filled blocks: reconstruct locally, nothing on the wire.
             end = min(offset + count, max(meta.file_size,

@@ -91,6 +91,8 @@ class FileMetadata:
             return True
         first = offset // self.block_size
         last = (min(offset + count, self.file_size) - 1) // self.block_size
+        if first == last:       # every block-sized guest READ
+            return first in self.zero_blocks
         return all(i in self.zero_blocks for i in range(first, last + 1))
 
     @property

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 __all__ = [
     "Fattr",
@@ -102,41 +102,30 @@ class NfsError(Exception):
         self.status = status
 
 
-class FileHandle:
+class FileHandle(NamedTuple):
     """An opaque, persistent reference to a file object on a server.
 
     ``fsid`` identifies the exported filesystem, ``fileid`` the inode.
     Handles hash/compare by value, so caches can index on them exactly
-    as the GVFS proxy hashes NFS file handles.  The hash is precomputed:
-    handles key every block-cache and buffer-cache dictionary on the
-    data path, so hashing must be a field load, not a tuple build.
+    as the GVFS proxy hashes NFS file handles.  A tuple underneath:
+    handles key every cache dictionary on the data path (about nine
+    probes per RPC), so they must hash and compare in C.
     """
 
-    __slots__ = ("fsid", "fileid", "_hash")
-
-    def __init__(self, fsid: str, fileid: int):
-        object.__setattr__(self, "fsid", fsid)
-        object.__setattr__(self, "fileid", fileid)
-        object.__setattr__(self, "_hash", hash((fsid, fileid)))
-
-    def __setattr__(self, name, value):  # immutable, like the dataclass was
-        raise AttributeError("FileHandle is immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FileHandle) and self.fileid == other.fileid
-                and self.fsid == other.fsid)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"FileHandle(fsid={self.fsid!r}, fileid={self.fileid!r})"
+    fsid: str
+    fileid: int
 
     def __str__(self) -> str:  # pragma: no cover
         return f"{self.fsid}:{self.fileid}"
 
 
-@dataclass(frozen=True)
+# The message classes below are frozen dataclasses in everything but
+# construction: ``init=False`` keeps the generated ``==``, ``hash``,
+# ``repr`` and ``FrozenInstanceError``; the hand-written ``__init__``
+# fills ``__dict__`` directly instead of one ``object.__setattr__`` call
+# per field (2.4 -> 0.8 us).  ``tests/nfs/reference_messages.py`` keeps
+# the generated constructors as the oracle.
+@dataclass(frozen=True, init=False)
 class Fattr:
     """File attributes returned by GETATTR and piggybacked on replies."""
 
@@ -148,8 +137,13 @@ class Fattr:
     uid: int = 0
     gid: int = 0
 
+    def __init__(self, kind, size, fileid, mtime, mode=0o644, uid=0, gid=0):
+        d = self.__dict__
+        (d["kind"], d["size"], d["fileid"], d["mtime"], d["mode"], d["uid"],
+         d["gid"]) = kind, size, fileid, mtime, mode, uid, gid
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class NfsRequest:
     """One NFS call.  Field usage depends on ``proc``.
 
@@ -178,22 +172,34 @@ class NfsRequest:
     size: Optional[int] = None          # SETATTR truncate size
     credentials: Tuple[int, int] = (0, 0)
 
+    def __init__(self, proc, fh=None, name=None, offset=0, count=0, data=b"",
+                 target=None, to_fh=None, to_name=None, stable=True,
+                 exclusive=True, size=None, credentials=(0, 0)):
+        d = self.__dict__
+        (d["proc"], d["fh"], d["name"], d["offset"], d["count"], d["data"],
+         d["target"], d["to_fh"], d["to_name"], d["stable"], d["exclusive"],
+         d["size"], d["credentials"]) = (
+            proc, fh, name, offset, count, data, target, to_fh, to_name,
+            stable, exclusive, size, credentials)
+
     def wire_size(self) -> int:
         """Bytes this call occupies on the wire.
 
         Memoized: one request object crosses every hop of a proxy
         cascade, and each hop sizes it for both the transport and its
-        stats, so the sum is computed once and cached on the instance.
+        stats, so the sum is computed once and cached in the instance
+        dict (beside the fields; ``==``/``hash``/``repr`` never see it).
         """
-        n = self.__dict__.get("_wire_size")
+        d = self.__dict__
+        n = d.get("_wire_size")
         if n is None:
             n = RPC_OVERHEAD_BYTES
-            if self.proc is NfsProc.WRITE or self.proc is NfsProc.DEMOTE:
-                n += len(self.data)
-            for s in (self.name, self.target, self.to_name):
+            if d["proc"] is NfsProc.WRITE or d["proc"] is NfsProc.DEMOTE:
+                n += len(d["data"])
+            for s in (d["name"], d["target"], d["to_name"]):
                 if s:
                     n += len(s)
-            object.__setattr__(self, "_wire_size", n)
+            d["_wire_size"] = n
         return n
 
     def replace(self, **kwargs) -> "NfsRequest":
@@ -211,7 +217,7 @@ class NfsRequest:
         return copy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NfsReply:
     """One NFS reply.
 
@@ -231,6 +237,13 @@ class NfsReply:
     target: Optional[str] = None
     entries: Tuple[str, ...] = ()
 
+    def __init__(self, proc, status, fh=None, attrs=None, data=b"", count=0,
+                 eof=False, target=None, entries=()):
+        d = self.__dict__
+        (d["proc"], d["status"], d["fh"], d["attrs"], d["data"], d["count"],
+         d["eof"], d["target"], d["entries"]) = (
+            proc, status, fh, attrs, data, count, eof, target, entries)
+
     @property
     def ok(self) -> bool:
         return self.status is NfsStatus.OK
@@ -238,15 +251,17 @@ class NfsReply:
     def wire_size(self) -> int:
         """Bytes this reply occupies on the wire (memoized, see
         :meth:`NfsRequest.wire_size`)."""
-        n = self.__dict__.get("_wire_size")
+        d = self.__dict__
+        n = d.get("_wire_size")
         if n is None:
             n = RPC_OVERHEAD_BYTES
-            if self.proc is NfsProc.READ:
-                n += len(self.data)
-            if self.target:
-                n += len(self.target)
-            n += sum(len(e) + 8 for e in self.entries)
-            object.__setattr__(self, "_wire_size", n)
+            if d["proc"] is NfsProc.READ:
+                n += len(d["data"])
+            if d["target"]:
+                n += len(d["target"])
+            for entry in d["entries"]:
+                n += len(entry) + 8
+            d["_wire_size"] = n
         return n
 
     def raise_for_status(self, context: str = "") -> "NfsReply":

@@ -42,7 +42,13 @@ class Transport(Protocol):
 
 @runtime_checkable
 class RpcHandler(Protocol):
-    """Anything that can service an NFS request as a process."""
+    """Anything that can service an NFS request as a process.
+
+    One whose admission is a plain sleep may set ``absorbs_hop = True``
+    and accept ``handle(request, arrival)``: a request still crossing a
+    :class:`LoopbackTransport` arrives at the absolute instant ``arrival``
+    and the handler sleeps hop and admission as one event.
+    """
 
     def handle(self, request: NfsRequest) -> Generator: ...  # pragma: no cover
 
@@ -51,6 +57,9 @@ class LoopbackTransport:
     """Same-host RPC hop (kernel client <-> co-located user proxy).
 
     Costs a constant per message: two context switches plus a copy.
+    The hop is a *pure delay* — no resource, no fault port, no state that
+    changes between send and arrival (``messages`` counts at send) — the
+    contract that lets a handler absorb it into its admission sleep.
     """
 
     def __init__(self, env: Environment, per_message: float = 30e-6,
@@ -60,9 +69,16 @@ class LoopbackTransport:
         self.per_byte = per_byte
         self.messages = 0
 
-    def transmit(self, nbytes: int) -> Generator:
-        yield self.env.timeout(self.per_message + nbytes * self.per_byte)
+    def send(self, nbytes: int) -> float:
+        """Count one message and return the delay after which it
+        arrives; the caller owes the sleep."""
+        if nbytes < 0:
+            raise ValueError(f"negative message size: {nbytes}")
         self.messages += 1
+        return self.per_message + nbytes * self.per_byte
+
+    def transmit(self, nbytes: int) -> Generator:
+        yield self.env.timeout(self.send(nbytes))
 
 
 @dataclass
@@ -208,8 +224,16 @@ class RpcClient:
         self.stats = RpcStats()
 
     def _attempt(self, request: NfsRequest) -> Generator:
-        yield from self.out.transmit(request.wire_size())
-        reply = yield from self.handler.handle(request)
+        out, handler = self.out, self.handler
+        if (type(out) is LoopbackTransport
+                and getattr(handler, "absorbs_hop", False)):
+            # Same-host hop into a proxy: nothing can happen between the
+            # send and the proxy's admission, so the two sleeps are one.
+            reply = yield from handler.handle(
+                request, self.env.now + out.send(request.wire_size()))
+        else:
+            yield from out.transmit(request.wire_size())
+            reply = yield from handler.handle(request)
         if not isinstance(reply, NfsReply):
             raise TypeError(
                 f"handler {self.handler!r} returned {reply!r}, expected NfsReply")

@@ -155,7 +155,7 @@ class Timeout(Event):
         if delay == 0.0:
             env._immediate.append((env._seq, self))
         else:
-            heapq.heappush(env._queue, (env._now + delay, env._seq, self))
+            heapq.heappush(env._queue, (env.now + delay, env._seq, self))
         env._seq += 1
 
 
@@ -322,7 +322,9 @@ class Environment:
     """Holds simulated time and the pending-event queue."""
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: Current simulated time in seconds: a plain attribute (read on
+        #: every hop of every process) that only the run loop writes.
+        self.now = float(initial_time)
         self._queue: list = []
         # Zero-delay events (gate releases, resource grants, process
         # completions) outnumber timed ones in RPC-heavy models; they
@@ -336,11 +338,6 @@ class Environment:
         # Free list of fired Timeout objects eligible for reuse (only
         # ones provably unreferenced by model code; see run()).
         self._timeout_pool: list = []
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -379,7 +376,7 @@ class Environment:
             if delay == 0.0:
                 self._immediate.append((self._seq, t))
             else:
-                heapq.heappush(self._queue, (self._now + delay, self._seq, t))
+                heapq.heappush(self._queue, (self.now + delay, self._seq, t))
             self._seq += 1
             return t
         return Timeout(self, delay, value)
@@ -388,7 +385,7 @@ class Environment:
         """An event firing at the absolute instant ``when`` — for a
         caller that built it as ``(t0 + a) + b``, which ``timeout(when -
         now)`` would round a second time.  Pooled like :meth:`timeout`."""
-        now = self._now
+        now = self.now
         if when < now:
             raise ValueError(f"timeout_at({when!r}) is in the past (now={now!r})")
         if self._timeout_pool:
@@ -427,7 +424,7 @@ class Environment:
         if delay == 0.0:
             self._immediate.append((self._seq, event))
         else:
-            heapq.heappush(self._queue, (self._now + delay, self._seq, event))
+            heapq.heappush(self._queue, (self.now + delay, self._seq, event))
         self._seq += 1
 
     def _next_event(self) -> Event:
@@ -441,18 +438,18 @@ class Environment:
             # loses to the immediate queue.
             if queue:
                 when, seq, event = queue[0]
-                if when <= self._now and seq < immediate[0][0]:
+                if when <= self.now and seq < immediate[0][0]:
                     heapq.heappop(queue)
                     return event
             return immediate.popleft()[1]
         when, _, event = heapq.heappop(queue)
-        self._now = when
+        self.now = when
         return event
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if queue is empty."""
         if self._immediate:
-            return self._now
+            return self.now
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
@@ -467,8 +464,8 @@ class Environment:
         Unhandled process failures propagate out of ``run`` so broken
         models fail loudly rather than silently losing work.
         """
-        if until is not None and until < self._now:
-            raise ValueError(f"until={until} is in the past (now={self._now})")
+        if until is not None and until < self.now:
+            raise ValueError(f"until={until} is in the past (now={self.now})")
         immediate = self._immediate
         queue = self._queue
         pool = self._timeout_pool
@@ -478,7 +475,7 @@ class Environment:
                 # No local may keep a reference to the peeked heap
                 # entry across iterations: a stale binding would
                 # inflate the refcount check below and disable pooling.
-                if (queue and queue[0][0] <= self._now
+                if (queue and queue[0][0] <= self.now
                         and queue[0][1] < immediate[0][0]):
                     event = pop(queue)[2]
                 else:
@@ -486,9 +483,9 @@ class Environment:
             else:
                 when = queue[0][0]
                 if until is not None and when > until:
-                    self._now = until
+                    self.now = until
                     return
-                self._now = when
+                self.now = when
                 event = pop(queue)[2]
             # Inlined Event._run_callbacks: this dispatch runs once per
             # event processed, so the attribute traffic of a method call
@@ -512,4 +509,4 @@ class Environment:
                 # Fail loudly instead of silently losing the exception.
                 raise event._value
         if until is not None:
-            self._now = until
+            self.now = until

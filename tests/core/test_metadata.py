@@ -79,6 +79,15 @@ def test_covers_read_clamps_to_file_size():
                         zero_blocks=frozenset({0, 1}))
     # Read beyond EOF only touches blocks 0-1, both zero.
     assert meta.covers_read(0, 100 * 8192)
+    # One-block reads take a single probe; one starting at or past EOF
+    # touches no block at all.
+    assert meta.covers_read(8192, 8192) and meta.covers_read(8192 + 9, 1)
+    assert meta.covers_read(8192 + 10, 8192) and meta.covers_read(5 * 8192, 1)
+    sparse = FileMetadata(file_size=8192 + 10, block_size=8192,
+                          zero_blocks=frozenset({0}))
+    assert not sparse.covers_read(8192, 8192)
+    assert not sparse.covers_read(8000, 8192)      # spans blocks 0-1
+    assert sparse.covers_read(2 * 8192, 8192)
 
 
 def test_is_zero_block_and_counts():

@@ -321,6 +321,26 @@ def test_timed_out_attempts_are_cancelled():
     assert env.events_scheduled - events_at_last_failure[0] <= 12
 
 
+def test_loopback_is_a_pure_delay_and_rejects_negative_sizes():
+    env = Environment()
+    loop = LoopbackTransport(env, per_message=30e-6, per_byte=1e-9)
+    with pytest.raises(ValueError, match="negative message size"):
+        loop.send(-1)
+    with pytest.raises(ValueError, match="negative message size"):
+        next(loop.transmit(-1))
+    assert loop.messages == 0
+    assert loop.send(1000) == 30e-6 + 1000 * 1e-9 and loop.messages == 1
+
+    def hop(env):
+        yield from loop.transmit(1000)
+        return env.now
+
+    proc = env.process(hop(env))
+    env.run()
+    # transmit() is send() plus the sleep the caller would owe.
+    assert proc.value == 30e-6 + 1000 * 1e-9 and loop.messages == 2
+
+
 def test_timeout_none_waits_forever():
     env = Environment()
     handler = SlowHandler(env, delay=50.0)
