@@ -277,7 +277,7 @@ def _cmd_perf(args) -> int:
 
 
 def _cmd_faultbench(args) -> int:
-    params = {"link_mode": args.link_mode}
+    params = {}
     if args.scenario:
         params["scenarios"] = args.scenario.split(",")
     return _run_bench_cmd("faultbench", params, args.quick, args.out,
@@ -311,31 +311,6 @@ def _cmd_cascadebench(args) -> int:
         params["workloads"] = args.workloads.split(",")
     return _run_bench_cmd("cascadebench", params, args.quick, args.out,
                           "cascade guarantees")
-
-
-def _cmd_fleetbench(args) -> int:
-    from repro.scenario.runner import run_bench_driver
-    params = {"sessions": args.sessions, "sites": args.sites,
-              "processes": args.processes, "telemetry": args.fleet_report}
-    if args.modes:
-        params["modes"] = args.modes.split(",")
-    if args.baseline:
-        params["baseline"] = args.baseline
-    try:
-        report, failures, text = run_bench_driver("fleetbench", params,
-                                                  args.quick, 0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(text)
-    if args.fleet_report:
-        for mode, storm in report["storm"].items():
-            for site in storm["per_site"]:
-                site_text = site.get("fleet_report")
-                if site_text:
-                    print(f"\n[{mode} storm, site {site['site']}]")
-                    print(site_text)
-    return _finish_report(report, failures, args.out, "fleet guarantees")
 
 
 def _cmd_farmbench(args) -> int:
@@ -522,11 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fault-plan seed (same seed => same timeline)")
     fault.add_argument("--quick", action="store_true",
                        help="shrunken workloads (CI smoke scale)")
-    fault.add_argument("--link-mode", default="exact",
-                       choices=["exact", "fluid"],
-                       help="link transmit model; fluid links fall back "
-                            "to the exact path on their first outage, so "
-                            "fault injection composes with the fast path")
     fault.add_argument("--out", default=None, metavar="FILE",
                        help="write the metrics as JSON "
                             "(e.g. results/BENCH_pr3.json)")
@@ -596,40 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(e.g. results/BENCH_pr8.json)")
     _add_stack_report_flag(chaos)
     chaos.set_defaults(func=_cmd_chaosbench)
-
-    fleet = sub.add_parser(
-        "fleetbench",
-        help="fleet-scale clone storm (engine microbench; exact vs "
-             "fluid vs sharded storms; fluid-vs-exact accuracy on the "
-             "fig3-fig6 workloads) and the fleet guarantees: "
-             "microbench throughput floor, fluid drift within "
-             "tolerance, deterministic sharded merging")
-    fleet.add_argument("--sessions", type=int, default=None, metavar="N",
-                       help="total sessions in the storm "
-                            "(default: 1000, or 32 with --quick)")
-    fleet.add_argument("--sites", type=int, default=None, metavar="S",
-                       help="independent sites / topology islands "
-                            "(default: 8, or 4 with --quick)")
-    fleet.add_argument("--modes", default=None, metavar="M1,M2",
-                       help="comma-separated storm modes "
-                            "(default: exact,fluid,sharded)")
-    fleet.add_argument("--processes", type=int, default=None, metavar="P",
-                       help="worker processes for the sharded storm "
-                            "(default: min(sites, cpu count))")
-    fleet.add_argument("--fleet-report", action="store_true",
-                       help="collect per-session cache-layer telemetry "
-                            "via the session manager and print one "
-                            "fleet report per site")
-    fleet.add_argument("--quick", action="store_true",
-                       help="shrunken storm and accuracy sweep "
-                            "(CI smoke scale)")
-    fleet.add_argument("--out", default=None, metavar="FILE",
-                       help="write the report as JSON "
-                            "(e.g. results/BENCH_pr6.json)")
-    fleet.add_argument("--baseline", default=None, metavar="FILE",
-                       help="earlier fleetbench JSON; fail on >20%% "
-                            "microbench throughput regression")
-    fleet.set_defaults(func=_cmd_fleetbench)
 
     farmp = sub.add_parser(
         "farmbench",

@@ -44,7 +44,6 @@ from typing import Dict, List, Optional
 
 from repro.core.config import ProxyCacheConfig
 from repro.core.session import GvfsSession, Scenario, ServerEndpoint
-from repro.net.link import LinkMode
 from repro.net.topology import make_paper_testbed
 from repro.nfs.rpc import RpcTimeout
 from repro.sim import Environment
@@ -77,10 +76,9 @@ def _lost_blocks(server: bytes, written: bytes, block_size: int) -> int:
 # Scenario 1: WAN link flaps during a cold sequential read
 # --------------------------------------------------------------------------
 
-def _wan_blip_once(inject: bool, quick: bool, seed: int,
-                   link_mode: LinkMode = LinkMode.EXACT) -> Dict:
+def _wan_blip_once(inject: bool, quick: bool, seed: int) -> Dict:
     env = Environment()
-    testbed = make_paper_testbed(env, link_mode=link_mode)
+    testbed = make_paper_testbed(env)
     endpoint = ServerEndpoint(env, testbed.wan_server)
     fs = endpoint.export.fs
     fs.mkdir("/data")
@@ -124,11 +122,10 @@ def _wan_blip_once(inject: bool, quick: bool, seed: int,
     }
 
 
-def run_wan_blip(quick: bool = False, seed: int = DEFAULT_SEED,
-                 link_mode: LinkMode = LinkMode.EXACT) -> Dict:
-    clean = _wan_blip_once(False, quick, seed, link_mode)
-    faulted = _wan_blip_once(True, quick, seed, link_mode)
-    rerun = _wan_blip_once(True, quick, seed, link_mode)
+def run_wan_blip(quick: bool = False, seed: int = DEFAULT_SEED) -> Dict:
+    clean = _wan_blip_once(False, quick, seed)
+    faulted = _wan_blip_once(True, quick, seed)
+    rerun = _wan_blip_once(True, quick, seed)
     return {
         "clean_elapsed_s": clean["elapsed_s"],
         "fault_elapsed_s": faulted["elapsed_s"],
@@ -147,10 +144,9 @@ def run_wan_blip(quick: bool = False, seed: int = DEFAULT_SEED,
 # Scenario 2: image server crashes in the middle of a write-back flush
 # --------------------------------------------------------------------------
 
-def _server_crash_once(quick: bool, seed: int,
-                       link_mode: LinkMode = LinkMode.EXACT) -> Dict:
+def _server_crash_once(quick: bool, seed: int) -> Dict:
     env = Environment()
-    testbed = make_paper_testbed(env, link_mode=link_mode)
+    testbed = make_paper_testbed(env)
     endpoint = ServerEndpoint(env, testbed.wan_server)
     fs = endpoint.export.fs
     fs.mkdir("/data")
@@ -210,10 +206,9 @@ def _server_crash_once(quick: bool, seed: int,
     }
 
 
-def run_server_crash(quick: bool = False, seed: int = DEFAULT_SEED,
-                     link_mode: LinkMode = LinkMode.EXACT) -> Dict:
-    result = _server_crash_once(quick, seed, link_mode)
-    rerun = _server_crash_once(quick, seed, link_mode)
+def run_server_crash(quick: bool = False, seed: int = DEFAULT_SEED) -> Dict:
+    result = _server_crash_once(quick, seed)
+    rerun = _server_crash_once(quick, seed)
     result["replay_identical"] = result == rerun
     result["integrity_ok"] = result["lost_writes"] == 0
     return result
@@ -223,10 +218,9 @@ def run_server_crash(quick: bool = False, seed: int = DEFAULT_SEED,
 # Scenario 3: proxy restart with and without the dirty-frame journal
 # --------------------------------------------------------------------------
 
-def _proxy_restart_once(journal: bool, quick: bool, seed: int,
-                        link_mode: LinkMode = LinkMode.EXACT) -> Dict:
+def _proxy_restart_once(journal: bool, quick: bool, seed: int) -> Dict:
     env = Environment()
-    testbed = make_paper_testbed(env, link_mode=link_mode)
+    testbed = make_paper_testbed(env)
     endpoint = ServerEndpoint(env, testbed.wan_server)
     fs = endpoint.export.fs
     fs.mkdir("/data")
@@ -275,11 +269,10 @@ def _proxy_restart_once(journal: bool, quick: bool, seed: int,
     }
 
 
-def run_proxy_restart(quick: bool = False, seed: int = DEFAULT_SEED,
-                      link_mode: LinkMode = LinkMode.EXACT) -> Dict:
-    journaled = _proxy_restart_once(True, quick, seed, link_mode)
-    rerun = _proxy_restart_once(True, quick, seed, link_mode)
-    bare = _proxy_restart_once(False, quick, seed, link_mode)
+def run_proxy_restart(quick: bool = False, seed: int = DEFAULT_SEED) -> Dict:
+    journaled = _proxy_restart_once(True, quick, seed)
+    rerun = _proxy_restart_once(True, quick, seed)
+    bare = _proxy_restart_once(False, quick, seed)
     return {
         "journaled": journaled,
         "no_journal": bare,
@@ -303,17 +296,8 @@ SCENARIOS = {
 
 def run_faultbench(scenarios: Optional[List[str]] = None,
                    quick: bool = False,
-                   seed: int = DEFAULT_SEED,
-                   link_mode: str = "exact") -> Dict:
-    """Run the named fault scenarios (default: all) and collect a report.
-
-    ``link_mode="fluid"`` runs the testbed on fluid links: unfaulted
-    links keep the one-event fast path and each faulted link falls back
-    to the exact store-and-forward model on its first outage (see
-    :attr:`repro.net.link.Link.fluid_ready`), so fault injection and
-    the fluid engine optimization finally compose.
-    """
-    mode = LinkMode(link_mode) if isinstance(link_mode, str) else link_mode
+                   seed: int = DEFAULT_SEED) -> Dict:
+    """Run the named fault scenarios (default: all) and collect a report."""
     names = scenarios or list(SCENARIOS)
     unknown = [n for n in names if n not in SCENARIOS]
     if unknown:
@@ -323,9 +307,7 @@ def run_faultbench(scenarios: Optional[List[str]] = None,
         "benchmark": "faultbench",
         "seed": seed,
         "quick": quick,
-        "link_mode": mode.value,
-        "scenarios": {name: SCENARIOS[name](quick=quick, seed=seed,
-                                            link_mode=mode)
+        "scenarios": {name: SCENARIOS[name](quick=quick, seed=seed)
                       for name in names},
     }
 

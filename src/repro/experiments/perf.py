@@ -28,10 +28,11 @@ Workloads
     :meth:`ProxyBlockCache.reset_stats` separate it from the measured
     phase instead of rebuilding the session.
 ``clone_storm``
-    One fleetbench site absorbing a staggered burst of full VM
-    sessions (lease, match, GVFS, clone, resume, flush, release)
-    through the session manager — the many-concurrent-processes mix
-    the event pool and batched dispatch target.
+    One site absorbing a staggered burst of full VM sessions (lease,
+    match, GVFS, clone, resume, flush, release) through the session
+    manager — the many-concurrent-processes mix the event pool and
+    batched dispatch target.  The image carries no meta-data, so every
+    block crosses the WAN.
 
 Golden timings live in ``benchmarks/golden_timings.json``; regenerate
 them with ``python -m repro.cli perf --update-golden`` only when a
@@ -244,15 +245,44 @@ def _run_flush_storm(quick: bool = False) -> PerfSample:
 
 
 def _run_clone_storm(quick: bool = False) -> PerfSample:
-    from repro.experiments.fleetbench import _run_site, _site_spec
+    from repro.core.session import ServerEndpoint
+    from repro.middleware.imageserver import ImageRequirements
+    from repro.middleware.sessions import VmSessionManager
+    from repro.net.topology import make_paper_testbed
+    from repro.sim import AllOf
+    from repro.vm.image import VmConfig
     sessions = 6 if quick else 24
-    spec = _site_spec(0, sessions, "exact")
+    memory_mb, stagger = 4, 0.25
+    testbed = make_paper_testbed(n_compute=4)
+    env = testbed.env
+    manager = VmSessionManager(
+        testbed, endpoint=ServerEndpoint(env, testbed.wan_server),
+        account_pool_size=sessions)
+    manager.catalog.register(
+        "storm-golden",
+        VmConfig(name="storm-golden", memory_mb=memory_mb, disk_gb=0.01,
+                 persistent=False, seed=17),
+        zero_fraction=0.5, generate_metadata=False)
+    requirements = ImageRequirements(min_memory_mb=memory_mb)
+    clone_seconds: List[float] = []
+
+    def one_user(env, index):
+        yield env.timeout(index * stagger)
+        session = yield env.process(manager.create_session(
+            f"site0-user{index}", requirements))
+        clone_seconds.append(session.clone.total_seconds)
+        yield env.process(manager.end_session(session))
+
+    def driver(env):
+        yield AllOf(env, [env.process(one_user(env, i))
+                          for i in range(sessions)])
+
+    env.process(driver(env))
     t0 = time.perf_counter()
-    r = _run_site(spec)
+    env.run()
     wall = time.perf_counter() - t0
-    return PerfSample("clone_storm", wall, r["sim_seconds"],
-                      list(r["clone_seconds"]) + [r["sim_seconds"]],
-                      r["events"], r["disk_blocks"])
+    return PerfSample("clone_storm", wall, env.now, clone_seconds + [env.now],
+                      env.events_scheduled, _disk_blocks(testbed))
 
 
 WORKLOADS: Dict[str, Callable[..., PerfSample]] = {

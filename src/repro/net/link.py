@@ -11,40 +11,23 @@ Both expose ``transmit(nbytes)`` as a process generator::
 
     yield env.process(route.transmit(32 * 1024))
 
-Link modes
-----------
-``LinkMode.EXACT`` (the default) is the discrete model above: every
-message queues on the transmit resource.  A message that finds the
+Every message queues on the transmit resource.  One that finds the
 transmitter free takes it synchronously and sleeps once, until its
-arrival instant ``(grant + serialization) + latency``; a message that
-has to queue also costs its grant event, and the holder it waits
-behind one hand-back timer.  ``LinkMode.FLUID`` is an opt-in fast path
-for fleet-scale runs: the transmitter becomes a scalar ``busy-until``
-clock, and a message costs exactly one engine event.  Completion times
-are identical to EXACT for FIFO traffic (``max(now, busy_until) +
-serialization + latency`` is precisely what the FIFO resource
-computes); drift appears only around faults and interrupts, which is
-why fluid mode is opt-in and golden-checked against the exact DES (see
-``repro.experiments.fleetbench``).
+arrival instant ``(grant + serialization) + latency``; one that has to
+queue also costs its grant event, and the holder it waits behind one
+hand-back timer.  This is the only link model: the paper's figures,
+the goldens and the benchmark all run on it.
 """
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_right
 from typing import Generator, Iterable, List, Optional, Tuple
 
 from repro.sim import Environment, FifoResource
 from repro.sim.engine import Event
 
-__all__ = ["Link", "LinkMode", "Route", "duplex"]
-
-
-class LinkMode(enum.Enum):
-    """Transmit model of a :class:`Link` (see module docstring)."""
-
-    EXACT = "exact"
-    FLUID = "fluid"
+__all__ = ["Link", "Route", "duplex"]
 
 #: Fixed per-message framing cost (Ethernet/IP/UDP/RPC headers), bytes.
 HEADER_BYTES = 160
@@ -64,7 +47,7 @@ class Link:
     """
 
     def __init__(self, env: Environment, latency: float, bandwidth: float,
-                 name: str = "link", mode: LinkMode = LinkMode.EXACT):
+                 name: str = "link"):
         if latency < 0:
             raise ValueError(f"negative latency: {latency}")
         if bandwidth <= 0:
@@ -73,7 +56,6 @@ class Link:
         self.latency = float(latency)
         self.bandwidth = float(bandwidth)
         self.name = name
-        self.mode = mode
         self._tx = FifoResource(env, capacity=1, name=f"{name}.tx")
         # The holder sleeps straight through to its arrival, so the
         # transmitter is handed back lazily once ``_tx_done`` has passed;
@@ -81,8 +63,6 @@ class Link:
         self._tx_token: Optional[object] = None
         self._tx_done = 0.0
         self._tx_timer_for: Optional[object] = None
-        # Fluid-mode transmitter state: the instant the wire frees up.
-        self._fluid_busy_until = 0.0
         # Fault state: a failed link either stalls traffic until
         # restore() (the default — models a routing blackout where the
         # retransmit eventually gets through) or drops it outright
@@ -104,20 +84,6 @@ class Link:
     def serialization_delay(self, nbytes: int) -> float:
         """Time the transmitter is held for a message of ``nbytes``."""
         return (nbytes + HEADER_BYTES) / self.bandwidth
-
-    @property
-    def fluid_ready(self) -> bool:
-        """True while this link may use the fluid fast path: fluid mode
-        and no outage history.
-
-        The scalar busy-until clock cannot represent traffic stalled
-        behind an outage, so a link's first failure permanently demotes
-        it to the exact store-and-forward path — accuracy around faults
-        beats the event saving.  This is what lets the fault-injection
-        benches run fluid: unfaulted links keep the fast path, faulted
-        ones fall back.
-        """
-        return self.mode is LinkMode.FLUID and self.outages == 0
 
     # -- fault injection ------------------------------------------------------
     def fail(self) -> None:
@@ -150,31 +116,6 @@ class Link:
             self._repair_gates.append(gate)
             yield gate
 
-    def _transmit_fluid(self, nbytes: int) -> Generator:
-        """Fluid-mode transmit: one engine event per message.
-
-        ``max(now, busy_until) + serialization`` reproduces the FIFO
-        transmitter's grant/serialize/release sequence without the
-        resource bookkeeping; fault handling mirrors the exact path
-        (stall or drop on entry, stall again if the link went down
-        while the message was in flight).
-        """
-        if self.failed:
-            yield from self._blocked()
-        delay = self.serialization_delay(nbytes)
-        now = self.env.now
-        start = self._fluid_busy_until
-        if start < now:
-            start = now
-        done = start + delay
-        self._fluid_busy_until = done
-        self.busy_time += delay
-        yield self.env.timeout(done + self.latency - now)
-        if self.failed:
-            yield from self._blocked()
-        self.bytes_sent += nbytes
-        self.messages_sent += 1
-
     def transmit(self, nbytes: int) -> Generator:
         """Process: queue for the transmitter, serialize, propagate.
 
@@ -184,18 +125,9 @@ class Link:
         """
         if nbytes < 0:
             raise ValueError(f"negative message size: {nbytes}")
-        if self.fluid_ready:
-            yield from self._transmit_fluid(nbytes)
-            return
         if self.failed:
             yield from self._blocked()
         env = self.env
-        if self._fluid_busy_until > env.now:
-            # A fluid link that just fell back to the exact path after
-            # its first outage: traffic that entered fluid still owns
-            # the wire until busy-until; queue behind it.  Zero-cost on
-            # always-exact links (busy-until never moves off 0).
-            yield env.timeout(self._fluid_busy_until - env.now)
         tx = self._tx
         if self._tx_token is not None and self._tx_done <= env.now:
             self._free_tx(self._tx_token)   # lazy hand-back
@@ -295,64 +227,10 @@ class Route:
         """Bandwidth of the slowest hop."""
         return min(l.bandwidth for l in self.links)
 
-    @property
-    def mode(self) -> LinkMode:
-        """FLUID when every hop is fluid, EXACT otherwise."""
-        if all(l.mode is LinkMode.FLUID for l in self.links):
-            return LinkMode.FLUID
-        return LinkMode.EXACT
-
     def transmit(self, nbytes: int) -> Generator:
         """Process: carry one message of ``nbytes`` across every hop."""
         for link in self.links:
             yield from link.transmit(nbytes)
-
-    def transmit_bulk(self, nbytes: int, pace: Optional[float] = None,
-                      n_messages: int = 1) -> Generator:
-        """Process: move a bulk stream across the route as one event.
-
-        The fluid counterpart of a *chunked, pipelined* stream (an SCP
-        transfer): each hop serializes the stream concurrently with the
-        others (chunks pipeline across hops), so the stream completes
-        when the busiest hop finishes serializing, plus end-to-end
-        propagation; ``pace`` caps the sender's self-pacing rate (TCP
-        window / cipher) and ``n_messages`` charges the per-chunk
-        framing overhead the chunked path would pay.  Each hop's
-        ``busy_until`` advances by the full serialization time, so
-        concurrent bulk streams share a bottleneck link in arrival
-        order exactly like queued chunks would.
-
-        Falls back to per-hop store-and-forward when any hop is EXACT,
-        down, or has ever been down (see :attr:`Link.fluid_ready`) —
-        correctness (fault stalls, contention with discrete traffic)
-        beats the event saving there.
-        """
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        if any(not l.fluid_ready for l in self.links):
-            yield from self.transmit(nbytes)
-            return
-        env = self.env
-        t0 = env.now
-        finish = t0
-        wire_bytes = nbytes + max(n_messages, 1) * HEADER_BYTES
-        for link in self.links:
-            ser = wire_bytes / link.bandwidth
-            start = link._fluid_busy_until
-            if start < t0:
-                start = t0
-            link._fluid_busy_until = start + ser
-            link.busy_time += ser
-            link.bytes_sent += nbytes
-            link.messages_sent += max(n_messages, 1)
-            if start + ser > finish:
-                finish = start + ser
-        finish += self.latency
-        if pace:
-            paced = t0 + nbytes / pace
-            if paced > finish:
-                finish = paced
-        yield env.timeout(finish - t0)
 
     def unloaded_transfer_time(self, nbytes: int) -> float:
         """Analytic no-contention time for one message (for tests)."""
@@ -363,8 +241,7 @@ class Route:
 
 
 def duplex(env: Environment, latency: float, bandwidth: float,
-           name: str = "link",
-           mode: LinkMode = LinkMode.EXACT) -> Tuple[Link, Link]:
+           name: str = "link") -> Tuple[Link, Link]:
     """Build a full-duplex link as an independent (forward, reverse) pair."""
-    return (Link(env, latency, bandwidth, name=f"{name}.fwd", mode=mode),
-            Link(env, latency, bandwidth, name=f"{name}.rev", mode=mode))
+    return (Link(env, latency, bandwidth, name=f"{name}.fwd"),
+            Link(env, latency, bandwidth, name=f"{name}.rev"))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.net.link import LinkMode, Route
+from repro.net.link import Route
 from repro.sim import Environment
 
 __all__ = ["SshTunnel", "ScpTransfer", "DEFAULT_TCP_WINDOW"]
@@ -146,17 +146,6 @@ class ScpTransfer:
             raise ValueError(f"negative transfer size: {nbytes}")
         rtt = 2.0 * self.route.latency
         yield self.env.timeout(rtt)  # scp/sftp session setup
-        if self.route.mode is LinkMode.FLUID:
-            # Fluid fast path: the whole paced, chunked stream becomes
-            # one completion event per stream instead of ~5 events per
-            # 256 KiB chunk.  Chunk-granular framing is still charged
-            # via ``n_messages`` so the wire cost matches the exact
-            # path; accuracy is golden-checked in fleetbench.
-            n_chunks = max(1, -(-nbytes // self.CHUNK))
-            yield from self.route.transmit_bulk(
-                nbytes, pace=self.per_stream_rate, n_messages=n_chunks)
-            self.bytes_transferred += nbytes
-            return
         pace = self.per_stream_rate
         remaining = nbytes
         while remaining > 0:

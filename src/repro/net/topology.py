@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.net.link import LinkMode, Route, duplex
+from repro.net.link import Route, duplex
 from repro.sim import AnyOf, Environment, Event, FifoResource
 from repro.storage.disk import DiskParams, SCSI_2003
 from repro.storage.localfs import LocalFileSystem
@@ -386,14 +386,12 @@ class Testbed:
                  lan: NetworkConditions = LAN_2003,
                  wan: NetworkConditions = WAN_2003,
                  compute_cpu_speed: float = 1.0,
-                 compute_page_cache_bytes: int = 512 * 1024 * 1024,
-                 link_mode: LinkMode = LinkMode.EXACT):
+                 compute_page_cache_bytes: int = 512 * 1024 * 1024):
         if n_compute < 1:
             raise ValueError("need at least one compute server")
         self.env = env
         self.lan_conditions = lan
         self.wan_conditions = wan
-        self.link_mode = link_mode
 
         # Hosts. CPU speeds are relative to the 1.1 GHz PIII compute node.
         self.compute: List[Host] = [
@@ -408,10 +406,9 @@ class Testbed:
         self._access: Dict[str, tuple] = {}
         for host in [*self.compute, self.lan_server, self.wan_server]:
             self._access[host.name] = duplex(
-                env, lan.latency, lan.bandwidth, name=f"{host.name}.eth",
-                mode=link_mode)
+                env, lan.latency, lan.bandwidth, name=f"{host.name}.eth")
         self.wan_segment = duplex(env, wan.latency, wan.bandwidth,
-                                  name="abilene", mode=link_mode)
+                                  name="abilene")
 
         # Cooperative peer-cache directories, one per site, created on
         # first use (see :meth:`peer_directory`).
@@ -435,7 +432,7 @@ class Testbed:
                     page_cache_bytes=page_cache_bytes)
         self._access[name] = duplex(
             self.env, conditions.latency, conditions.bandwidth,
-            name=f"{name}.eth", mode=self.link_mode)
+            name=f"{name}.eth")
         return host
 
     def add_origin_pool(self, n: int, prefix: str = "data-server",

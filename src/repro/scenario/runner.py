@@ -166,7 +166,6 @@ def _attach_faults(spec: ScenarioSpec, env, testbed, endpoint, sessions,
 def _run_fleet_once(spec: ScenarioSpec) -> Dict:
     from repro.core.session import GvfsSession, LocalMount, Scenario, \
         ServerEndpoint, build_cascade
-    from repro.net.link import LinkMode
     from repro.net.topology import make_paper_testbed
     from repro.nfs.protocol import NFS_BLOCK_SIZE
     from repro.sim import AllOf
@@ -178,9 +177,7 @@ def _run_fleet_once(spec: ScenarioSpec) -> Dict:
         trace_to_workload
 
     n = spec.topology.peers
-    link_mode = (LinkMode.FLUID if spec.topology.link_mode == "fluid"
-                 else LinkMode.EXACT)
-    testbed = make_paper_testbed(n_compute=n, link_mode=link_mode)
+    testbed = make_paper_testbed(n_compute=n)
     env = testbed.env
     endpoint = ServerEndpoint(env, testbed.wan_server)
     fs = endpoint.export.fs
@@ -521,13 +518,6 @@ def run_bench_driver(name: str, params: Dict, quick: bool,
         from repro.experiments import coopbench as mod
         report = mod.run_coopbench(quick=quick, **params)
         return report, mod.check_report(report), mod.format_report(report)
-    if name == "fleetbench":
-        from repro.experiments import fleetbench as mod
-        baseline = params.pop("baseline", None)
-        report = mod.run_fleetbench(quick=quick, **params)
-        base = _load_baseline(baseline) if baseline else None
-        return (report, mod.check_report(report, baseline=base),
-                mod.format_report(report))
     if name == "farmbench":
         from repro.experiments import farmbench as mod
         baseline = params.pop("baseline", None)

@@ -28,7 +28,6 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.resources import FifoResource, PriorityResource, Store
-from repro.sim.shard import partition_islands, run_islands
 
 __all__ = [
     "AllOf",
@@ -42,6 +41,4 @@ __all__ = [
     "SimulationError",
     "Store",
     "Timeout",
-    "partition_islands",
-    "run_islands",
 ]

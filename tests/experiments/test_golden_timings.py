@@ -1,6 +1,6 @@
 """Tier-1 golden simulated-time check.
 
-Runs the two cheapest perf workloads in quick mode and requires their
+Runs the three cheapest perf workloads in quick mode and requires their
 full simulated-time traces to be **bit-identical** to the recorded
 signatures in ``benchmarks/golden_timings.json``.  Any change to the
 engine, the proxy stack, or the cache layers that shifts a single
@@ -27,3 +27,7 @@ def test_cold_clone_quick_signature_is_golden():
 
 def test_flush_storm_quick_signature_is_golden():
     _check("flush_storm")
+
+
+def test_clone_storm_quick_signature_is_golden():
+    _check("clone_storm")

@@ -12,23 +12,14 @@ from repro.net.link import Link
 
 
 class ReferenceLink(Link):
-    """A link whose exact path costs three engine events per hop."""
+    """A link that costs three engine events per hop."""
 
     def transmit(self, nbytes: int) -> Generator:
         """Process: queue for the transmitter, serialize, propagate."""
         if nbytes < 0:
             raise ValueError(f"negative message size: {nbytes}")
-        if self.fluid_ready:
-            yield from self._transmit_fluid(nbytes)
-            return
         if self.failed:
             yield from self._blocked()
-        if self._fluid_busy_until > self.env.now:
-            # A fluid link that just fell back to the exact path after
-            # its first outage: traffic that entered fluid still owns
-            # the wire until busy-until; queue behind it.  Zero-cost on
-            # always-exact links (busy-until never moves off 0).
-            yield self.env.timeout(self._fluid_busy_until - self.env.now)
         req = self._tx.request()
         try:
             # ``yield req`` sits inside the try so an interrupt landing

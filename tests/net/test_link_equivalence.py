@@ -5,16 +5,15 @@ The production link sleeps once per uncontended hop; the oracle in
 the same seeded random schedules — 1-3 hop routes, mixed sizes,
 simultaneous arrivals, interrupts in every phase (with a
 retransmission after each), ``fail``/``restore`` with and without
-``drop_on_fail``, one fluid link demoted by its first outage — and
-every simulated instant and link counter must compare equal with
-``==``: no interval may move, only sequence numbers.
+``drop_on_fail`` — and every simulated instant and link counter must
+compare equal with ``==``: no interval may move, only sequence numbers.
 """
 
 import random
 
 import pytest
 
-from repro.net.link import Link, LinkMode, Route
+from repro.net.link import Link, Route
 from repro.sim import Environment, Interrupt
 
 from tests.net.reference_link import ReferenceLink
@@ -30,9 +29,8 @@ def make_plan(seed: int) -> dict:
     n_links = rng.randint(2, 5)
     links = [{"latency": rng.choice((0.0, rng.uniform(1e-4, 4e-2))),
               "bandwidth": rng.uniform(2e5, 5e7),
-              "drop_on_fail": rng.random() < 0.3,
-              "fluid": i == 0 and rng.random() < 0.25}
-             for i in range(n_links)]
+              "drop_on_fail": rng.random() < 0.3}
+             for _ in range(n_links)]
     horizon = rng.uniform(0.5, 3.0)
     bursts = [rng.uniform(0.0, horizon) for _ in range(rng.randint(1, 4))]
     messages = []
@@ -75,8 +73,7 @@ def run_plan(link_cls, plan: dict) -> dict:
     env = Environment()
     links = []
     for i, spec in enumerate(plan["links"]):
-        link = link_cls(env, spec["latency"], spec["bandwidth"], name=f"l{i}",
-                        mode=LinkMode.FLUID if spec["fluid"] else LinkMode.EXACT)
+        link = link_cls(env, spec["latency"], spec["bandwidth"], name=f"l{i}")
         link.drop_on_fail = spec["drop_on_fail"]
         links.append(link)
     outcome = {}

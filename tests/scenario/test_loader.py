@@ -72,15 +72,47 @@ def test_quick_profile_gates_validated_too(tmp_path):
         load_spec(str(path))
 
 
+def test_harden_keys_checked_at_load(tmp_path):
+    """A typo'd ``harden`` key fails in the loader, not as a TypeError
+    from ``harden_rpc`` after the testbed and images are built."""
+    doc = {"name": "t", "kind": "fleet",
+           "topology": {"images": [{"name": "img", "memory_mb": 4}]},
+           "sessions": {"harden": {"timeout": 2.0, "breaker_threshold": 4}},
+           "phases": [{"name": "storm", "kind": "clone_storm",
+                       "image": "img"}]}
+    path = tmp_path / "harden.json"
+    path.write_text(json.dumps(doc))
+    assert load_spec(str(path)).sessions.harden["timeout"] == 2.0
+    doc["sessions"]["harden"] = {"timeuot": 2.0}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SpecError,
+                       match="sessions.harden.timeuot: unknown key"):
+        load_spec(str(path))
+
+
+def test_frozen_benchmark_spec_still_loads():
+    """``bench/specs/fleet_day.yaml`` cannot change and spells
+    ``link_mode: exact``; the loader must keep accepting it."""
+    pytest.importorskip("yaml")
+    path = SCENARIO_DIR.parent / "bench" / "specs" / "fleet_day.yaml"
+    assert "link_mode: exact" in path.read_text()
+    spec = load_spec(str(path))
+    assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+
+
 def test_library_specs_all_load_and_round_trip():
+    yaml = pytest.importorskip("yaml")
     specs = list_specs()
     names = [s.name for s in specs]
-    # The CI matrix cells must all exist in the library.
-    for expected in ("perf_smoke", "fleet_smoke", "fault_smoke",
-                     "cascade_smoke", "coop_smoke", "chaos_smoke",
-                     "farm_smoke", "fleet_rollout"):
-        assert expected in names
-    assert names == sorted(names)
+    # One CI cell and one nightly cell per library spec, no more, no
+    # fewer: a scenario cannot be added or deleted without its cells.
+    workflows = SCENARIO_DIR.parent / ".github" / "workflows"
+    for workflow in ("ci.yml", "nightly.yml"):
+        jobs = yaml.safe_load((workflows / workflow).read_text())["jobs"]
+        matrices = [job["strategy"]["matrix"]["scenario"]
+                    for job in jobs.values()
+                    if "scenario" in job.get("strategy", {}).get("matrix", {})]
+        assert matrices == [names], workflow
     for spec in specs:
         again = ScenarioSpec.from_dict(spec.to_dict())
         assert again == spec

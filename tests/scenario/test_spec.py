@@ -75,6 +75,16 @@ def test_unknown_keys_rejected_at_every_level(mutate, fragment):
     ({**MINIMAL_FLEET,
       "faults": [{"kind": "link_flap", "target": "level:2", "at": 1.0,
                   "down_for": 1.0}]}, "depth"),
+    ({**MINIMAL_FLEET,
+      "topology": {**MINIMAL_FLEET["topology"], "link_mode": "fluid"}},
+     "topology.link_mode: 'fluid' was removed in PR 14"),
+    ({**MINIMAL_FLEET,
+      "topology": {**MINIMAL_FLEET["topology"], "link_mode": "plasma"}},
+     "topology.link_mode: must be 'exact'"),
+    ({**MINIMAL_FLEET, "sessions": {"harden": {"timeuot": 2.0}}},
+     "sessions.harden.timeuot: unknown key"),
+    ({**MINIMAL_FLEET, "sessions": {"harden": {"self": 1}}},
+     "sessions.harden.self: unknown key"),
 ])
 def test_validation_errors(doc, fragment):
     with pytest.raises(SpecError, match=fragment):

@@ -57,45 +57,12 @@ def test_bench_zero_runs_and_reports(capsys):
     assert "92" in out
 
 
-def test_fleetbench_parser_defaults():
-    args = build_parser().parse_args(["fleetbench", "--quick"])
-    assert args.quick and args.sessions is None and args.modes is None
-    assert args.fleet_report is False
-
-
-def test_fleetbench_rejects_unknown_mode(capsys):
-    assert main(["fleetbench", "--quick", "--modes", "warp"]) == 2
-    assert "unknown mode" in capsys.readouterr().err
-
-
-def test_fleetbench_quick_exact_storm(capsys, tmp_path):
-    out_file = tmp_path / "fleet.json"
-    assert main(["fleetbench", "--quick", "--sessions", "4", "--sites", "2",
-                 "--modes", "exact,sharded", "--processes", "2",
-                 "--fleet-report", "--out", str(out_file)]) == 0
-    out = capsys.readouterr().out
-    assert "engine microbench" in out
-    assert "sharded" in out
-    assert "fleet: 2 session(s)" in out      # --fleet-report sections
-    import json
-    report = json.loads(out_file.read_text())
-    assert report["storm"]["exact"]["sessions"] == 4
-    assert report["fluid_accuracy"]
-    assert fleetbench_gates_pass(report)
-
-
-def fleetbench_gates_pass(report):
-    from repro.experiments import fleetbench
-    return fleetbench.check_report(report) == []
-
-
 BENCH_CMDS = {
     # subcommand -> (experiments module name, run_* function name)
     "faultbench": ("faultbench", "run_faultbench"),
     "chaosbench": ("chaosbench", "run_chaosbench"),
     "cascadebench": ("cascadebench", "run_cascadebench"),
     "coopbench": ("coopbench", "run_coopbench"),
-    "fleetbench": ("fleetbench", "run_fleetbench"),
     "farmbench": ("farmbench", "run_farmbench"),
 }
 
@@ -110,7 +77,7 @@ def test_bench_subcommands_share_gate_exit_codes(cmd, failures, expected,
     mod_name, run_name = BENCH_CMDS[cmd]
     mod = importlib.import_module(f"repro.experiments.{mod_name}")
     monkeypatch.setattr(mod, run_name,
-                        lambda *a, **k: {"fake": True, "storm": {}})
+                        lambda *a, **k: {"fake": True})
     monkeypatch.setattr(mod, "format_report", lambda report: "fake table")
     monkeypatch.setattr(mod, "check_report",
                         lambda report, baseline=None: list(failures))
