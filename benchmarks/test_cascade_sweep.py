@@ -9,8 +9,9 @@ the full-scale sweep):
 * Scan-resistant policies (2Q, LFU) beat LRU at the capacity-
   constrained first intermediate level, where one-shot scan images
   contend with the hot golden image.
-* Depth-1 and depth-2 cascades are bit-identical in simulated time to
-  the plain caching proxy and the literal SecondLevelCache.
+* A depth-1 cascade is bit-identical in simulated time to the plain
+  caching proxy (depth 2 against a hand-wired second level is pinned in
+  tests/core/test_second_level.py and test_layer_stack.py).
 """
 
 from conftest import once
@@ -61,6 +62,3 @@ def test_cascade_sweep(benchmark, save_table):
     eq = report["equivalence"]
     assert eq["depth1"]["clone_seconds_identical"]
     assert eq["depth1"]["total_identical"]
-    assert eq["depth2"]["clone_seconds_identical"]
-    assert eq["depth2"]["total_identical"]
-    assert eq["depth2"]["level_stats_identical"]

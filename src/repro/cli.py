@@ -5,47 +5,12 @@ Commands
 ``bench <target>``
     Regenerate one of the paper's figures/tables and print its table.
     Targets: ``fig3`` ``fig4`` ``fig5`` ``fig6`` ``table1`` ``zero``
-    ``pipelined`` ``all``.  ``--readahead-depth`` /
-    ``--write-coalesce-bytes`` / ``--write-pipeline-depth`` retune the
-    proxies' pipelined I/O for any target.
+    ``pipelined`` ``all``.
 ``perf``
     Measure wall-clock simulator throughput (events/sec, blocks/sec)
     on fixed workloads and assert simulated-time invariance against
     golden timings.  ``--out BENCH_pr2.json`` archives the numbers;
     ``--baseline`` computes speedups against an earlier archive.
-``faultbench``
-    Run the fault-injection scenarios (WAN blips, server crash
-    mid-flush, proxy restart with/without the dirty-frame journal) and
-    check the recovery guarantees: zero lost writes with the journal,
-    deterministic replay for a fixed seed.  ``--out
-    results/BENCH_pr3.json`` archives the metrics; exit code 1 when a
-    guarantee is violated (the CI fault-smoke gate).
-``chaosbench``
-    Run the layer-targeted chaos sweep: >= 24 seeded (layer x fault x
-    workload) cells on a cascade-with-peers rig, asserting zero
-    corrupted bytes served (the checksum layer catches and repairs
-    injected corruption), zero lost acknowledged writes, a layer-local
-    blast radius and bounded recovery — plus the checksum-off negative
-    control and the bit-identical happy-path timing check.  ``--out
-    results/BENCH_pr8.json`` archives the sweep; exit code 1 when a
-    guarantee is violated (the CI chaos-smoke gate).
-``cascadebench``
-    Sweep proxy-cache cascade depth (1-4) and eviction policy
-    (lru/lfu/2q) over cold-clone and kernel-compile workloads,
-    recording per-level hit ratios, and check the cascade guarantees:
-    every level serves hits, and depth-1/depth-2 cascades match the
-    plain proxy / SecondLevelCache bit-identically on simulated time.
-    ``--out results/BENCH_pr5.json`` archives the sweep; exit code 1
-    when a guarantee is violated (the CI cascade-smoke gate).
-``farmbench``
-    Run the clone storm against the sharded image-server farm (1 vs 4
-    vs 16 replicated data servers, with and without a mid-storm
-    data-server crash) and check the farm guarantees: measurable storm
-    speedup at 4 and 16 servers, zero lost acknowledged writes and
-    observed failovers under the crash, bounded re-replication,
-    deterministic placement, and bit-identical farm-disabled golden
-    timings.  ``--out results/BENCH_pr9.json`` archives the report;
-    exit code 1 when a guarantee is violated (the CI farm-smoke gate).
 ``scenario run/list/check``
     The declarative scenario engine (:mod:`repro.scenario`): ``run``
     executes one spec from ``scenarios/`` (or a path) end to end —
@@ -53,17 +18,21 @@ Commands
     ``BENCH_*.json`` envelope; ``--quick`` applies the spec's quick
     profile, ``--check`` turns failed gates into exit code 1 (the CI
     scenario-smoke matrix runs ``scenario run <spec> --quick
-    --check``).  ``list`` prints the spec library; ``check`` validates
-    a spec (including its quick profile) without running it.
+    --check``).  This is the one way to run a bench driver (fault,
+    chaos, cascade, coop, farm): a ``kind: bench`` spec names it and
+    ``seed`` + ``bench.params`` parameterise it (docs/scenarios.md).
+    ``list`` prints the spec library; ``check`` validates a spec
+    (including its quick profile) without running it.
 ``info``
     Print the calibration constants shared by every experiment.
 ``report``
     Assemble the archived benchmark tables under ``results/`` into one
     reproduction report (exit code 1 while sections are missing).
 
-Every bench subcommand shares one gate discipline: the driver's
-``check_report`` failures print to stderr and yield exit code 1;
-malformed arguments yield exit code 2; a clean run exits 0.
+One gate discipline throughout: failed gates (a bench driver's
+``check_report`` failures included) print to stderr and yield exit
+code 1; malformed arguments or specs yield exit code 2; a clean run
+exits 0.
 
 The heavy lifting lives in :mod:`repro.experiments` and
 :mod:`repro.scenario`; this is a thin front end so a checkout is
@@ -166,19 +135,10 @@ def _bench_zero() -> str:
 
 
 def _bench_pipelined() -> str:
-    from repro.core.config import pipeline_overrides
     from repro.experiments.pipelinedbench import (format_pipelined_io,
                                                   run_flush_comparison,
                                                   run_read_sweep)
-    # The sweep and flush comparison set their own knobs per point, so
-    # the process-wide overrides are folded in explicitly: an overridden
-    # readahead depth joins the sweep, write knobs retune the flush.
-    overrides = pipeline_overrides()
-    depths = sorted({0, 1, 4, 8, 16} | {overrides.get("readahead_depth", 8)})
-    flush = run_flush_comparison(
-        coalesce_bytes=overrides.get("write_coalesce_bytes", 64 * 1024),
-        pipeline_depth=overrides.get("write_pipeline_depth", 4))
-    return format_pipelined_io(run_read_sweep(depths=depths), flush)
+    return format_pipelined_io(run_read_sweep(), run_flush_comparison())
 
 
 BENCH_TARGETS: Dict[str, Callable[[], str]] = {
@@ -193,17 +153,6 @@ BENCH_TARGETS: Dict[str, Callable[[], str]] = {
 
 
 def _cmd_bench(args) -> int:
-    from repro.core.config import (ProxyConfig, pipeline_overrides,
-                                   set_pipeline_overrides)
-    try:
-        set_pipeline_overrides(
-            readahead_depth=args.readahead_depth,
-            write_coalesce_bytes=args.write_coalesce_bytes,
-            write_pipeline_depth=args.write_pipeline_depth)
-        ProxyConfig(**pipeline_overrides())   # fail fast on bad values
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     targets = (list(BENCH_TARGETS) if args.target == "all"
                else [args.target])
     for target in targets:
@@ -221,33 +170,6 @@ def _write_json(doc, out: str) -> None:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"[written to {out}]")
-
-
-def _finish_report(doc, failures, out, label) -> int:
-    """The uniform tail of every bench subcommand: archive, then turn
-    check_report failures into stderr + exit code 1."""
-    if out:
-        _write_json(doc, out)
-    if failures:
-        print(f"error: {label} violated:\n  " + "\n  ".join(failures),
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_bench_cmd(driver: str, params, quick: bool, out, label,
-                   seed: int = 0) -> int:
-    """Run a legacy bench through the scenario engine's adapter so the
-    CLI and the scenario matrix share one execution + gate path."""
-    from repro.scenario.runner import run_bench_driver
-    try:
-        report, failures, text = run_bench_driver(driver, params, quick,
-                                                  seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(text)
-    return _finish_report(report, failures, out, label)
 
 
 def _cmd_perf(args) -> int:
@@ -271,56 +193,14 @@ def _cmd_perf(args) -> int:
              for n, s in report.samples.items()}, golden_path)
         print(f"[golden timings updated in {golden_path}]")
     print(perf.format_report(report))
-    return _finish_report(report.to_dict(),
-                          perf_gate_failures(report, args.max_slowdown),
-                          args.out, "perf guarantees")
-
-
-def _cmd_faultbench(args) -> int:
-    params = {}
-    if args.scenario:
-        params["scenarios"] = args.scenario.split(",")
-    return _run_bench_cmd("faultbench", params, args.quick, args.out,
-                          "recovery guarantees", seed=args.seed)
-
-
-def _cmd_chaosbench(args) -> int:
-    return _run_bench_cmd("chaosbench", {}, args.quick, args.out,
-                          "chaos guarantees", seed=args.seed)
-
-
-def _cmd_coopbench(args) -> int:
-    params = {}
-    if args.modes:
-        params["modes"] = args.modes.split(",")
-    if args.depths:
-        params["depths"] = [int(d) for d in args.depths.split(",")]
-    if args.peers:
-        params["peers"] = [int(p) for p in args.peers.split(",")]
-    return _run_bench_cmd("coopbench", params, args.quick, args.out,
-                          "cooperative-caching guarantees")
-
-
-def _cmd_cascadebench(args) -> int:
-    params = {}
-    if args.depths:
-        params["depths"] = [int(d) for d in args.depths.split(",")]
-    if args.policies:
-        params["policies"] = args.policies.split(",")
-    if args.workloads:
-        params["workloads"] = args.workloads.split(",")
-    return _run_bench_cmd("cascadebench", params, args.quick, args.out,
-                          "cascade guarantees")
-
-
-def _cmd_farmbench(args) -> int:
-    params = {"sessions": args.sessions}
-    if args.cells:
-        params["cells"] = args.cells.split(",")
-    if args.baseline:
-        params["baseline"] = args.baseline
-    return _run_bench_cmd("farmbench", params, args.quick, args.out,
-                          "farm guarantees", seed=args.seed)
+    if args.out:
+        _write_json(report.to_dict(), args.out)
+    failures = perf_gate_failures(report, args.max_slowdown)
+    if failures:
+        print("error: perf guarantees violated:\n  "
+              + "\n  ".join(failures), file=sys.stderr)
+        return 1
+    return 0
 
 
 # --------------------------------------------------------------------------
@@ -440,18 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="regenerate a figure/table")
     bench.add_argument("target", choices=[*BENCH_TARGETS, "all"])
-    bench.add_argument("--readahead-depth", type=int, default=None,
-                       metavar="N",
-                       help="override proxy sequential-readahead depth "
-                            "(blocks fetched ahead; 0 disables)")
-    bench.add_argument("--write-coalesce-bytes", type=int, default=None,
-                       metavar="B",
-                       help="override max bytes merged into one upstream "
-                            "WRITE during proxy flush (0 = per-block)")
-    bench.add_argument("--write-pipeline-depth", type=int, default=None,
-                       metavar="W",
-                       help="override concurrent upstream WRITEs during "
-                            "proxy flush")
     _add_stack_report_flag(bench)
     bench.set_defaults(func=_cmd_bench)
 
@@ -484,116 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(CI gate; baseline scale must match)")
     _add_stack_report_flag(perf)
     perf.set_defaults(func=_cmd_perf)
-
-    fault = sub.add_parser(
-        "faultbench",
-        help="run fault-injection scenarios and check recovery "
-             "guarantees (zero lost writes with the journal, "
-             "deterministic replay)")
-    fault.add_argument("--scenario", default=None, metavar="S1,S2",
-                       help="comma-separated scenario names (default: all; "
-                            "wan_blip, server_crash, proxy_restart)")
-    fault.add_argument("--seed", type=int, default=11, metavar="N",
-                       help="fault-plan seed (same seed => same timeline)")
-    fault.add_argument("--quick", action="store_true",
-                       help="shrunken workloads (CI smoke scale)")
-    fault.add_argument("--out", default=None, metavar="FILE",
-                       help="write the metrics as JSON "
-                            "(e.g. results/BENCH_pr3.json)")
-    _add_stack_report_flag(fault)
-    fault.set_defaults(func=_cmd_faultbench)
-
-    cascade = sub.add_parser(
-        "cascadebench",
-        help="sweep cache-cascade depth x eviction policy and check "
-             "the cascade guarantees (every level serves hits; "
-             "depth-1/2 match the plain proxy / SecondLevelCache "
-             "bit-identically)")
-    cascade.add_argument("--depths", default=None, metavar="D1,D2",
-                         help="comma-separated cascade depths "
-                              "(default: 1,2,3,4; depth counts the "
-                              "client proxy)")
-    cascade.add_argument("--policies", default=None, metavar="P1,P2",
-                         help="comma-separated eviction policies "
-                              "(default: lru,lfu,2q)")
-    cascade.add_argument("--workloads", default=None, metavar="W1,W2",
-                         help="comma-separated workloads (default: "
-                              "cold_clone,kernel_compile)")
-    cascade.add_argument("--quick", action="store_true",
-                         help="shrunken workloads (CI smoke scale)")
-    cascade.add_argument("--out", default=None, metavar="FILE",
-                         help="write the sweep as JSON "
-                              "(e.g. results/BENCH_pr5.json)")
-    _add_stack_report_flag(cascade)
-    cascade.set_defaults(func=_cmd_cascadebench)
-
-    coop = sub.add_parser(
-        "coopbench",
-        help="sweep proxy organization (inclusive / exclusive-demotion "
-             "/ cooperative peer caching) x cascade depth x peer count "
-             "over a clone-storm + golden-rollout workload, plus the "
-             "adaptive level-sizing probe; checks the PR-7 guarantees")
-    coop.add_argument("--modes", default=None, metavar="M1,M2",
-                      help="subset of modes "
-                           "(inclusive,exclusive,cooperative)")
-    coop.add_argument("--depths", default=None, metavar="D1,D2",
-                      help="cascade depths to sweep (default 1,2,3)")
-    coop.add_argument("--peers", default=None, metavar="N1,N2",
-                      help="peer counts to sweep (default 1,2,4)")
-    coop.add_argument("--quick", action="store_true",
-                      help="CI-scale images and storms")
-    coop.add_argument("--out", default=None, metavar="FILE",
-                      help="write the sweep as JSON "
-                           "(e.g. results/BENCH_pr7.json)")
-    _add_stack_report_flag(coop)
-    coop.set_defaults(func=_cmd_coopbench)
-
-    chaos = sub.add_parser(
-        "chaosbench",
-        help="run the layer-targeted chaos sweep (corrupt frames, "
-             "blackholed/delayed/duplicated RPC procs, stalled and "
-             "dropped uploads) and check the integrity guarantees: "
-             "zero corrupted bytes served, zero lost acknowledged "
-             "writes, layer-local blast radius, bounded recovery, "
-             "deterministic replay")
-    chaos.add_argument("--seed", type=int, default=17, metavar="N",
-                       help="sweep seed (same seed => same cells, same "
-                            "timelines)")
-    chaos.add_argument("--quick", action="store_true",
-                       help="shrunken workloads (CI smoke scale)")
-    chaos.add_argument("--out", default=None, metavar="FILE",
-                       help="write the sweep as JSON "
-                            "(e.g. results/BENCH_pr8.json)")
-    _add_stack_report_flag(chaos)
-    chaos.set_defaults(func=_cmd_chaosbench)
-
-    farmp = sub.add_parser(
-        "farmbench",
-        help="clone storm against the sharded image-server farm "
-             "(1 vs 4 vs 16 replicated data servers, with and without "
-             "a mid-storm data-server crash) and the farm guarantees: "
-             "storm speedup at 4 and 16 servers, zero lost "
-             "acknowledged writes and observed failovers under the "
-             "crash, bounded re-replication, deterministic placement, "
-             "bit-identical farm-disabled golden timings")
-    farmp.add_argument("--sessions", type=int, default=None, metavar="N",
-                       help="sessions per storm cell "
-                            "(default: 1000, or 48 with --quick)")
-    farmp.add_argument("--cells", default=None, metavar="C1,C2",
-                       help="comma-separated cells, each N or N+crash "
-                            "(default: 1,4,16,4+crash,16+crash; quick: "
-                            "1,4,4+crash)")
-    farmp.add_argument("--seed", type=int, default=0, metavar="N",
-                       help="placement seed (same seed => same map)")
-    farmp.add_argument("--quick", action="store_true",
-                       help="shrunken storm (CI smoke scale)")
-    farmp.add_argument("--out", default=None, metavar="FILE",
-                       help="write the report as JSON "
-                            "(e.g. results/BENCH_pr9.json)")
-    farmp.add_argument("--baseline", default=None, metavar="FILE",
-                       help="earlier farmbench JSON; fail on >25%% "
-                            "storm slowdown in any cell")
-    farmp.set_defaults(func=_cmd_farmbench)
 
     scenario = sub.add_parser(
         "scenario",

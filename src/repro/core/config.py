@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.eviction import POLICIES
 from repro.nfs.protocol import NFS_BLOCK_SIZE, NFS_MAX_BLOCK_SIZE
 
-__all__ = ["CachePolicy", "ProxyCacheConfig", "ProxyConfig",
-           "clear_pipeline_overrides", "pipeline_overrides",
-           "set_pipeline_overrides"]
+__all__ = ["CachePolicy", "ProxyCacheConfig", "ProxyConfig"]
 
 
 class CachePolicy(enum.Enum):
@@ -119,42 +117,3 @@ class ProxyConfig:
         if self.dirty_high_water_blocks < 0:
             raise ValueError("dirty_high_water_blocks must be >= 0")
 
-
-# -- process-wide pipelined-I/O overrides ------------------------------------
-#
-# Sessions are assembled deep inside experiment drivers, far from any
-# command line; these overrides let the CLI (`repro bench
-# --readahead-depth N --write-coalesce-bytes B`) retune every proxy a
-# run builds without threading knobs through each driver signature.
-
-_PIPELINE_KNOBS = ("readahead_depth", "readahead_min_run",
-                   "write_coalesce_bytes", "write_pipeline_depth")
-_pipeline_overrides: Dict[str, int] = {}
-
-
-def set_pipeline_overrides(**knobs: Optional[int]) -> None:
-    """Install defaults for pipelined-I/O knobs on future proxies.
-
-    Accepts any of ``readahead_depth``, ``readahead_min_run``,
-    ``write_coalesce_bytes``, ``write_pipeline_depth``; ``None`` leaves
-    a knob at its dataclass default.  Applied by
-    :meth:`~repro.core.session.GvfsSession.build` and
-    :class:`~repro.core.session.SecondLevelCache`.
-    """
-    for name, value in knobs.items():
-        if name not in _PIPELINE_KNOBS:
-            raise TypeError(f"unknown pipeline knob: {name}")
-        if value is None:
-            _pipeline_overrides.pop(name, None)
-        else:
-            _pipeline_overrides[name] = value
-
-
-def pipeline_overrides() -> Dict[str, int]:
-    """The currently installed pipelined-I/O knob overrides."""
-    return dict(_pipeline_overrides)
-
-
-def clear_pipeline_overrides() -> None:
-    """Drop all overrides (test isolation)."""
-    _pipeline_overrides.clear()

@@ -155,7 +155,7 @@ class Prefetcher:
 
     def _fetch_one(self, fh: FileHandle, index: int,
                    block_size: int) -> Generator:
-        self.proxy.register_prefetch((fh, index))
+        self.proxy.layer("readahead").register_prefetch((fh, index))
         reply = yield from self.proxy.upstream.call(NfsRequest(
             NfsProc.READ, fh=fh, offset=index * block_size,
             count=block_size,

@@ -10,25 +10,27 @@
 
 A :class:`GvfsSession` is what middleware builds per user: kernel
 client -> (loopback) -> client proxy [caches] -> (SSH tunnel) -> server
-proxy [identity map] -> (loopback) -> kernel NFS server.  A
-:class:`SecondLevelCache` inserts a LAN caching proxy into that chain
-(the WAN-S3 cloning scenario).
+proxy [identity map] -> (loopback) -> kernel NFS server.
+:func:`build_cascade` inserts caching proxies into that chain (one on
+the LAN server is the WAN-S3 cloning scenario).
+
+Every caching proxy built here takes its policy from an explicit
+``proxy_config`` argument — a :class:`ProxyConfig` template whose
+``name``/``cache``/``metadata`` the builder fills in — so two sessions
+on one testbed can run different readahead or write-back settings
+(per-user / per-application policy, §3.2.1).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Generator, List, Optional, Sequence, Union
 
 from repro.core.blockcache import ProxyBlockCache
 from repro.core.channel import CascadedFileChannel, FileChannel, RemoteFileLocator
-from repro.core.config import (
-    ProxyCacheConfig,
-    ProxyConfig,
-    pipeline_overrides,
-)
+from repro.core.config import ProxyCacheConfig, ProxyConfig
 from repro.core.consistency import MiddlewareConsistency
 from repro.core.filecache import ProxyFileCache
 from repro.core.layers.checksum import ChecksumLayer
@@ -44,8 +46,8 @@ from repro.storage.localfs import LocalFileSystem
 from repro.storage.vfs import FsError, Inode
 
 __all__ = ["CascadeLevel", "CascadeLevelSpec", "GvfsSession", "LocalFile",
-           "LocalMount", "ProxyCascade", "Scenario", "SecondLevelCache",
-           "ServerEndpoint", "build_cascade", "build_caching_proxy",
+           "LocalMount", "ProxyCascade", "Scenario", "ServerEndpoint",
+           "build_cascade", "build_caching_proxy",
            "direct_file_channel"]
 
 _session_counter = itertools.count(1)
@@ -213,6 +215,7 @@ class ServerEndpoint:
 def build_caching_proxy(env: Environment, upstream: RpcClient, *, name: str,
                         cache_config: ProxyCacheConfig, block_cache,
                         channel, metadata: bool = True,
+                        proxy_config: ProxyConfig = ProxyConfig(),
                         peer_member=None, integrity=None,
                         origin_selector=None,
                         channel_selector=None) -> GvfsProxy:
@@ -223,17 +226,20 @@ def build_caching_proxy(env: Environment, upstream: RpcClient, *, name: str,
     Every cache level in a cascade — the client proxy, a second-level
     LAN cache, an N-th level — is this same composition; only the
     upstream RPC client (the next hop) and the cache objects differ.
-    ``peer_member`` (a ``PeerCacheDirectory.join`` handle) inserts the
-    cooperative peer-cache lookup below the fault guard.  ``integrity``
-    (a ``ChecksumRegistry`` shared with a record-mode endpoint) inserts
-    a verify-mode checksum layer above the caches, so every full-block
-    read is checked end to end before it reaches the client.
+    ``proxy_config`` is the policy template (readahead, write-back
+    coalescing, ...); its ``name``, ``cache`` and ``metadata`` are
+    filled in here.  ``peer_member`` (a ``PeerCacheDirectory.join``
+    handle) inserts the cooperative peer-cache lookup below the fault
+    guard.  ``integrity`` (a ``ChecksumRegistry`` shared with a
+    record-mode endpoint) inserts a verify-mode checksum layer above
+    the caches, so every full-block read is checked end to end before
+    it reaches the client.
     """
     checksum = (ChecksumLayer(integrity, verify=True)
                 if integrity is not None else None)
     return GvfsProxy(env, upstream,
-                     ProxyConfig(name=name, cache=cache_config,
-                                 metadata=metadata, **pipeline_overrides()),
+                     replace(proxy_config, name=name, cache=cache_config,
+                             metadata=metadata),
                      block_cache=block_cache, channel=channel,
                      peer_member=peer_member, checksum=checksum,
                      origin_selector=origin_selector,
@@ -276,7 +282,8 @@ class CascadeLevel:
                  cache_config: Optional[ProxyCacheConfig] = None,
                  name: str = "cache-level",
                  above: Optional["CascadeLevel"] = None,
-                 link: Optional[str] = None):
+                 link: Optional[str] = None,
+                 proxy_config: ProxyConfig = ProxyConfig()):
         env = testbed.env
         self.env = env
         self.testbed = testbed
@@ -319,27 +326,8 @@ class CascadeLevel:
         self.proxy = build_caching_proxy(env, upstream, name=name,
                                          cache_config=cache_config,
                                          block_cache=self.block_cache,
-                                         channel=self.channel)
-
-
-class SecondLevelCache(CascadeLevel):
-    """A caching GVFS proxy on a LAN server, shared by compute nodes.
-
-    "A second-level proxy cache can be setup on a LAN server ... to
-    further exploit the locality and provide high speed access to the
-    state of golden images" (§3.2.3).
-
-    The two-level special case of a :class:`CascadeLevel` cascade: one
-    intermediate level on the LAN image server, reaching the origin
-    across the WAN.  ``build_cascade(testbed, endpoint, levels=[spec])``
-    builds the identical wiring.
-    """
-
-    def __init__(self, testbed: Testbed, endpoint: ServerEndpoint,
-                 cache_config: Optional[ProxyCacheConfig] = None,
-                 name: str = "second-level"):
-        super().__init__(testbed, endpoint, host=testbed.lan_server,
-                         cache_config=cache_config, name=name, link="wan")
+                                         channel=self.channel,
+                                         proxy_config=proxy_config)
 
 
 @dataclass(frozen=True)
@@ -361,6 +349,8 @@ class CascadeLevelSpec:
     gigabit hop away and a site cache across the campus backbone stop
     sharing the single-switch LAN calibration.  Incompatible with
     ``host`` (a pinned host keeps the access link it already has).
+    ``proxy_config`` overrides the cascade-wide policy template for
+    this level.
     """
 
     cache_config: Optional[ProxyCacheConfig] = None
@@ -368,6 +358,7 @@ class CascadeLevelSpec:
     host: Optional[Host] = None
     name: Optional[str] = None
     profile: Optional[Union[str, NetworkConditions]] = None
+    proxy_config: Optional[ProxyConfig] = None
 
 
 class ProxyCascade:
@@ -426,7 +417,8 @@ class ProxyCascade:
 
 def build_cascade(testbed: Testbed, endpoint: ServerEndpoint,
                   levels: Sequence[Union[CascadeLevelSpec, ProxyCacheConfig]],
-                  name: str = "cascade") -> ProxyCascade:
+                  name: str = "cascade",
+                  proxy_config: ProxyConfig = ProxyConfig()) -> ProxyCascade:
     """Assemble an arbitrary-depth proxy-cache cascade (§3.2.3
     generalized): compute node → rack cache → … → site cache → origin.
 
@@ -435,9 +427,11 @@ def build_cascade(testbed: Testbed, endpoint: ServerEndpoint,
     (or a bare :class:`ProxyCacheConfig` as shorthand).  An empty list
     yields a depth-1 cascade — sessions then run a plain caching client
     proxy.  The origin-adjacent level defaults to the LAN image server
-    host reaching the origin across the WAN (exactly the classic
-    :class:`SecondLevelCache` wiring); additional client-ward levels
-    get their own LAN-attached hosts.
+    host reaching the origin across the WAN (§3.2.3's second-level
+    proxy cache, "setup on a LAN server ... to further exploit the
+    locality"); additional client-ward levels get their own
+    LAN-attached hosts.  ``proxy_config`` is the policy template of
+    every level that does not carry its own.
     """
     specs = [spec if isinstance(spec, CascadeLevelSpec)
              else CascadeLevelSpec(cache_config=spec) for spec in levels]
@@ -463,7 +457,8 @@ def build_cascade(testbed: Testbed, endpoint: ServerEndpoint,
         above = CascadeLevel(testbed, endpoint, host=host,
                              cache_config=spec.cache_config,
                              name=spec.name or f"{name}-l{level_no}",
-                             above=above, link=spec.link)
+                             above=above, link=spec.link,
+                             proxy_config=spec.proxy_config or proxy_config)
         built.append(above)
     built.reverse()
     return ProxyCascade(built)
@@ -520,7 +515,6 @@ class GvfsSession:
                 reset_after=breaker_reset)
         if (dirty_high_water_blocks is not None
                 and self.client_proxy is not None):
-            from dataclasses import replace
             self.client_proxy.config = replace(
                 self.client_proxy.config,
                 dirty_high_water_blocks=dirty_high_water_blocks)
@@ -553,17 +547,17 @@ class GvfsSession:
               exclusive: bool = False,
               file_cache_capacity: Optional[int] = None,
               integrity=None,
-              origin=None
+              origin=None,
+              proxy_config: ProxyConfig = ProxyConfig()
               ) -> "GvfsSession":
         """Wire a session for ``scenario`` on compute node ``compute_index``.
 
         ``endpoint`` names the image server side (defaults to the WAN
         server for WAN scenarios, the LAN server for LAN).  ``via``
-        interposes a cache cascade: a :class:`SecondLevelCache`, any
-        :class:`CascadeLevel`, or a whole :class:`ProxyCascade` (whose
-        top level is used; an empty cascade means no intermediate
-        levels).  ``cache_config`` overrides
-        the client cache geometry for WAN_CACHED (defaults to §4.1's
+        interposes a cache cascade: a :class:`CascadeLevel` or a whole
+        :class:`ProxyCascade` (whose top level is used; an empty
+        cascade means no intermediate levels).  ``cache_config``
+        overrides the client cache geometry for WAN_CACHED (defaults to §4.1's
         512 banks / 16-way / 8 GB).  ``shared_block_cache`` lets several
         sessions on one host share a read-only cache of golden-image
         blocks (§3.2.1); the proxy then forwards writes upstream.
@@ -592,6 +586,11 @@ class GvfsSession:
         and ``via`` are mutually exclusive — a farm is already its own
         data plane.  With ``origin=None`` the wiring below is
         bit-identical to the single-origin path.
+
+        ``proxy_config`` is the client proxy's policy template
+        (WAN_CACHED only): readahead depth, write coalescing and
+        pipelining, dirty high-water mark.  Its ``name``, ``cache`` and
+        ``metadata`` fields are overwritten by the session's own.
         """
         env = testbed.env
         n = next(_session_counter)
@@ -680,6 +679,7 @@ class GvfsSession:
                 env, upstream, name=f"s{n}.client-proxy",
                 cache_config=cache_config, block_cache=block_cache,
                 channel=channel, metadata=metadata,
+                proxy_config=proxy_config,
                 peer_member=peer_member, integrity=integrity,
                 origin_selector=(upstream if origin is not None else None),
                 channel_selector=channel_selector)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
+from repro.core.config import ProxyConfig
 from repro.core.session import GvfsSession, Scenario, ServerEndpoint
 from repro.net.topology import Testbed, make_paper_testbed
 from repro.nfs.client import MountOptions
@@ -67,6 +68,7 @@ def run_application_benchmark(scenario: Scenario,
                               via=None,
                               cache_config=None,
                               cold_between: bool = False,
+                              proxy_config: ProxyConfig = ProxyConfig(),
                               ) -> AppBenchResult:
     """Run ``runs`` consecutive executions of a workload in a VM under
     ``scenario``; returns per-run phase timings.
@@ -79,7 +81,8 @@ def run_application_benchmark(scenario: Scenario,
     ``ProxyCascade``) stay warm, which is how the cascade experiments
     measure per-level locality.  ``endpoint`` reuses a caller-built
     image-server side (required when ``via`` points at a cascade built
-    against it).
+    against it).  ``proxy_config`` is the client proxy's policy
+    template (see ``GvfsSession.build``).
     """
     testbed = testbed or make_paper_testbed()
     env = testbed.env
@@ -92,7 +95,8 @@ def run_application_benchmark(scenario: Scenario,
                            "/images/appvm", APP_VM_CONFIG)
     session = GvfsSession.build(testbed, scenario, endpoint=endpoint,
                                 mount_options=mount_options, via=via,
-                                cache_config=cache_config)
+                                cache_config=cache_config,
+                                proxy_config=proxy_config)
 
     sample = workload_factory()
     result = AppBenchResult(scenario=scenario, workload=sample.name)

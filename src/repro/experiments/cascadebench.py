@@ -28,36 +28,29 @@ Two workloads, both on the calibrated WAN testbed:
     lands on the first intermediate level.
 
 Each (depth, policy, workload) cell is an independent deterministic
-simulation.  The report also carries two *equivalence* checks that the
+simulation.  The report also carries an *equivalence* check that the
 cascade machinery is pure generalization, compared bit-identically on
 simulated clone times: depth 1 (``build_cascade(levels=[])``) against
-a plain WAN+C session, and depth 2 against the literal
-:class:`~repro.core.session.SecondLevelCache`.  ``check_report`` turns
-violated guarantees (a starved level, an equivalence mismatch) into
-failures — the CI cascade-smoke gate.
+a plain WAN+C session.  ``check_report`` turns violated guarantees (a
+starved level, an equivalence mismatch) into failures — the CI
+cascade-smoke gate.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import (
-    ProxyCacheConfig,
-    pipeline_overrides,
-    set_pipeline_overrides,
-)
+from repro.core.config import ProxyCacheConfig, ProxyConfig
 from repro.core.eviction import POLICIES
 from repro.core.session import (
     CascadeLevel,
     GvfsSession,
     LocalMount,
     Scenario,
-    SecondLevelCache,
     ServerEndpoint,
     build_cascade,
 )
-from repro.net.topology import Testbed, make_paper_testbed
+from repro.net.topology import make_paper_testbed
 from repro.vm.cloning import CloneManager
 from repro.vm.image import VmConfig, VmImage
 from repro.vm.monitor import VmMonitor
@@ -92,20 +85,12 @@ class _QuickKernelCompile(KernelCompile):
 # Cascade geometry
 # --------------------------------------------------------------------------
 
-@contextmanager
-def _isolated_caches():
-    """Run a cell with sequential readahead disabled.
-
-    Prefetch fills satisfy most lookups at every level regardless of
-    what the victim selector evicted, masking the very effect the
-    policy sweep measures; with readahead off, per-level hit ratios
-    reflect retention alone."""
-    saved = pipeline_overrides().get("readahead_depth")
-    set_pipeline_overrides(readahead_depth=0)
-    try:
-        yield
-    finally:
-        set_pipeline_overrides(readahead_depth=saved)
+#: Every proxy of a cell runs with sequential readahead disabled.
+#: Prefetch fills satisfy most lookups at every level regardless of
+#: what the victim selector evicted, masking the very effect the policy
+#: sweep measures; with readahead off, per-level hit ratios reflect
+#: retention alone.
+_ISOLATED = ProxyConfig(readahead_depth=0)
 
 
 def _client_config(policy: str, quick: bool) -> ProxyCacheConfig:
@@ -173,11 +158,9 @@ def _make_image(fs, name: str, memory_mb: int, seed: int) -> VmImage:
 
 
 def _run_cold_clone(depth: int, policy: str, quick: bool,
-                    make_via: Optional[Callable] = None) -> Dict:
-    """One cold-clone cell.  ``make_via(testbed, endpoint)`` overrides
-    cascade construction and returns ``(via, levels)`` — the
-    equivalence checks use it to swap in a literal SecondLevelCache or
-    a plain session."""
+                    plain: bool = False) -> Dict:
+    """One cold-clone cell.  ``plain`` skips cascade construction
+    altogether (the depth-1 equivalence check's reference session)."""
     hot_mb, scan_mb, steady = _CLONE_SCALE[quick]
     testbed = make_paper_testbed()
     env = testbed.env
@@ -187,18 +170,17 @@ def _run_cold_clone(depth: int, policy: str, quick: bool,
     scans = [_make_image(fs, f"scan{k}", scan_mb, seed=310 + k)
              for k in range(steady)]
 
-    with _isolated_caches():
-        if make_via is None:
-            cascade = build_cascade(testbed, endpoint,
-                                    _level_configs(depth, policy, quick),
-                                    name=f"cc-d{depth}")
-            via, levels = cascade, cascade.levels
-        else:
-            via, levels = make_via(testbed, endpoint)
-
-        session = GvfsSession.build(
-            testbed, Scenario.WAN_CACHED, endpoint=endpoint,
-            cache_config=_client_config(policy, quick), via=via)
+    if plain:
+        via, levels = None, []
+    else:
+        via = build_cascade(testbed, endpoint,
+                            _level_configs(depth, policy, quick),
+                            name=f"cc-d{depth}", proxy_config=_ISOLATED)
+        levels = via.levels
+    session = GvfsSession.build(
+        testbed, Scenario.WAN_CACHED, endpoint=endpoint,
+        cache_config=_client_config(policy, quick), via=via,
+        proxy_config=_ISOLATED)
     compute = testbed.compute[0]
     manager = CloneManager(env, VmMonitor(env, compute), session.mount,
                            LocalMount(compute.local))
@@ -255,14 +237,14 @@ def _run_kernel_compile(depth: int, policy: str, quick: bool) -> Dict:
     testbed = make_paper_testbed()
     endpoint = ServerEndpoint(testbed.env, testbed.wan_server)
     workload = _QuickKernelCompile if quick else KernelCompile
-    with _isolated_caches():
-        cascade = build_cascade(testbed, endpoint,
-                                _level_configs(depth, policy, quick),
-                                name=f"kc-d{depth}")
-        result = run_application_benchmark(
-            Scenario.WAN_CACHED, workload, runs=2, testbed=testbed,
-            endpoint=endpoint, via=cascade,
-            cache_config=_client_config(policy, quick), cold_between=True)
+    cascade = build_cascade(testbed, endpoint,
+                            _level_configs(depth, policy, quick),
+                            name=f"kc-d{depth}", proxy_config=_ISOLATED)
+    result = run_application_benchmark(
+        Scenario.WAN_CACHED, workload, runs=2, testbed=testbed,
+        endpoint=endpoint, via=cascade,
+        cache_config=_client_config(policy, quick), cold_between=True,
+        proxy_config=_ISOLATED)
     return {
         "workload": "kernel_compile",
         "depth": depth,
@@ -283,10 +265,8 @@ _RUNNERS = {"cold_clone": _run_cold_clone,
 
 def _equivalence_depth1(quick: bool) -> Dict:
     """``build_cascade(levels=[])`` == a plain WAN+C client session."""
-    def plain(testbed, endpoint):
-        return None, []
     cascaded = _run_cold_clone(1, "lru", quick)
-    direct = _run_cold_clone(1, "lru", quick, make_via=plain)
+    direct = _run_cold_clone(1, "lru", quick, plain=True)
     return {
         "what": "depth-1 cascade vs plain caching proxy",
         "clone_seconds_identical":
@@ -295,31 +275,6 @@ def _equivalence_depth1(quick: bool) -> Dict:
             cascaded["total_sim_seconds"] == direct["total_sim_seconds"],
         "cascade_total_s": cascaded["total_sim_seconds"],
         "plain_total_s": direct["total_sim_seconds"],
-    }
-
-
-def _equivalence_depth2(quick: bool) -> Dict:
-    """Depth-2 ``build_cascade`` == the literal SecondLevelCache."""
-    config = _level_configs(2, "lru", quick)[0]
-
-    def second_level(testbed, endpoint):
-        level = SecondLevelCache(testbed, endpoint, cache_config=config)
-        return level, [level]
-    cascaded = _run_cold_clone(2, "lru", quick)
-    classic = _run_cold_clone(2, "lru", quick, make_via=second_level)
-    stats_match = ([{k: v for k, v in row.items() if k != "name"}
-                    for row in cascaded["levels"]]
-                   == [{k: v for k, v in row.items() if k != "name"}
-                       for row in classic["levels"]])
-    return {
-        "what": "depth-2 build_cascade vs SecondLevelCache",
-        "clone_seconds_identical":
-            cascaded["clone_seconds"] == classic["clone_seconds"],
-        "total_identical":
-            cascaded["total_sim_seconds"] == classic["total_sim_seconds"],
-        "level_stats_identical": stats_match,
-        "cascade_total_s": cascaded["total_sim_seconds"],
-        "second_level_total_s": classic["total_sim_seconds"],
     }
 
 
@@ -358,8 +313,7 @@ def run_cascadebench(depths: Optional[Sequence[int]] = None,
         "policies": policies,
         "workloads": workloads,
         "cells": cells,
-        "equivalence": {"depth1": _equivalence_depth1(quick),
-                        "depth2": _equivalence_depth2(quick)},
+        "equivalence": {"depth1": _equivalence_depth1(quick)},
     }
 
 
@@ -369,9 +323,9 @@ def check_report(report: Dict) -> List[str]:
     * Every cascade level (tier >= 2) of every cold-clone cell must
       register hits — a 0 ratio means a level is dead weight (the
       tiered-restart sweep guarantees each serves at least one refill).
-    * The depth-1 and depth-2 equivalence runs must match their
-      reference sessions bit-identically on simulated time — drift
-      means the cascade machinery changed timing, not just structure.
+    * The depth-1 equivalence run must match its reference session
+      bit-identically on simulated time — drift means the cascade
+      machinery changed timing, not just structure.
     """
     failures = []
     for cell in report["cells"]:

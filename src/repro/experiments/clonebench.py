@@ -23,12 +23,13 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.core.config import ProxyCacheConfig
 from repro.core.session import (
     GvfsSession,
     LocalMount,
     Scenario,
-    SecondLevelCache,
     ServerEndpoint,
+    build_cascade,
 )
 from repro.net.topology import Testbed, make_paper_testbed
 from repro.vm.cloning import CloneManager, CloneResult
@@ -146,7 +147,7 @@ def run_cloning_benchmark(scenario: CloneScenario,
 
     second_level = None
     if scenario is CloneScenario.WAN_S3:
-        second_level = SecondLevelCache(testbed, endpoint)
+        second_level = build_cascade(testbed, endpoint, [ProxyCacheConfig()])
 
     def make_rig(compute_index: int):
         session = GvfsSession.build(testbed, Scenario.WAN_CACHED,

@@ -62,8 +62,8 @@ from repro.core.session import (
 )
 from repro.experiments.cascadebench import (
     _CLONE_SCALE,
+    _ISOLATED,
     _client_config,
-    _isolated_caches,
     _level_configs,
     _level_rows,
     _make_image,
@@ -137,20 +137,19 @@ def _run_coop_cell(mode: str, depth: int, n_peers: int,
     scans = [_make_image(fs, f"scan{i}", scan_mb, seed=710 + i)
              for i in range(n_peers)]
 
-    with _isolated_caches():
-        cascade = build_cascade(testbed, endpoint,
-                                _level_configs(depth, "lru", quick),
-                                name=f"coop-d{depth}")
-        directory = (testbed.peer_directory()
-                     if mode == "cooperative" else None)
-        sessions = [GvfsSession.build(
-            testbed, Scenario.WAN_CACHED, endpoint=endpoint,
-            compute_index=i, cache_config=_client_config("lru", quick),
-            via=cascade, peer_directory=directory,
-            exclusive=(mode == "exclusive"))
-            for i in range(n_peers)]
-        if mode == "exclusive":
-            cascade.arm_exclusive()
+    cascade = build_cascade(testbed, endpoint,
+                            _level_configs(depth, "lru", quick),
+                            name=f"coop-d{depth}", proxy_config=_ISOLATED)
+    directory = (testbed.peer_directory()
+                 if mode == "cooperative" else None)
+    sessions = [GvfsSession.build(
+        testbed, Scenario.WAN_CACHED, endpoint=endpoint,
+        compute_index=i, cache_config=_client_config("lru", quick),
+        via=cascade, peer_directory=directory,
+        exclusive=(mode == "exclusive"), proxy_config=_ISOLATED)
+        for i in range(n_peers)]
+    if mode == "exclusive":
+        cascade.arm_exclusive()
     managers = [CloneManager(env, VmMonitor(env, testbed.compute[i]),
                              sessions[i].mount,
                              LocalMount(testbed.compute[i].local))
@@ -257,13 +256,12 @@ def _run_adaptive_once(adapt: bool, quick: bool) -> Dict:
     small = ProxyCacheConfig(capacity_bytes=(4 if quick else 16) * MB,
                              n_banks=8, associativity=4, eviction="lru")
 
-    with _isolated_caches():
-        cascade = build_cascade(testbed, endpoint,
-                                _level_configs(4, "lru", quick),
-                                name="adapt-d4")
-        session = GvfsSession.build(
-            testbed, Scenario.WAN_CACHED, endpoint=endpoint,
-            cache_config=small, via=cascade)
+    cascade = build_cascade(testbed, endpoint,
+                            _level_configs(4, "lru", quick),
+                            name="adapt-d4", proxy_config=_ISOLATED)
+    session = GvfsSession.build(
+        testbed, Scenario.WAN_CACHED, endpoint=endpoint,
+        cache_config=small, via=cascade, proxy_config=_ISOLATED)
     compute = testbed.compute[0]
     manager = CloneManager(env, VmMonitor(env, compute), session.mount,
                            LocalMount(compute.local))

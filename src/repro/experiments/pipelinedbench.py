@@ -22,12 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, Sequence
 
-from repro.core.config import (
-    ProxyCacheConfig,
-    clear_pipeline_overrides,
-    pipeline_overrides,
-    set_pipeline_overrides,
-)
+from repro.core.config import ProxyCacheConfig, ProxyConfig
 from repro.core.session import GvfsSession, Scenario, ServerEndpoint
 from repro.net.topology import make_paper_testbed
 from repro.vm.image import VmConfig, VmImage
@@ -68,7 +63,7 @@ class FlushComparison:
     merged_write_blocks: int
 
 
-def _build(image_mb: int = 48, seed: int = 17):
+def _build(proxy_config: ProxyConfig, image_mb: int = 48, seed: int = 17):
     testbed = make_paper_testbed()
     endpoint = ServerEndpoint(testbed.env, testbed.wan_server)
     VmImage.create(endpoint.export.fs, "/images/app",
@@ -76,7 +71,7 @@ def _build(image_mb: int = 48, seed: int = 17):
                             persistent=False, seed=seed))
     session = GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                 endpoint=endpoint, cache_config=BENCH_CACHE,
-                                metadata=False)
+                                metadata=False, proxy_config=proxy_config)
     return testbed, session
 
 
@@ -97,13 +92,7 @@ def run_read_sweep(depths: Sequence[int] = (0, 1, 4, 8, 16),
     n_blocks = read_mb * MB // BS
     results: Dict[int, ReadPoint] = {}
     for depth in depths:
-        prev = pipeline_overrides()
-        set_pipeline_overrides(readahead_depth=depth)
-        try:
-            testbed, session = _build()
-        finally:
-            clear_pipeline_overrides()
-            set_pipeline_overrides(**prev)
+        testbed, session = _build(ProxyConfig(readahead_depth=depth))
 
         def job(env):
             f = yield env.process(
@@ -128,14 +117,9 @@ def run_read_sweep(depths: Sequence[int] = (0, 1, 4, 8, 16),
 def _flush_once(file_mb: int, coalesce_bytes: int,
                 pipeline_depth: int):
     """Dirty ``file_mb`` MB in the proxy cache, flush it, count WRITEs."""
-    prev = pipeline_overrides()
-    set_pipeline_overrides(write_coalesce_bytes=coalesce_bytes,
-                           write_pipeline_depth=pipeline_depth)
-    try:
-        testbed, session = _build()
-    finally:
-        clear_pipeline_overrides()
-        set_pipeline_overrides(**prev)
+    testbed, session = _build(ProxyConfig(
+        write_coalesce_bytes=coalesce_bytes,
+        write_pipeline_depth=pipeline_depth))
     proxy = session.client_proxy
 
     def job(env):

@@ -29,18 +29,18 @@ which is exactly the strict branch of ``bench_schema.json``.
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import json
 import random
-from contextlib import contextmanager
 from typing import Dict, List, Tuple
 
 from repro.scenario.arrivals import arrival_offsets
 from repro.scenario.gates import default_gates_for, evaluate_gates, \
     validate_gates
-from repro.scenario.spec import ImageSpec, ScenarioSpec, SessionSpec, \
-    SpecError
+from repro.scenario.spec import ImageSpec, ScenarioSpec, SpecError
 
-__all__ = ["run_bench_driver", "run_spec"]
+__all__ = ["bench_param_names", "run_bench_driver", "run_spec"]
 
 MB = 1024 * 1024
 
@@ -55,19 +55,6 @@ _DEFAULT_HARDEN = {"timeout": 1.0, "max_retries": 8, "backoff": 2.0,
 # Fleet runner: construction helpers
 # --------------------------------------------------------------------------
 
-@contextmanager
-def _readahead(depth: int):
-    """Scoped process-global readahead override (construction-time
-    knob; the save/restore discipline of cascadebench)."""
-    from repro.core.config import pipeline_overrides, set_pipeline_overrides
-    saved = pipeline_overrides().get("readahead_depth")
-    set_pipeline_overrides(readahead_depth=depth)
-    try:
-        yield
-    finally:
-        set_pipeline_overrides(readahead_depth=saved)
-
-
 def _materialize_image(fs, img: ImageSpec):
     from repro.vm.image import VmConfig, VmImage
     image = VmImage.create(
@@ -78,23 +65,6 @@ def _materialize_image(fs, img: ImageSpec):
     if img.metadata:
         image.generate_metadata()
     return image
-
-
-def _cache_configs(ses: SessionSpec):
-    """Client + intermediate-level cache geometries from the spec."""
-    from repro.core.config import ProxyCacheConfig
-    client = ProxyCacheConfig(capacity_bytes=ses.client_cache_mb * MB,
-                              n_banks=8, associativity=4,
-                              eviction=ses.eviction)
-    sizes = list(ses.level_cache_mb)
-    if not sizes:
-        sizes = [max(4 * ses.client_cache_mb, 64)]
-    while len(sizes) < ses.depth - 1:     # last entry repeats origin-ward
-        sizes.append(sizes[-1])
-    levels = [ProxyCacheConfig(capacity_bytes=mb * MB, n_banks=16,
-                               associativity=4, eviction=ses.eviction)
-              for mb in sizes[:ses.depth - 1]]
-    return client, levels
 
 
 def _harden_everything(spec: ScenarioSpec, sessions, cascade) -> None:
@@ -185,20 +155,22 @@ def _run_fleet_once(spec: ScenarioSpec) -> Dict:
               for img in spec.topology.images}
     image_specs = {img.name: img for img in spec.topology.images}
 
-    client_cfg, level_cfgs = _cache_configs(spec.sessions)
-    with _readahead(spec.sessions.readahead_depth):
-        cascade = build_cascade(testbed, endpoint, level_cfgs,
-                                name=f"scn-{spec.name}")
-        directory = (testbed.peer_directory()
-                     if spec.sessions.mode == "cooperative" else None)
-        sessions = [GvfsSession.build(
-            testbed, Scenario.WAN_CACHED, endpoint=endpoint,
-            compute_index=i, cache_config=client_cfg, via=cascade,
-            peer_directory=directory,
-            exclusive=(spec.sessions.mode == "exclusive"))
-            for i in range(n)]
-        if spec.sessions.mode == "exclusive":
-            cascade.arm_exclusive()
+    proxy_cfg = spec.sessions.proxy_config()
+    client_cfg = spec.sessions.client_cache_config()
+    cascade = build_cascade(testbed, endpoint,
+                            spec.sessions.level_cache_configs(),
+                            name=f"scn-{spec.name}", proxy_config=proxy_cfg)
+    directory = (testbed.peer_directory()
+                 if spec.sessions.mode == "cooperative" else None)
+    sessions = [GvfsSession.build(
+        testbed, Scenario.WAN_CACHED, endpoint=endpoint,
+        compute_index=i, cache_config=client_cfg, via=cascade,
+        peer_directory=directory,
+        exclusive=(spec.sessions.mode == "exclusive"),
+        proxy_config=proxy_cfg)
+        for i in range(n)]
+    if spec.sessions.mode == "exclusive":
+        cascade.arm_exclusive()
 
     monitors = [VmMonitor(env, testbed.compute[i]) for i in range(n)]
     managers = [CloneManager(env, monitors[i], sessions[i].mount,
@@ -484,52 +456,66 @@ def _parse_farm_cells(cells) -> List[Tuple[int, bool]]:
     return parsed
 
 
+#: The legacy drivers a bench spec may name: driver -> (its ``run_*``
+#: function in ``repro.experiments.<driver>``, the ``bench.params`` keys
+#: the adapter consumes itself on top of that function's keywords).
+_BENCH_DRIVERS = {
+    "perf": ("run_harness", ("baseline", "max_slowdown")),
+    "faultbench": ("run_faultbench", ()),
+    "chaosbench": ("run_chaosbench", ()),
+    "cascadebench": ("run_cascadebench", ()),
+    "coopbench": ("run_coopbench", ()),
+    "farmbench": ("run_farmbench", ("baseline",)),
+}
+
+#: ``run_*`` keywords the adapter passes itself (``quick`` comes from
+#: the run, ``baseline_path`` is spelled ``baseline`` in a spec).
+_ADAPTER_PASSED = ("quick", "baseline_path")
+
+
+def _bench_driver(name: str):
+    """``(module, run function)`` of a driver."""
+    if name not in _BENCH_DRIVERS:
+        raise SpecError(f"unknown bench driver {name!r}; choose from "
+                        f"{sorted(_BENCH_DRIVERS)}")
+    mod = importlib.import_module(f"repro.experiments.{name}")
+    return mod, getattr(mod, _BENCH_DRIVERS[name][0])
+
+
+def bench_param_names(name: str) -> List[str]:
+    """Every key a spec's ``bench.params`` may carry for driver
+    ``name``: the driver's ``run_*`` keywords plus the adapter's own."""
+    _, run = _bench_driver(name)
+    keywords = set(inspect.signature(run).parameters) - set(_ADAPTER_PASSED)
+    return sorted(keywords | set(_BENCH_DRIVERS[name][1]))
+
+
 def run_bench_driver(name: str, params: Dict, quick: bool,
                      seed: int = 0) -> Tuple[Dict, List[str], str]:
     """Run a legacy bench driver; returns ``(report_dict, failures,
     formatted_text)``.  ``params`` are the spec's ``bench.params``
     (already quick-merged); baseline paths are loaded here so specs
-    stay plain data."""
+    stay plain data.  A non-zero spec ``seed`` reaches every driver
+    that takes one, unless ``params`` names its own."""
+    mod, run = _bench_driver(name)
     params = dict(params)
+    baseline = params.pop("baseline", None)
     if name == "perf":
-        from repro.experiments import perf
         max_slowdown = params.pop("max_slowdown", None)
-        baseline = params.pop("baseline", None)
-        report = perf.run_harness(
-            workloads=params.pop("workloads", None), quick=quick,
-            baseline_path=baseline, **params)
-        failures = perf_gate_failures(report, max_slowdown)
-        return report.to_dict(), failures, perf.format_report(report)
-    if name == "faultbench":
-        from repro.experiments import faultbench as mod
-        params.setdefault("seed", seed or mod.DEFAULT_SEED)
-        report = mod.run_faultbench(quick=quick, **params)
-        return report, mod.check_report(report), mod.format_report(report)
-    if name == "chaosbench":
-        from repro.experiments import chaosbench as mod
-        params.setdefault("seed", seed or mod.DEFAULT_SEED)
-        report = mod.run_chaosbench(quick=quick, **params)
-        return report, mod.check_report(report), mod.format_report(report)
-    if name == "cascadebench":
-        from repro.experiments import cascadebench as mod
-        report = mod.run_cascadebench(quick=quick, **params)
-        return report, mod.check_report(report), mod.format_report(report)
-    if name == "coopbench":
-        from repro.experiments import coopbench as mod
-        report = mod.run_coopbench(quick=quick, **params)
-        return report, mod.check_report(report), mod.format_report(report)
+        report = run(quick=quick, baseline_path=baseline, **params)
+        return (report.to_dict(), perf_gate_failures(report, max_slowdown),
+                mod.format_report(report))
+    if seed and "seed" in inspect.signature(run).parameters:
+        params.setdefault("seed", seed)
     if name == "farmbench":
-        from repro.experiments import farmbench as mod
-        baseline = params.pop("baseline", None)
         if "cells" in params:
             params["cells"] = _parse_farm_cells(params["cells"])
-        if seed:
-            params.setdefault("seed", seed)
-        report = mod.run_farmbench(quick=quick, **params)
+        report = run(quick=quick, **params)
         base = _load_baseline(baseline) if baseline else None
         return (report, mod.check_report(report, baseline=base),
                 mod.format_report(report))
-    raise SpecError(f"unknown bench driver {name!r}")
+    report = run(quick=quick, **params)
+    return report, mod.check_report(report), mod.format_report(report)
 
 
 def perf_gate_failures(report, max_slowdown=None) -> List[str]:

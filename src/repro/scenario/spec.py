@@ -35,6 +35,8 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.config import ProxyCacheConfig, ProxyConfig
+
 __all__ = [
     "ArrivalSpec",
     "BenchSpec",
@@ -52,6 +54,7 @@ __all__ = [
 SCENARIO_KINDS = ("fleet", "bench")
 SESSION_MODES = ("inclusive", "exclusive", "cooperative")
 ARRIVAL_KINDS = ("fixed", "uniform", "poisson", "diurnal")
+MB = 1024 * 1024
 PHASE_KINDS = ("clone_storm", "trace_load", "restart_clients", "rollout",
                "migration_wave", "flush")
 FAULT_KINDS = ("link_flap", "server_outage", "server_crash",
@@ -221,7 +224,37 @@ class SessionSpec:
                 raise SpecError(
                     f"{where}.harden.{unknown[0]}: unknown key; expected "
                     f"a subset of {sorted(known)}")
+        # This spec is what constructs every proxy's configuration, so
+        # a value the config classes refuse is a load error naming its
+        # key, not a ValueError halfway into a run.
+        for key, build in (("readahead_depth", spec.proxy_config),
+                           ("eviction", spec.client_cache_config),
+                           ("level_cache_mb", spec.level_cache_configs)):
+            try:
+                build()
+            except (TypeError, ValueError) as exc:
+                raise SpecError(f"{where}.{key}: {exc}") from None
         return spec
+
+    def proxy_config(self) -> ProxyConfig:
+        """The policy template of every proxy the spec builds (client
+        proxies and cascade levels alike)."""
+        return ProxyConfig(readahead_depth=self.readahead_depth)
+
+    def client_cache_config(self) -> ProxyCacheConfig:
+        return ProxyCacheConfig(capacity_bytes=self.client_cache_mb * MB,
+                                n_banks=8, associativity=4,
+                                eviction=self.eviction)
+
+    def level_cache_configs(self) -> List[ProxyCacheConfig]:
+        """Intermediate-level cache geometries, client-ward first."""
+        sizes = list(self.level_cache_mb) or [
+            max(4 * self.client_cache_mb, 64)]
+        while len(sizes) < self.depth - 1:  # last entry repeats origin-ward
+            sizes.append(sizes[-1])
+        return [ProxyCacheConfig(capacity_bytes=mb * MB, n_banks=16,
+                                 associativity=4, eviction=self.eviction)
+                for mb in sizes[:self.depth - 1]]
 
     def to_dict(self) -> dict:
         return {"mode": self.mode, "depth": self.depth,
@@ -446,6 +479,16 @@ class ScenarioSpec:
                 raise SpecError(f"{where}: bench scenarios carry no "
                                 "phases/faults — the driver owns its "
                                 "workload")
+            from repro.scenario.runner import bench_param_names
+            try:
+                known = bench_param_names(self.bench.driver)
+            except SpecError as exc:
+                raise SpecError(f"{where}.bench.driver: {exc}") from None
+            unknown = sorted(set(self.bench.params) - set(known))
+            if unknown:
+                raise SpecError(
+                    f"{where}.bench.params.{unknown[0]}: unknown key; "
+                    f"expected a subset of {known}")
             return
         if not self.phases:
             raise SpecError(f"{where}: fleet scenarios need at least "

@@ -9,11 +9,7 @@ from repro.core.adaptive import (
     plan_cascade_sizing,
     resized_config,
 )
-from repro.core.config import (
-    ProxyCacheConfig,
-    pipeline_overrides,
-    set_pipeline_overrides,
-)
+from repro.core.config import ProxyCacheConfig, ProxyConfig
 from repro.core.session import (
     GvfsSession,
     Scenario,
@@ -23,7 +19,7 @@ from repro.core.session import (
 from repro.net.topology import Testbed
 from repro.sim import Environment
 from repro.vm.image import VmConfig, VmImage
-from tests.core.harness import SMALL_CACHE
+from tests.core.harness import NO_READAHEAD, SMALL_CACHE
 
 BS = 8192
 
@@ -137,16 +133,18 @@ def test_resized_config_rounds_to_set_granule():
 
 # -- live apply -------------------------------------------------------------
 
-def make_rig():
+def make_rig(proxy_config=ProxyConfig()):
     testbed = Testbed(Environment(), n_compute=1)
     endpoint = ServerEndpoint(testbed.env, testbed.wan_server)
     image = VmImage.create(endpoint.export.fs, "/images/golden",
                            VmConfig(name="golden", memory_mb=2, disk_gb=0.01,
                                     seed=19))
-    cascade = build_cascade(testbed, endpoint, [SMALL_CACHE])
+    cascade = build_cascade(testbed, endpoint, [SMALL_CACHE],
+                            proxy_config=proxy_config)
     session = GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                 endpoint=endpoint, cache_config=SMALL_CACHE,
-                                metadata=False, via=cascade)
+                                metadata=False, via=cascade,
+                                proxy_config=proxy_config)
     return testbed, image, cascade, session
 
 
@@ -172,67 +170,57 @@ def read_blocks(session, blocks):
 
 
 def test_apply_bypasses_and_resizes_live_stack():
-    saved = pipeline_overrides().get("readahead_depth")
-    set_pipeline_overrides(readahead_depth=0)
-    try:
-        testbed, image, cascade, session = make_rig()
-        run(testbed, read_blocks(session, list(range(8)))(testbed.env))
+    testbed, image, cascade, session = make_rig(NO_READAHEAD)
+    run(testbed, read_blocks(session, list(range(8)))(testbed.env))
 
-        client_layer = session.client_proxy.layer("block-cache")
-        l2_layer = cascade.levels[0].proxy.layer("block-cache")
-        old_frames = client_layer.block_cache.config.total_frames
-        plans = plan_cascade_sizing(
-            session.client_proxy.stats_snapshot(deep=True),
-            min_traffic=1, min_hit_ratio=0.5, shrink_slack=0.0)
-        # Every read missed both levels once: L2's ratio is 0, the
-        # client is exempt from bypassing by construction.
-        by_level = {p.level: p for p in plans}
-        assert by_level[2].action == "bypass"
-        assert by_level[1].action != "bypass"
+    client_layer = session.client_proxy.layer("block-cache")
+    l2_layer = cascade.levels[0].proxy.layer("block-cache")
+    old_frames = client_layer.block_cache.config.total_frames
+    plans = plan_cascade_sizing(
+        session.client_proxy.stats_snapshot(deep=True),
+        min_traffic=1, min_hit_ratio=0.5, shrink_slack=0.0)
+    # Every read missed both levels once: L2's ratio is 0, the
+    # client is exempt from bypassing by construction.
+    by_level = {p.level: p for p in plans}
+    assert by_level[2].action == "bypass"
+    assert by_level[1].action != "bypass"
 
-        results = apply_cascade_sizing(session.client_proxy, plans)
-        applied = {p.level: ok for p, ok in results}
-        assert applied[2] is True
-        assert l2_layer.bypassed
+    results = apply_cascade_sizing(session.client_proxy, plans)
+    applied = {p.level: ok for p, ok in results}
+    assert applied[2] is True
+    assert l2_layer.bypassed
 
-        # Reads still work (and skip the bypassed level entirely).
-        before = l2_layer.stats_snapshot()["bypassed_requests"]
-        session.mount.drop_caches()
-        box = run(testbed, read_blocks(session, [0])(testbed.env))
-        assert box["value"][0] == image.disk_inode.data.read(0, BS)
-        assert client_layer.block_cache.config.total_frames == old_frames
-    finally:
-        set_pipeline_overrides(readahead_depth=saved)
+    # Reads still work (and skip the bypassed level entirely).
+    before = l2_layer.stats_snapshot()["bypassed_requests"]
+    session.mount.drop_caches()
+    box = run(testbed, read_blocks(session, [0])(testbed.env))
+    assert box["value"][0] == image.disk_inode.data.read(0, BS)
+    assert client_layer.block_cache.config.total_frames == old_frames
 
 
 def test_apply_grow_swaps_in_larger_cache():
-    saved = pipeline_overrides().get("readahead_depth")
-    set_pipeline_overrides(readahead_depth=0)
-    try:
-        testbed, image, cascade, session = make_rig()
-        run(testbed, read_blocks(session, list(range(4)))(testbed.env))
-        client_layer = session.client_proxy.layer("block-cache")
-        old = client_layer.block_cache
-        target = old.config.total_frames * 2
-        plan = plan_cascade_sizing(
-            session.client_proxy.stats_snapshot(deep=True))[0]
-        grow = type(plan)(level=1, name="client", action="grow",
-                          current_frames=old.config.total_frames,
-                          target_frames=target, hit_ratio=0.0,
-                          working_set=target, reason="test")
-        results = apply_cascade_sizing(session.client_proxy, [grow])
-        assert results[0][1] is True
-        new = client_layer.block_cache
-        assert new is not old
-        assert new.config.total_frames >= target
-        assert new.config.block_size == old.config.block_size
+    testbed, image, cascade, session = make_rig(NO_READAHEAD)
+    run(testbed, read_blocks(session, list(range(4)))(testbed.env))
+    client_layer = session.client_proxy.layer("block-cache")
+    old = client_layer.block_cache
+    target = old.config.total_frames * 2
+    plan = plan_cascade_sizing(
+        session.client_proxy.stats_snapshot(deep=True))[0]
+    grow = type(plan)(level=1, name="client", action="grow",
+                      current_frames=old.config.total_frames,
+                      target_frames=target, hit_ratio=0.0,
+                      working_set=target, reason="test")
+    results = apply_cascade_sizing(session.client_proxy, [grow])
+    assert results[0][1] is True
+    new = client_layer.block_cache
+    assert new is not old
+    assert new.config.total_frames >= target
+    assert new.config.block_size == old.config.block_size
 
-        # The fresh cache starts cold but refills correctly.
-        session.mount.drop_caches()
-        box = run(testbed, read_blocks(session, [1])(testbed.env))
-        assert box["value"][0] == image.disk_inode.data.read(BS, BS)
-    finally:
-        set_pipeline_overrides(readahead_depth=saved)
+    # The fresh cache starts cold but refills correctly.
+    session.mount.drop_caches()
+    box = run(testbed, read_blocks(session, [1])(testbed.env))
+    assert box["value"][0] == image.disk_inode.data.read(BS, BS)
 
 
 def test_apply_refuses_resize_with_dirty_frames():

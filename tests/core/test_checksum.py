@@ -5,13 +5,7 @@ through exclusive-cascade demotion."""
 
 from types import SimpleNamespace
 
-import pytest
-
-from repro.core.config import (
-    ProxyCacheConfig,
-    pipeline_overrides,
-    set_pipeline_overrides,
-)
+from repro.core.config import ProxyCacheConfig
 from repro.core.layers import ChecksumRegistry
 from repro.core.session import (
     GvfsSession,
@@ -23,7 +17,7 @@ from repro.net.topology import Testbed
 from repro.nfs.protocol import FileHandle, NfsProc, NfsRequest, NfsStatus
 from repro.sim import Environment
 from repro.vm.image import VmConfig, VmImage
-from tests.core.harness import SMALL_CACHE
+from tests.core.harness import NO_READAHEAD, SMALL_CACHE
 
 BS = 8192
 PATH = "/images/golden/disk.vmdk"
@@ -34,16 +28,9 @@ TINY_CACHE = ProxyCacheConfig(capacity_bytes=2 * BS, n_banks=1,
                               associativity=2, block_size=BS)
 
 
-@pytest.fixture
-def no_readahead():
-    saved = pipeline_overrides().get("readahead_depth")
-    set_pipeline_overrides(readahead_depth=0)
-    yield
-    set_pipeline_overrides(readahead_depth=saved)
-
-
 def make_rig(levels=(), client_cache=SMALL_CACHE, n_compute=1,
-             exclusive=False, peers=False, integrity=True):
+             exclusive=False, peers=False, integrity=True,
+             proxy_config=NO_READAHEAD):
     testbed = Testbed(Environment(), n_compute=n_compute)
     registry = ChecksumRegistry() if integrity else None
     endpoint = ServerEndpoint(testbed.env, testbed.wan_server,
@@ -51,14 +38,16 @@ def make_rig(levels=(), client_cache=SMALL_CACHE, n_compute=1,
     image = VmImage.create(endpoint.export.fs, "/images/golden",
                            VmConfig(name="golden", memory_mb=2,
                                     disk_gb=0.01, seed=7))
-    cascade = (build_cascade(testbed, endpoint, list(levels))
+    cascade = (build_cascade(testbed, endpoint, list(levels),
+                             proxy_config=proxy_config)
                if levels else None)
     directory = testbed.peer_directory() if peers else None
     sessions = [GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                   endpoint=endpoint, compute_index=i,
                                   cache_config=client_cache, metadata=False,
                                   via=cascade, peer_directory=directory,
-                                  exclusive=exclusive, integrity=registry)
+                                  exclusive=exclusive, integrity=registry,
+                                  proxy_config=proxy_config)
                 for i in range(n_compute)]
     return SimpleNamespace(testbed=testbed, env=testbed.env,
                            registry=registry, endpoint=endpoint, image=image,
@@ -109,7 +98,7 @@ def test_registry_records_matches_and_invalidates():
 # Clean path
 # --------------------------------------------------------------------------
 
-def test_clean_reads_verify_with_identical_timing(no_readahead):
+def test_clean_reads_verify_with_identical_timing():
     """Recording + verifying are synchronous crc calls: the same
     workload takes bit-identical simulated time with the layer absent,
     and every full-block read is covered."""
@@ -138,7 +127,7 @@ def test_clean_reads_verify_with_identical_timing(no_readahead):
 # Catch and repair
 # --------------------------------------------------------------------------
 
-def test_corrupt_client_frame_is_caught_and_repaired(no_readahead):
+def test_corrupt_client_frame_is_caught_and_repaired():
     rig = make_rig()
     proxy = rig.session.client_proxy
     fh = fh_for(rig)
@@ -159,7 +148,7 @@ def test_corrupt_client_frame_is_caught_and_repaired(no_readahead):
     assert proxy.layer("block-cache").stats.frames_corrupted == 1
 
 
-def test_corruption_travelling_via_demotion_is_caught(no_readahead):
+def test_corruption_travelling_via_demotion_is_caught():
     """A corrupt frame demoted into the next level up is served back as
     a perfectly ordinary L2 hit — only the client-top verify instance
     stands between it and the reader."""
@@ -189,7 +178,7 @@ def test_corruption_travelling_via_demotion_is_caught(no_readahead):
     assert chk.corruptions_repaired == 1
 
 
-def test_corruption_borrowed_from_a_peer_is_caught(no_readahead):
+def test_corruption_borrowed_from_a_peer_is_caught():
     """A neighbour's silently-garbled frame is still advertised (the
     tag is valid); the borrow succeeds, the verify instance catches it,
     and the repair suppresses peer borrowing so the refetch goes to the
@@ -215,7 +204,7 @@ def test_corruption_borrowed_from_a_peer_is_caught(no_readahead):
     assert chk.corruptions_repaired == 1
 
 
-def test_exhausted_repairs_return_clean_io_error(no_readahead):
+def test_exhausted_repairs_return_clean_io_error():
     """When every refetch keeps producing bytes that mismatch the block
     of record (here: a dirty L2 frame that cannot be discarded), the
     client gets a clean IO error — never the garbled data."""
@@ -247,7 +236,7 @@ def test_exhausted_repairs_return_clean_io_error(no_readahead):
 # Writes
 # --------------------------------------------------------------------------
 
-def test_write_suspends_coverage_until_writeback_rerecords(no_readahead):
+def test_write_suspends_coverage_until_writeback_rerecords():
     """A local write diverges the cached block from the block of
     record: its checksum is invalidated at the client and re-recorded
     when the write-back reaches the origin-adjacent record instance."""

@@ -6,13 +6,7 @@ always write back instead, demotion schedules are deterministic, and a
 peer-cache hit returns bytes identical to an origin read.
 """
 
-import pytest
-
-from repro.core.config import (
-    ProxyCacheConfig,
-    pipeline_overrides,
-    set_pipeline_overrides,
-)
+from repro.core.config import ProxyCacheConfig
 from repro.core.session import (
     GvfsSession,
     Scenario,
@@ -24,7 +18,7 @@ from repro.sim import Environment
 from repro.sim.chaos import attach_stack, layer_outage
 from repro.sim.faults import FaultInjector, FaultKind
 from repro.vm.image import VmConfig, VmImage
-from tests.core.harness import SMALL_CACHE
+from tests.core.harness import NO_READAHEAD, SMALL_CACHE
 
 BS = 8192
 
@@ -33,29 +27,22 @@ TINY_CACHE = ProxyCacheConfig(capacity_bytes=2 * BS, n_banks=1,
                               associativity=2, block_size=BS)
 
 
-@pytest.fixture
-def no_readahead():
-    """Disable proxy readahead so each test read is exactly one block."""
-    saved = pipeline_overrides().get("readahead_depth")
-    set_pipeline_overrides(readahead_depth=0)
-    yield
-    set_pipeline_overrides(readahead_depth=saved)
-
-
-def make_demote_rig(seed=11):
+def make_demote_rig(seed=11, proxy_config=NO_READAHEAD):
     testbed = Testbed(Environment(), n_compute=1)
     endpoint = ServerEndpoint(testbed.env, testbed.wan_server)
     image = VmImage.create(endpoint.export.fs, "/images/golden",
                            VmConfig(name="golden", memory_mb=2, disk_gb=0.01,
                                     seed=seed))
-    cascade = build_cascade(testbed, endpoint, [SMALL_CACHE])
+    cascade = build_cascade(testbed, endpoint, [SMALL_CACHE],
+                            proxy_config=proxy_config)
     session = GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                 endpoint=endpoint, cache_config=TINY_CACHE,
-                                metadata=False, via=cascade)
+                                metadata=False, via=cascade,
+                                proxy_config=proxy_config)
     return testbed, endpoint, image, cascade, session
 
 
-def make_peer_rig(n_peers=2, seed=23):
+def make_peer_rig(n_peers=2, seed=23, proxy_config=NO_READAHEAD):
     testbed = Testbed(Environment(), n_compute=n_peers)
     endpoint = ServerEndpoint(testbed.env, testbed.wan_server)
     image = VmImage.create(endpoint.export.fs, "/images/golden",
@@ -65,7 +52,8 @@ def make_peer_rig(n_peers=2, seed=23):
     sessions = [GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                   endpoint=endpoint, compute_index=i,
                                   cache_config=SMALL_CACHE, metadata=False,
-                                  peer_directory=directory)
+                                  peer_directory=directory,
+                                  proxy_config=proxy_config)
                 for i in range(n_peers)]
     return testbed, endpoint, image, directory, sessions
 
@@ -109,7 +97,7 @@ def level_restart(testbed, level):
 
 # -- exclusive demotion -----------------------------------------------------
 
-def test_clean_eviction_demotes_exactly_once(no_readahead):
+def test_clean_eviction_demotes_exactly_once():
     """A clean victim travels exactly one hop up — the next level
     absorbs it without re-reading origin, and serves it back later."""
     testbed, endpoint, image, cascade, session = make_demote_rig()
@@ -141,7 +129,7 @@ def test_clean_eviction_demotes_exactly_once(no_readahead):
     assert l2.proxy.upstream.stats.by_proc.get("READ", 0) == origin_reads
 
 
-def test_resident_upstream_copy_drops_duplicate_demote(no_readahead):
+def test_resident_upstream_copy_drops_duplicate_demote():
     """Inclusive fill already placed the victim upstream: the demote is
     refused (never double-inserted), counted as a drop."""
     testbed, endpoint, image, cascade, session = make_demote_rig()
@@ -155,7 +143,7 @@ def test_resident_upstream_copy_drops_duplicate_demote(no_readahead):
     assert l2_layer.stats.demotion_drops == 1
 
 
-def test_dirty_victim_writes_back_never_demotes(no_readahead):
+def test_dirty_victim_writes_back_never_demotes():
     testbed, endpoint, image, cascade, session = make_demote_rig()
     client = session.client_proxy.layer("block-cache")
     assert client.arm_demotion()
@@ -182,7 +170,7 @@ def test_dirty_victim_writes_back_never_demotes(no_readahead):
     assert run(testbed, reread(testbed.env))["value"] == payload
 
 
-def test_unarmed_client_never_emits_demotes(no_readahead):
+def test_unarmed_client_never_emits_demotes():
     testbed, endpoint, image, cascade, session = make_demote_rig()
     client = session.client_proxy.layer("block-cache")
     run(testbed, read_blocks(session, [0, 1, 2, 3])(testbed.env))
@@ -207,21 +195,16 @@ def test_arm_demotion_refused_without_writable_upstream_cache():
 
 def _demote_world(seed):
     """One demotion scenario in a private world."""
-    saved = pipeline_overrides().get("readahead_depth")
-    set_pipeline_overrides(readahead_depth=0)
-    try:
-        testbed, endpoint, image, cascade, session = make_demote_rig(seed)
-        client = session.client_proxy.layer("block-cache")
-        client.arm_demotion()
-        run(testbed, read_blocks(session, [0, 1, 2, 3])(testbed.env))
-        session.mount.drop_caches()
-        level_box = run(testbed, read_blocks(session, [0, 1])(testbed.env))
-        l2_layer = cascade.levels[0].proxy.layer("block-cache")
-        return (client.stats.demotions_out, l2_layer.stats.demotions_in,
-                l2_layer.stats.demotion_drops, testbed.env.now,
-                [d[:16] for d in level_box["value"][1]])
-    finally:
-        set_pipeline_overrides(readahead_depth=saved)
+    testbed, endpoint, image, cascade, session = make_demote_rig(seed)
+    client = session.client_proxy.layer("block-cache")
+    client.arm_demotion()
+    run(testbed, read_blocks(session, [0, 1, 2, 3])(testbed.env))
+    session.mount.drop_caches()
+    level_box = run(testbed, read_blocks(session, [0, 1])(testbed.env))
+    l2_layer = cascade.levels[0].proxy.layer("block-cache")
+    return (client.stats.demotions_out, l2_layer.stats.demotions_in,
+            l2_layer.stats.demotion_drops, testbed.env.now,
+            [d[:16] for d in level_box["value"][1]])
 
 
 def test_demotion_schedule_is_deterministic():
@@ -238,7 +221,7 @@ def test_demotion_schedule_is_deterministic():
 
 # -- cooperative peer caching -----------------------------------------------
 
-def test_peer_hit_is_byte_identical_to_origin(no_readahead):
+def test_peer_hit_is_byte_identical_to_origin():
     testbed, endpoint, image, directory, sessions = make_peer_rig()
     s0, s1 = sessions
     golden = image.disk_inode.data.read(2 * BS, BS)
@@ -258,7 +241,7 @@ def test_peer_hit_is_byte_identical_to_origin(no_readahead):
     assert directory.hits == 1
 
 
-def test_stale_directory_answer_falls_through_to_origin(no_readahead):
+def test_stale_directory_answer_falls_through_to_origin():
     """A listed owner that no longer holds the block costs one wasted
     LAN round trip, then the read comes from origin — still correct."""
     testbed, endpoint, image, directory, sessions = make_peer_rig()
@@ -278,7 +261,7 @@ def test_stale_directory_answer_falls_through_to_origin(no_readahead):
     assert directory.stale == 1
 
 
-def test_eviction_retracts_published_blocks(no_readahead):
+def test_eviction_retracts_published_blocks():
     """Directory state tracks the caches: an evicted frame is no longer
     advertised, so peers miss instead of chasing a stale owner."""
     testbed, endpoint, image, directory, sessions = make_peer_rig()
@@ -297,7 +280,7 @@ def test_eviction_retracts_published_blocks(no_readahead):
     assert s1.client_proxy.layer("peer-cache").stats.peer_hits == 0
 
 
-def test_concurrent_misses_coalesce_on_the_designated_fetcher(no_readahead):
+def test_concurrent_misses_coalesce_on_the_designated_fetcher():
     """Two peers missing the same cold block at once: one WAN fetch,
     the second peer waits on the publication gate and borrows LAN-side."""
     testbed, endpoint, image, directory, sessions = make_peer_rig()
@@ -324,7 +307,7 @@ def test_concurrent_misses_coalesce_on_the_designated_fetcher(no_readahead):
 
 # -- crash retirement and bounded demotion ----------------------------------
 
-def test_proxy_crash_retires_peer_advertisements(no_readahead):
+def test_proxy_crash_retires_peer_advertisements():
     """A crashed proxy's blocks must vanish from the directory at crash
     time — a later asker goes straight upstream, never chasing a stale
     advertisement into a dead cache."""
@@ -348,7 +331,7 @@ def test_proxy_crash_retires_peer_advertisements(no_readahead):
     assert directory.stale == 0
 
 
-def test_crashed_fetcher_releases_pending_waiters(no_readahead):
+def test_crashed_fetcher_releases_pending_waiters():
     """The designated WAN fetcher dies before publishing: its pending
     gate is released at retire time, so the waiter re-queries and falls
     through to its own upstream instead of stalling out the full
@@ -381,7 +364,7 @@ def test_crashed_fetcher_releases_pending_waiters(no_readahead):
     assert directory.pending_timeouts == 0        # released, not timed out
 
 
-def test_blackholed_demote_is_abandoned_at_the_deadline(no_readahead):
+def test_blackholed_demote_is_abandoned_at_the_deadline():
     """An in-flight DEMOTE swallowed by a dead next level is abandoned
     at the bounded send deadline — counted, and never wedging the
     eviction (or the read) that triggered it.  Replays identically."""

@@ -1,23 +1,14 @@
-"""The composable proxy stack: composition equivalence against the
-hand-wired SecondLevelCache path, lifecycle propagation through every
+"""The composable proxy stack: composition equivalence of a hand-wired
+second level against ``build_cascade``, lifecycle propagation through every
 layer, the aggregated ProxyStats view, uniform reset, stack reports,
 and the quiesce/invalidate coverage of file-channel fetch gates."""
 
 import pytest
 
-from repro.core.blockcache import ProxyBlockCache
-from repro.core.config import ProxyCacheConfig, ProxyConfig, pipeline_overrides
-from repro.core.filecache import ProxyFileCache
+from repro.core.config import ProxyConfig
 from repro.core.layers import (
-    AttrPatchLayer,
-    BlockCacheLayer,
-    DegradedModeLayer,
-    FileChannelLayer,
     ProxyLayer,
     ProxyStack,
-    ReadaheadLayer,
-    UpstreamRpcLayer,
-    ZeroMapLayer,
     disable_stack_reports,
     enable_stack_reports,
     format_stack_reports,
@@ -26,17 +17,14 @@ from repro.core.layers import (
 from repro.core.session import (
     GvfsSession,
     Scenario,
-    SecondLevelCache,
     ServerEndpoint,
-    direct_file_channel,
+    build_cascade,
 )
-from repro.net.ssh import ScpTransfer, SshTunnel
 from repro.net.topology import Testbed
 from repro.nfs.protocol import FileHandle, NfsProc, NfsReply, NfsRequest, NfsStatus
-from repro.nfs.rpc import RpcClient
 from repro.sim import Environment
 from repro.vm.image import VmConfig, VmImage
-from tests.core.harness import SMALL_CACHE, Rig
+from tests.core.harness import SMALL_CACHE, ComposedSecondLevel, Rig
 
 BS = 8192
 PATH = "/images/golden/disk.vmdk"
@@ -44,42 +32,11 @@ PATH = "/images/golden/disk.vmdk"
 
 # --------------------------------------------------------------------------
 # Composition equivalence: a hand-composed two-level ProxyStack must be
-# byte- and time-identical to the SecondLevelCache wrapper.
+# byte- and time-identical to the depth-2 cascade build_cascade wires.
 # --------------------------------------------------------------------------
 
-class ComposedSecondLevel:
-    """The SecondLevelCache wiring, but with the proxy built as a raw
-    ProxyStack from an explicit layer list (no GvfsProxy involved)."""
-
-    def __init__(self, testbed, endpoint, cache_config,
-                 name="second-level"):
-        env = testbed.env
-        self.env = env
-        self.testbed = testbed
-        self.endpoint = endpoint
-        self.host = testbed.lan_server
-        tunnel_out = SshTunnel(env, testbed.lan_server_route(),
-                               name=f"{name}.out")
-        tunnel_back = SshTunnel(env, testbed.lan_server_route_back(),
-                                name=f"{name}.back")
-        upstream = RpcClient(env, endpoint.proxy, tunnel_out, tunnel_back,
-                             name=f"{name}.rpc")
-        self.block_cache = ProxyBlockCache(env, self.host.local, cache_config,
-                                           name=f"{name}.blocks")
-        file_cache = ProxyFileCache(env, self.host.local,
-                                    name=f"{name}.files")
-        scp = ScpTransfer(env, testbed.lan_server_route_back(),
-                          name=f"{name}.scp")
-        self.channel = direct_file_channel(env, endpoint, self.host,
-                                           file_cache, scp)
-        self.proxy = ProxyStack(
-            env, upstream,
-            ProxyConfig(name=name, cache=cache_config, metadata=True,
-                        **pipeline_overrides()),
-            [AttrPatchLayer(), ZeroMapLayer(),
-             FileChannelLayer(self.channel),
-             BlockCacheLayer(self.block_cache), ReadaheadLayer(),
-             DegradedModeLayer(), UpstreamRpcLayer()])
+def _built_second_level(testbed, endpoint, cache_config):
+    return build_cascade(testbed, endpoint, [cache_config]).top
 
 
 def _two_level_universe(second_level_cls):
@@ -122,7 +79,7 @@ def _drive_two_level(testbed, sessions):
 
 def test_composed_two_level_stack_matches_second_level_cache():
     t_ref, img_ref, second_ref, sess_ref = _two_level_universe(
-        SecondLevelCache)
+        _built_second_level)
     t_new, img_new, second_new, sess_new = _two_level_universe(
         ComposedSecondLevel)
 
@@ -379,7 +336,7 @@ def test_cold_caches_waits_for_inflight_file_channel_fetch():
     def job(env):
         f = yield env.process(rig.mount.open("/images/golden/mem.vmss"))
         reader = env.process(f.read(block * BS, BS))
-        while not proxy._fetching:        # let the channel fetch start
+        while not proxy.layer("file-channel").fetching:        # let the channel fetch start
             yield env.timeout(0.0005)
         yield env.process(rig.session.cold_caches())
         yield reader
@@ -388,7 +345,7 @@ def test_cold_caches_waits_for_inflight_file_channel_fetch():
     # The fetch was waited out (quiesce) and its install dropped
     # (invalidate): the cache really is cold, nothing repopulated it.
     assert proxy.stats.channel_fetches == 1
-    assert not proxy._fetching
+    assert not proxy.layer("file-channel").fetching
     assert fh not in proxy.channel.file_cache
 
 
@@ -401,7 +358,7 @@ def test_invalidate_refuses_while_file_fetch_in_flight():
     def job(env):
         f = yield env.process(rig.mount.open("/images/golden/mem.vmss"))
         reader = env.process(f.read(block * BS, BS))
-        while not proxy._fetching:
+        while not proxy.layer("file-channel").fetching:
             yield env.timeout(0.0005)
         with pytest.raises(RuntimeError, match="quiesce first"):
             proxy.invalidate_caches()

@@ -1,11 +1,7 @@
 """Pipelined proxy I/O: in-flight miss coalescing, sequential
 readahead, failure cleanup, and coalesced write-back ordering."""
 
-from repro.core.config import (
-    ProxyCacheConfig,
-    clear_pipeline_overrides,
-    set_pipeline_overrides,
-)
+from repro.core.config import ProxyCacheConfig, ProxyConfig
 from repro.core.profiler import format_pipeline_report
 from repro.nfs.protocol import FileHandle, NfsProc, NfsRequest, NfsStatus
 from repro.sim import AllOf
@@ -45,11 +41,8 @@ def test_concurrent_cold_reads_coalesce_to_one_upstream_rpc():
 
 def test_readahead_accelerates_cold_sequential_reads():
     def timed(depth):
-        set_pipeline_overrides(readahead_depth=depth)
-        try:
-            rig = Rig(metadata=False)
-        finally:
-            clear_pipeline_overrides()
+        rig = Rig(metadata=False,
+                  proxy_config=ProxyConfig(readahead_depth=depth))
 
         def job(env):
             f = yield env.process(rig.mount.open(PATH))
@@ -108,7 +101,7 @@ def test_failed_prefetch_releases_gates_and_later_reads_succeed():
     assert all(r.ok for r in replies)
     assert state["fails"] == 1
     assert proxy.stats.prefetch_failed >= 1
-    assert not proxy._block_gates             # nothing left wedged
+    assert not proxy.layer("block-cache").gates             # nothing left wedged
 
     def later(env):
         return (yield from proxy.handle(NfsRequest(
@@ -134,7 +127,7 @@ def test_rpc_timeout_on_demand_miss_returns_clean_error():
     # error — no hang, no wedged miss gate.
     assert reply.status is NfsStatus.IO
     assert proxy.stats.degraded_read_errors == 1
-    assert not proxy._block_gates
+    assert not proxy.layer("block-cache").gates
 
 
 def test_rpc_timeout_during_readahead_releases_gates():
@@ -158,7 +151,7 @@ def test_rpc_timeout_during_readahead_releases_gates():
             NfsProc.READ, fh=fh, offset=BS, count=BS))   # opens the window
         assert second.status is NfsStatus.IO
         yield env.timeout(2.0)            # let every prefetch ladder exhaust
-        assert not proxy._block_gates     # failed fetches freed their gates
+        assert not proxy.layer("block-cache").gates     # failed fetches freed their gates
         rig.endpoint.server.restart()
         return (yield from proxy.handle(NfsRequest(
             NfsProc.READ, fh=fh, offset=5 * BS, count=BS)))
@@ -217,14 +210,14 @@ def test_write_racing_a_readahead_window_reaches_origin():
             assert reply.ok
         # The window runs ahead of the reader: these fetches are still
         # on the wire.  Overwrite the furthest of them now.
-        idx = max(block for f, block in proxy._block_gates if f == fh)
+        idx = max(block for f, block in proxy.layer("block-cache").gates if f == fh)
         reply = yield from proxy.handle(NfsRequest(
             NfsProc.WRITE, fh=fh, offset=idx * BS, data=fresh))
-        assert reply.ok and (fh, idx) in proxy._block_gates
+        assert reply.ok and (fh, idx) in proxy.layer("block-cache").gates
         return idx
 
     idx, _ = rig.run(job(rig.env))      # ... and the window lands
-    assert not proxy._block_gates
+    assert not proxy.layer("block-cache").gates
     assert server_fs.read(PATH, idx * BS, BS) != fresh
     assert proxy.block_cache.is_dirty((fh, idx))
     rig.run(proxy.flush())
@@ -244,9 +237,9 @@ def test_cold_caches_quiesces_inflight_readahead():
             yield env.process(f.read(b * BS, BS))
         # The window keeps running ahead of the reader: fetches for
         # blocks past 3 are still on the wire at this instant.
-        assert proxy._block_gates
+        assert proxy.layer("block-cache").gates
         yield env.process(rig.session.cold_caches())
 
     rig.run(job(rig.env))
-    assert not proxy._block_gates
+    assert not proxy.layer("block-cache").gates
     assert proxy.block_cache.cached_blocks == 0

@@ -6,14 +6,13 @@ import pytest
 from repro.core.session import (
     GvfsSession,
     Scenario,
-    SecondLevelCache,
     ServerEndpoint,
     build_cascade,
 )
 from repro.net.topology import Testbed
 from repro.sim import Environment
 from repro.vm.image import VmConfig, VmImage
-from tests.core.harness import SMALL_CACHE
+from tests.core.harness import SMALL_CACHE, ComposedSecondLevel
 
 
 def make_rig(n_compute=2):
@@ -22,7 +21,7 @@ def make_rig(n_compute=2):
     image = VmImage.create(endpoint.export.fs, "/images/golden",
                            VmConfig(name="golden", memory_mb=2, disk_gb=0.01,
                                     seed=47))
-    second = SecondLevelCache(testbed, endpoint, SMALL_CACHE)
+    second = build_cascade(testbed, endpoint, [SMALL_CACHE]).top
     sessions = [GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                   endpoint=endpoint, compute_index=i,
                                   cache_config=SMALL_CACHE, via=second)
@@ -129,9 +128,10 @@ def _read_sequence(via_factory, n_compute=2):
 
 def test_depth2_cascade_matches_second_level_cache_goldens():
     """A depth-2 ``build_cascade`` must stay byte- and simulated-time-
-    identical to the literal ``SecondLevelCache`` wiring."""
+    identical to §3.2.3's second-level cache wired by hand (a raw
+    ``ProxyStack`` on the LAN server, no cascade machinery)."""
     def classic(testbed, endpoint):
-        level = SecondLevelCache(testbed, endpoint, SMALL_CACHE)
+        level = ComposedSecondLevel(testbed, endpoint, SMALL_CACHE)
         return level, [level]
 
     def cascaded(testbed, endpoint):

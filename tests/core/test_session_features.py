@@ -171,3 +171,60 @@ def test_collect_session_stats_local_scenario():
     assert stats.rpc_calls == 0
     assert stats.buffer_cache_hit_rate == 0.0
     assert stats.block_cache_hit_rate == 0.0
+
+
+# -- per-session proxy policy ------------------------------------------------------
+
+def test_neighbouring_sessions_keep_their_own_proxy_config():
+    """Policy is an argument of the proxy being built (per-user /
+    per-application, §3.2.1), not process state: two sessions and a
+    cascade level on one testbed each run the readahead depth they were
+    handed, and only the session that asked for readahead prefetches."""
+    from repro.core.config import ProxyConfig
+    from repro.core.session import (CascadeLevelSpec, ServerEndpoint,
+                                    build_cascade)
+    from repro.net.topology import Testbed
+    from repro.sim import Environment
+    from repro.vm.image import VmConfig, VmImage
+
+    testbed = Testbed(Environment(), n_compute=2)
+    endpoint = ServerEndpoint(testbed.env, testbed.wan_server)
+    VmImage.create(endpoint.export.fs, "/images/golden",
+                   VmConfig(name="golden", memory_mb=2, disk_gb=0.01,
+                            seed=7))
+    cascade = build_cascade(
+        testbed, endpoint,
+        [CascadeLevelSpec(cache_config=SMALL_CACHE,
+                          proxy_config=ProxyConfig(readahead_depth=3)),
+         SMALL_CACHE],
+        proxy_config=ProxyConfig(readahead_depth=5))
+    depths = (0, 8)
+    sessions = [GvfsSession.build(
+        testbed, Scenario.WAN_CACHED, endpoint=endpoint, compute_index=i,
+        cache_config=SMALL_CACHE, metadata=False, via=cascade,
+        proxy_config=ProxyConfig(readahead_depth=depth))
+        for i, depth in enumerate(depths)]
+
+    assert [s.client_proxy.config.readahead_depth
+            for s in sessions] == [0, 8]
+    assert [stack.config.readahead_depth
+            for stack in cascade.stacks()] == [3, 5]
+    # The builder still owns the fields that describe *this* proxy.
+    assert sessions[0].client_proxy.config.cache is SMALL_CACHE
+    assert sessions[0].client_proxy.config.metadata is False
+    assert (sessions[0].client_proxy.config.name
+            != sessions[1].client_proxy.config.name)
+
+    def stream(session):
+        def gen(env):
+            f = yield env.process(
+                session.mount.open("/images/golden/disk.vmdk"))
+            for block in range(32):
+                yield env.process(f.read(block * 8192, 8192))
+        return gen
+
+    for session in sessions:
+        testbed.env.process(stream(session)(testbed.env))
+    testbed.env.run()
+    assert sessions[0].client_proxy.stats.prefetch_issued == 0
+    assert sessions[1].client_proxy.stats.prefetch_issued > 0

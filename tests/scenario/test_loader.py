@@ -10,8 +10,14 @@ from repro.scenario.spec import ScenarioSpec, SpecError
 DOC = {
     "name": "loader-t",
     "kind": "bench",
-    "bench": {"driver": "faultbench", "params": {"quick": True}},
+    "bench": {"driver": "faultbench", "params": {"scenarios": ["wan_blip"]}},
 }
+
+
+_FLEET = {"name": "t", "kind": "fleet",
+          "topology": {"images": [{"name": "img", "memory_mb": 4}]},
+          "phases": [{"name": "storm", "kind": "clone_storm",
+                      "image": "img"}]}
 
 
 def test_load_json_spec(tmp_path):
@@ -75,11 +81,8 @@ def test_quick_profile_gates_validated_too(tmp_path):
 def test_harden_keys_checked_at_load(tmp_path):
     """A typo'd ``harden`` key fails in the loader, not as a TypeError
     from ``harden_rpc`` after the testbed and images are built."""
-    doc = {"name": "t", "kind": "fleet",
-           "topology": {"images": [{"name": "img", "memory_mb": 4}]},
-           "sessions": {"harden": {"timeout": 2.0, "breaker_threshold": 4}},
-           "phases": [{"name": "storm", "kind": "clone_storm",
-                       "image": "img"}]}
+    doc = {**_FLEET,
+           "sessions": {"harden": {"timeout": 2.0, "breaker_threshold": 4}}}
     path = tmp_path / "harden.json"
     path.write_text(json.dumps(doc))
     assert load_spec(str(path)).sessions.harden["timeout"] == 2.0
@@ -88,6 +91,85 @@ def test_harden_keys_checked_at_load(tmp_path):
     with pytest.raises(SpecError,
                        match="sessions.harden.timeuot: unknown key"):
         load_spec(str(path))
+
+
+@pytest.mark.parametrize("sessions, message", [
+    ({"readahead_depth": -1},
+     "sessions.readahead_depth: readahead_depth must be >= 0"),
+    ({"eviction": "mru"},
+     "sessions.eviction: unknown eviction policy 'mru'"),
+    ({"depth": 2, "level_cache_mb": [0]},
+     "sessions.level_cache_mb: capacity too small"),
+])
+def test_session_config_values_checked_at_load(tmp_path, capsys, sessions,
+                                               message):
+    """``SessionSpec`` builds the proxy and cache configurations, so a
+    value those classes refuse fails in the loader with its spec path
+    (and exits 2 from ``scenario check``), not as a bare ValueError
+    after the testbed and images are built."""
+    from repro.cli import main
+    path = tmp_path / "sessions.json"
+    path.write_text(json.dumps({**_FLEET, "sessions": sessions}))
+    with pytest.raises(SpecError, match=message):
+        load_spec(str(path))
+    for action in ("check", "run"):
+        assert main(["scenario", action, str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_session_spec_builds_the_configs_the_runner_uses():
+    sessions = ScenarioSpec.from_dict({**_FLEET, "sessions": {
+        "depth": 3, "eviction": "lfu", "client_cache_mb": 8,
+        "level_cache_mb": [32], "readahead_depth": 4}}).sessions
+    assert sessions.proxy_config().readahead_depth == 4
+    client = sessions.client_cache_config()
+    assert (client.capacity_bytes, client.eviction) == (8 << 20, "lfu")
+    # The last level size repeats origin-ward.
+    assert [c.capacity_bytes for c in sessions.level_cache_configs()] \
+        == [32 << 20, 32 << 20]
+
+
+def test_bench_params_checked_against_the_driver_at_load(tmp_path, capsys):
+    """A typo'd ``bench.params`` key or driver fails in the loader with
+    its path, not as a TypeError traceback from ``run_*``."""
+    from repro.cli import main
+    doc = {"name": "t", "kind": "bench",
+           "bench": {"driver": "cascadebench", "params": {"dephts": [1]}}}
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SpecError, match=r"bench\.params\.dephts: unknown "
+                                        r"key; expected a subset of "
+                                        r"\['depths', 'policies', "
+                                        r"'workloads'\]"):
+        load_spec(str(path))
+    for action in ("check", "run"):
+        assert main(["scenario", action, str(path)]) == 2
+        assert "bench.params.dephts" in capsys.readouterr().err
+    # ... in a quick profile too.
+    doc["bench"]["params"] = {}
+    doc["quick"] = {"bench": {"params": {"polcies": ["lru"]}}}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SpecError, match=r"bench\.params\.polcies"):
+        load_spec(str(path))
+    doc = {"name": "t", "kind": "bench", "bench": {"driver": "fleetbench"}}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SpecError, match="bench.driver: unknown bench "
+                                        "driver 'fleetbench'"):
+        load_spec(str(path))
+    assert main(["scenario", "check", str(path)]) == 2
+
+
+def test_bench_param_names_follow_the_run_signatures():
+    """The accepted keys are each driver's ``run_*`` keywords plus the
+    adapter's own — the keys the library specs and docs use."""
+    from repro.scenario.runner import bench_param_names
+    assert bench_param_names("perf") == [
+        "baseline", "golden_path", "max_slowdown", "workloads"]
+    assert bench_param_names("faultbench") == ["scenarios", "seed"]
+    assert bench_param_names("chaosbench") == ["seed"]
+    assert bench_param_names("coopbench") == ["depths", "modes", "peers"]
+    assert bench_param_names("farmbench") == [
+        "baseline", "cells", "seed", "sessions"]
 
 
 def test_frozen_benchmark_spec_still_loads():

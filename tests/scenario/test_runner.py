@@ -3,7 +3,7 @@
 import pytest
 
 from repro.scenario.arrivals import arrival_offsets
-from repro.scenario.runner import run_spec
+from repro.scenario.runner import run_bench_driver, run_spec
 from repro.scenario.schema import validate_report
 from repro.scenario.spec import ArrivalSpec, ScenarioSpec
 
@@ -99,12 +99,14 @@ def test_failing_gate_flips_ok():
 
 
 def test_unknown_bench_driver_raises():
-    spec = ScenarioSpec.from_dict({
-        "name": "bad", "kind": "bench",
-        "bench": {"driver": "nope"},
-    })
+    with pytest.raises(ValueError, match="bench.driver: unknown bench "
+                                         "driver 'nope'"):
+        ScenarioSpec.from_dict({
+            "name": "bad", "kind": "bench",
+            "bench": {"driver": "nope"},
+        })
     with pytest.raises(ValueError, match="nope"):
-        run_spec(spec, quick=True)
+        run_bench_driver("nope", {}, quick=True)
 
 
 # --- arrival processes -------------------------------------------------

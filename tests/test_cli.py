@@ -23,6 +23,16 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+def test_parser_exposes_exactly_five_commands():
+    """``scenario run`` is the one way to run a bench driver: no
+    per-driver subcommand may come back beside it."""
+    import argparse
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert set(subparsers.choices) == {"bench", "perf", "scenario",
+                                       "info", "report"}
+
+
 def test_info_command_prints_calibration(capsys):
     assert main(["info"]) == 0
     out = capsys.readouterr().out
@@ -31,23 +41,20 @@ def test_info_command_prints_calibration(capsys):
     assert "gzip" in out
 
 
-def test_faultbench_rejects_unknown_scenario(capsys):
-    assert main(["faultbench", "--scenario", "nope"]) == 2
-    assert "unknown scenario" in capsys.readouterr().err
-
-
-def test_faultbench_proxy_restart_quick(capsys, tmp_path):
-    out_file = tmp_path / "bench.json"
-    assert main(["faultbench", "--scenario", "proxy_restart", "--quick",
-                 "--out", str(out_file)]) == 0
-    out = capsys.readouterr().out
-    assert "proxy_restart" in out and "lost 0" in out
+def _bench_spec(tmp_path, driver, **params):
     import json
-    report = json.loads(out_file.read_text())
-    scenario = report["scenarios"]["proxy_restart"]
-    assert scenario["lost_writes"] == 0
-    assert scenario["lost_writes_without_journal"] > 0
-    assert scenario["replay_identical"] is True
+    path = tmp_path / f"{driver}.json"
+    path.write_text(json.dumps({"name": f"cli-{driver}", "kind": "bench",
+                                "bench": {"driver": driver,
+                                          "params": params}}))
+    return str(path)
+
+
+def test_faultbench_rejects_unknown_scenario(capsys, tmp_path):
+    spec = _bench_spec(tmp_path, "faultbench", scenarios=["nope"])
+    assert main(["scenario", "check", spec]) == 0    # a value, not a key
+    assert main(["scenario", "run", spec, "--quick"]) == 2
+    assert "unknown scenario" in capsys.readouterr().err
 
 
 def test_bench_zero_runs_and_reports(capsys):
@@ -58,7 +65,7 @@ def test_bench_zero_runs_and_reports(capsys):
 
 
 BENCH_CMDS = {
-    # subcommand -> (experiments module name, run_* function name)
+    # bench.driver -> (experiments module name, run_* function name)
     "faultbench": ("faultbench", "run_faultbench"),
     "chaosbench": ("chaosbench", "run_chaosbench"),
     "cascadebench": ("cascadebench", "run_cascadebench"),
@@ -70,8 +77,10 @@ BENCH_CMDS = {
 @pytest.mark.parametrize("cmd", sorted(BENCH_CMDS))
 @pytest.mark.parametrize("failures, expected", [([], 0), (["boom"], 1)])
 def test_bench_subcommands_share_gate_exit_codes(cmd, failures, expected,
-                                                 monkeypatch, capsys):
-    """Every bench subcommand turns check_report failures into exit 1
+                                                 monkeypatch, capsys,
+                                                 tmp_path):
+    """Every bench driver, run the one way there is (``scenario run`` of
+    a ``kind: bench`` spec), turns check_report failures into exit 1
     (and a clean report into exit 0) through the same code path."""
     import importlib
     mod_name, run_name = BENCH_CMDS[cmd]
@@ -81,11 +90,12 @@ def test_bench_subcommands_share_gate_exit_codes(cmd, failures, expected,
     monkeypatch.setattr(mod, "format_report", lambda report: "fake table")
     monkeypatch.setattr(mod, "check_report",
                         lambda report, baseline=None: list(failures))
-    assert main([cmd, "--quick"]) == expected
+    assert main(["scenario", "run", _bench_spec(tmp_path, cmd), "--quick",
+                 "--check"]) == expected
     captured = capsys.readouterr()
     assert "fake table" in captured.out
     if failures:
-        assert "boom" in captured.err and "violated" in captured.err
+        assert "boom" in captured.err and "gates failed" in captured.err
     else:
         assert captured.err == ""
 
@@ -182,18 +192,3 @@ def test_scenario_run_writes_validated_envelope(capsys, tmp_path):
     assert envelope["ok"] is True
     from repro.scenario.schema import validate_report
     assert validate_report(envelope) == []
-
-
-def test_chaosbench_quick_sweep(capsys, tmp_path):
-    out_file = tmp_path / "chaos.json"
-    assert main(["chaosbench", "--quick", "--out", str(out_file)]) == 0
-    out = capsys.readouterr().out
-    assert "chaosbench" in out and "negative control" in out
-    import json
-    report = json.loads(out_file.read_text())
-    assert report["n_cells"] >= 24
-    assert all(cell["corrupted_bytes_served"] == 0
-               and cell["lost_writes"] == 0
-               for cell in report["cells"].values())
-    assert report["negative_control"]["corrupted_bytes_served"] > 0
-    assert report["golden"]["identical"] is True

@@ -108,3 +108,32 @@ def test_no_top_level_import_cycles_in_repro():
         if color[module] == WHITE:
             visit(module)
     assert not cycles, "import cycles:\n" + "\n".join(cycles)
+
+
+def test_core_config_is_declarations_only():
+    """``repro.core.config`` exports its three dataclasses and defines
+    no module-level mutable state: configuration reaches a proxy as an
+    argument (``GvfsSession.build(proxy_config=...)``), never through a
+    process-wide registry a caller must save, set and restore."""
+    path = SRC / "repro" / "core" / "config.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assigned = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            assigned[target.id] = node.value
+    assert ast.literal_eval(assigned.pop("__all__")) == [
+        "CachePolicy", "ProxyCacheConfig", "ProxyConfig"]
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                  ast.SetComp)
+    mutable = [name for name, value in assigned.items()
+               if isinstance(value, containers)
+               or (isinstance(value, ast.Call)
+                   and getattr(value.func, "id", "") in ("dict", "list",
+                                                         "set"))]
+    assert mutable == []
