@@ -37,7 +37,7 @@ def run_resume():
 
     testbed.env.process(driver(testbed.env))
     testbed.env.run()
-    stats = session.client_proxy.stats
+    stats = session.client_proxy.layer("metadata").stats
     reads_issued = session.mount.rpc.stats.by_proc.get("READ", 0)
     return meta, stats, reads_issued
 

@@ -55,14 +55,18 @@ def main() -> None:
     env.run()
 
     # 5. What the extensions did for us.
-    stats = session.client_proxy.stats
+    #    Counters live in the layer that owns them, keyed by role.
+    layers = session.client_proxy.stats_snapshot()
     channel = session.client_proxy.channel
-    print(f"zero-filtered reads : {stats.zero_filtered_reads}")
-    print(f"file-cache reads    : {stats.file_cache_reads}")
-    print(f"channel fetches     : {stats.channel_fetches} "
+    print("zero-filtered reads : "
+          f"{layers['metadata']['zero_filtered_reads']}")
+    print("file-cache reads    : "
+          f"{layers['file-channel']['file_cache_reads']}")
+    print("channel fetches     : "
+          f"{layers['file-channel']['channel_fetches']} "
           f"({channel.bytes_on_wire >> 10} KB on the wire for "
           f"{channel.bytes_logical >> 20} MB of state)")
-    print(f"forwarded upstream  : {stats.forwarded} calls")
+    print(f"forwarded upstream  : {layers['upstream-rpc']['forwarded']} calls")
 
 
 if __name__ == "__main__":

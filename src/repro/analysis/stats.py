@@ -105,13 +105,22 @@ def collect_session_stats(session) -> SessionStats:
         stats.buffer_cache_misses = mount.cache.misses
     proxy = getattr(session, "client_proxy", None)
     if proxy is not None:
-        stats.zero_filtered_reads = proxy.stats.zero_filtered_reads
-        stats.block_cache_hits = proxy.stats.block_cache_hits
-        stats.block_cache_misses = proxy.stats.block_cache_misses
-        stats.file_cache_reads = proxy.stats.file_cache_reads
-        stats.absorbed_writes = proxy.stats.absorbed_writes
-        stats.writebacks = proxy.stats.writebacks
-        stats.channel_fetches = proxy.stats.channel_fetches
+        # Each counter from the layer that owns it; a layer this stack
+        # does not compose counts nothing.
+        layers = proxy.stats_snapshot()
+        blocks = layers.get("block-cache", {})
+        channel = layers.get("file-channel", {})
+        stats.zero_filtered_reads = layers.get("metadata", {}).get(
+            "zero_filtered_reads", 0)
+        stats.block_cache_hits = blocks.get("block_cache_hits", 0)
+        stats.block_cache_misses = blocks.get("block_cache_misses", 0)
+        stats.file_cache_reads = channel.get("file_cache_reads", 0)
+        # Two owners: whole files kept in the file cache, blocks kept in
+        # the write-back block cache.
+        stats.absorbed_writes = (channel.get("absorbed_writes", 0)
+                                 + blocks.get("absorbed_writes", 0))
+        stats.writebacks = blocks.get("writebacks", 0)
+        stats.channel_fetches = channel.get("channel_fetches", 0)
         if proxy.channel is not None:
             stats.channel_bytes_on_wire = proxy.channel.bytes_on_wire
             stats.channel_bytes_logical = proxy.channel.bytes_logical

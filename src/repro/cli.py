@@ -6,11 +6,6 @@ Commands
     Regenerate one of the paper's figures/tables and print its table.
     Targets: ``fig3`` ``fig4`` ``fig5`` ``fig6`` ``table1`` ``zero``
     ``pipelined`` ``all``.
-``perf``
-    Measure wall-clock simulator throughput (events/sec, blocks/sec)
-    on fixed workloads and assert simulated-time invariance against
-    golden timings.  ``--out BENCH_pr2.json`` archives the numbers;
-    ``--baseline`` computes speedups against an earlier archive.
 ``scenario run/list/check``
     The declarative scenario engine (:mod:`repro.scenario`): ``run``
     executes one spec from ``scenarios/`` (or a path) end to end —
@@ -126,11 +121,11 @@ def _bench_zero() -> str:
 
     testbed.env.process(driver(testbed.env))
     testbed.env.run()
-    stats = session.client_proxy.stats
+    filtered = session.client_proxy.layer("metadata").stats.zero_filtered_reads
     reads = session.mount.rpc.stats.by_proc.get("READ", 0)
     return (f"512 MB post-boot resume: {reads} NFS reads issued, "
-            f"{stats.zero_filtered_reads} filtered as zero-filled "
-            f"({stats.zero_filtered_reads / (512 * 128):.1%}; "
+            f"{filtered} filtered as zero-filled "
+            f"({filtered / (512 * 128):.1%}; "
             f"paper: 60,452 of 65,750 ≈ 92%)")
 
 
@@ -170,37 +165,6 @@ def _write_json(doc, out: str) -> None:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"[written to {out}]")
-
-
-def _cmd_perf(args) -> int:
-    from repro.experiments import perf
-    from repro.scenario.runner import perf_gate_failures
-    names = (args.workloads.split(",") if args.workloads
-             else list(perf.WORKLOADS))
-    unknown = [n for n in names if n not in perf.WORKLOADS]
-    if unknown:
-        print(f"error: unknown workload(s) {unknown}; "
-              f"choose from {sorted(perf.WORKLOADS)}", file=sys.stderr)
-        return 2
-    golden_path = args.golden or perf.GOLDEN_PATH
-    report = perf.run_harness(names, quick=args.quick,
-                              golden_path=None if args.update_golden
-                              else golden_path,
-                              baseline_path=args.baseline)
-    if args.update_golden:
-        perf.save_golden(
-            {perf._golden_key(n, args.quick): s.sim_signature
-             for n, s in report.samples.items()}, golden_path)
-        print(f"[golden timings updated in {golden_path}]")
-    print(perf.format_report(report))
-    if args.out:
-        _write_json(report.to_dict(), args.out)
-    failures = perf_gate_failures(report, args.max_slowdown)
-    if failures:
-        print("error: perf guarantees violated:\n  "
-              + "\n  ".join(failures), file=sys.stderr)
-        return 1
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -322,36 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("target", choices=[*BENCH_TARGETS, "all"])
     _add_stack_report_flag(bench)
     bench.set_defaults(func=_cmd_bench)
-
-    perf = sub.add_parser(
-        "perf",
-        help="measure wall-clock simulator throughput (events/s, "
-             "blocks/s) on fixed workloads and check simulated-time "
-             "invariance against golden timings")
-    perf.add_argument("--workloads", default=None, metavar="W1,W2",
-                      help="comma-separated workload names "
-                           "(default: all; see docs/performance.md)")
-    perf.add_argument("--out", default=None, metavar="FILE",
-                      help="write the measurements as JSON "
-                           "(e.g. BENCH_pr2.json)")
-    perf.add_argument("--baseline", default=None, metavar="FILE",
-                      help="earlier BENCH_*.json to compute speedups "
-                           "against")
-    perf.add_argument("--golden", default=None, metavar="FILE",
-                      help="golden simulated-time signatures "
-                           "(default: benchmarks/golden_timings.json)")
-    perf.add_argument("--update-golden", action="store_true",
-                      help="record current simulated times as golden "
-                           "instead of checking them")
-    perf.add_argument("--quick", action="store_true",
-                      help="shrunken workloads (CI smoke scale)")
-    perf.add_argument("--max-slowdown", type=float, default=None,
-                      metavar="X",
-                      help="fail (exit 1) when any workload's wall clock "
-                           "regresses more than X times vs --baseline "
-                           "(CI gate; baseline scale must match)")
-    _add_stack_report_flag(perf)
-    perf.set_defaults(func=_cmd_perf)
 
     scenario = sub.add_parser(
         "scenario",

@@ -23,9 +23,9 @@ The layer contract:
   invalidation that would race in-flight work.  Defaults are no-ops
   that add no events.
 * Per-layer counters live in a small dataclass named by the class
-  attribute ``Stats``; the stack aggregates them into the legacy flat
-  :class:`~repro.core.layers.stack.ProxyStats` view and into
-  ``stats_snapshot()`` / ``format_stack_report()``.
+  attribute ``Stats``, read as ``stack.layer(role).stats``; the stack
+  aggregates them only into ``stats_snapshot()`` /
+  ``format_stack_report()``.
 * ``inject_fault(kind, arg)`` is the **fault port**: the chaos
   machinery (:mod:`repro.sim.faults`, :mod:`repro.sim.chaos`) strikes
   a named layer through it.  Layers opt in per kind; the base class

@@ -95,12 +95,6 @@ class BlockCacheLayer(ProxyLayer):
         return self.stack.layer("fault-guard")
 
     @property
-    def eviction_policy(self) -> str:
-        """Name of the victim-selection policy this level's cache runs
-        (per-level in a cascade; see :mod:`repro.core.eviction`)."""
-        return self.block_cache.policy.name
-
-    @property
     def hit_ratio(self) -> float:
         """hits / (hits + misses) so far (0.0 before any block traffic)."""
         seen = self.stats.block_cache_hits + self.stats.block_cache_misses

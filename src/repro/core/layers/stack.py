@@ -17,10 +17,6 @@ Composition expresses the paper's deployment shapes directly:
   upstream RPC client points at another proxy — cascading is stacking;
 * a **shared read-only cache** is a block-cache layer handed a cache
   object owned by another session.
-
-``ProxyStats`` keeps the legacy flat counter surface alive as a
-routing view over the per-layer stats bags, so middleware and analysis
-code written against the monolithic proxy keeps working unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core.config import ProxyConfig
 from repro.core.layers.attrs import AttrPatchLayer
-from repro.core.layers.base import ProxyLayer, counter_names
+from repro.core.layers.base import ProxyLayer
 from repro.core.layers.blocks import BlockCacheLayer
 from repro.core.layers.degraded import DegradedModeLayer
 from repro.core.layers.filechannel import FileChannelLayer
@@ -41,9 +37,7 @@ from repro.core.layers.zeromap import ZeroMapLayer
 from repro.sim import Interrupt
 
 __all__ = [
-    "LEGACY_COUNTERS",
     "ProxyStack",
-    "ProxyStats",
     "disable_stack_reports",
     "enable_stack_reports",
     "format_cascade_reports",
@@ -52,97 +46,10 @@ __all__ = [
     "standard_layers",
 ]
 
-#: Every counter of the pre-refactor monolithic ``ProxyStats``.  The
-#: aggregated view guarantees all of them stay readable (and writable)
-#: whatever layers a stack composes; counters whose owning layer is
-#: absent read as zero.
-LEGACY_COUNTERS = (
-    "requests", "forwarded", "zero_filtered_reads",
-    "block_cache_hits", "block_cache_misses", "file_cache_reads",
-    "absorbed_writes", "absorbed_commits", "writebacks", "channel_fetches",
-    "coalesced_misses", "prefetch_issued", "prefetch_used",
-    "prefetch_failed", "readahead_windows",
-    "merged_write_rpcs", "merged_write_blocks",
-    "degraded_reads", "degraded_read_errors", "degraded_write_rejects",
-    "high_water_writebacks", "proxy_crashes", "recovered_dirty_blocks",
-)
-
 
 @dataclass
 class FrontDoorStats:
     requests: int = 0       # RPC calls that entered the stack
-
-
-class _DetachedCounters:
-    """Zero-initialised holders for legacy counters whose owning layer
-    is absent from this stack (e.g. prefetch counters on a cacheless
-    forwarding proxy)."""
-
-    def __init__(self, names):
-        for name in names:
-            setattr(self, name, 0)
-
-
-class ProxyStats:
-    """The legacy flat counter surface, aggregated over per-layer bags.
-
-    Reads and writes route to the layer that owns the counter; a
-    counter owned by several layers (``absorbed_writes`` belongs to
-    both the file-channel and block-cache layers) reads as the sum and
-    writes against the first owner.  ``reset()`` zeroes every bag.
-    """
-
-    def __init__(self, bags):
-        object.__setattr__(self, "_bags", list(bags))
-        routes: Dict[str, list] = {}
-        for bag in bags:
-            for name in counter_names(bag):
-                routes.setdefault(name, []).append(bag)
-        object.__setattr__(self, "_routes", routes)
-
-    def __getattr__(self, name):
-        routes = object.__getattribute__(self, "_routes")
-        bags = routes.get(name)
-        if bags is None:
-            raise AttributeError(f"unknown proxy counter {name!r}")
-        if len(bags) == 1:
-            return getattr(bags[0], name)
-        return sum(getattr(bag, name) for bag in bags)
-
-    def __setattr__(self, name, value):
-        bags = self._routes.get(name)
-        if bags is None:
-            raise AttributeError(f"unknown proxy counter {name!r}")
-        if len(bags) > 1:
-            value -= sum(getattr(bag, name) for bag in bags[1:])
-        setattr(bags[0], name, value)
-
-    def reset(self) -> None:
-        """Zero every counter (mirrors :meth:`ProxyBlockCache.reset_stats`).
-
-        Benchmarks separate a warm-up phase from the measured phase by
-        resetting the counters instead of rebuilding the session."""
-        for name, bags in self._routes.items():
-            for bag in bags:
-                setattr(bag, name, 0)
-
-    @property
-    def prefetch_wasted(self) -> int:
-        """Prefetched blocks never consumed by a demand read (so far)."""
-        return max(self.prefetch_issued - self.prefetch_used
-                   - self.prefetch_failed, 0)
-
-    @property
-    def prefetch_accuracy(self) -> float:
-        """used / issued — the fraction of readahead that paid off."""
-        if self.prefetch_issued == 0:
-            return 0.0
-        return self.prefetch_used / self.prefetch_issued
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)}"
-                         for name in LEGACY_COUNTERS)
-        return f"ProxyStats({body})"
 
 
 def standard_layers(block_cache=None, channel=None,
@@ -208,13 +115,6 @@ class ProxyStack:
             self._roles.setdefault(layer.ROLE, layer)
             below = layer
         self.head: ProxyLayer = below
-        bags = [self.front_stats] + [
-            layer.stats for layer in self.layers if layer.stats is not None]
-        covered = {name for bag in bags for name in counter_names(bag)}
-        detached = [n for n in LEGACY_COUNTERS if n not in covered]
-        if detached:
-            bags.append(_DetachedCounters(detached))
-        self.stats = ProxyStats(bags)
         _register_stack(self)
 
     # ----------------------------------------------------------- layer lookup
@@ -421,18 +321,6 @@ class ProxyStack:
                 snap["upstream"] = {"name": up.config.name,
                                     "layers": up.stats_snapshot(deep=True)}
         return snap
-
-    def hit_ratio(self) -> Optional[float]:
-        """This stack's block-cache hit ratio (None without a cache or
-        before any block traffic)."""
-        layer = self._roles.get("block-cache")
-        if layer is None:
-            return None
-        hits = layer.stats.block_cache_hits
-        misses = layer.stats.block_cache_misses
-        if hits + misses == 0:
-            return None
-        return hits / (hits + misses)
 
     def format_stack_report(self) -> str:
         """Human-readable per-layer counter report."""

@@ -168,8 +168,9 @@ class Prefetcher:
                     victim)
             self.blocks_fetched += 1
         else:
-            self.proxy.stats.prefetch_failed += 1
-            self.proxy.layer("readahead").prefetched.discard((fh, index))
+            readahead = self.proxy.layer("readahead")
+            readahead.stats.prefetch_failed += 1
+            readahead.prefetched.discard((fh, index))
             self.blocks_skipped += 1
 
     def prefetch(self, profile: AccessProfile) -> Generator:
@@ -196,17 +197,18 @@ def format_pipeline_report(proxy) -> str:
     coalescing, and write coalescing — the middleware's view of whether
     the pipelined path is earning its keep for this session.
     """
-    s = proxy.stats
+    ahead = proxy.layer("readahead").stats
+    blocks = proxy.layer("block-cache").stats
     lines = [
         f"pipelined I/O — {proxy.config.name}",
-        f"  readahead windows : {s.readahead_windows}",
-        f"  prefetch issued   : {s.prefetch_issued}",
-        f"  prefetch used     : {s.prefetch_used}",
-        f"  prefetch failed   : {s.prefetch_failed}",
-        f"  prefetch wasted   : {s.prefetch_wasted}",
-        f"  prefetch accuracy : {s.prefetch_accuracy:.1%}",
-        f"  coalesced misses  : {s.coalesced_misses}",
-        f"  merged WRITE rpcs : {s.merged_write_rpcs}"
-        f" ({s.merged_write_blocks} blocks)",
+        f"  readahead windows : {ahead.readahead_windows}",
+        f"  prefetch issued   : {ahead.prefetch_issued}",
+        f"  prefetch used     : {ahead.prefetch_used}",
+        f"  prefetch failed   : {ahead.prefetch_failed}",
+        f"  prefetch wasted   : {ahead.prefetch_wasted}",
+        f"  prefetch accuracy : {ahead.prefetch_accuracy:.1%}",
+        f"  coalesced misses  : {blocks.coalesced_misses}",
+        f"  merged WRITE rpcs : {blocks.merged_write_rpcs}"
+        f" ({blocks.merged_write_blocks} blocks)",
     ]
     return "\n".join(lines)

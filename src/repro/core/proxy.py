@@ -31,11 +31,11 @@ from typing import Optional
 from repro.core.blockcache import ProxyBlockCache
 from repro.core.channel import FileChannel
 from repro.core.config import ProxyConfig
-from repro.core.layers import ProxyStack, ProxyStats, standard_layers
+from repro.core.layers import ProxyStack, standard_layers
 from repro.nfs.rpc import RpcClient
 from repro.sim import Environment
 
-__all__ = ["GvfsProxy", "ProxyStats"]
+__all__ = ["GvfsProxy"]
 
 
 class GvfsProxy(ProxyStack):

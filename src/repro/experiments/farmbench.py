@@ -13,21 +13,17 @@ flushes on teardown.
 Measured per cell: storm completion (simulated seconds), per-clone
 latency, per-server request counts, failover/abort counters, the
 re-replication record and the acknowledged-write audit.  The driver
-also runs two controls:
-
-* **placement determinism** — two farms built from the same seed must
-  produce byte-identical placement snapshots;
-* **golden control** — the farm-*disabled* path (the ``cold_clone``
-  perf workload) must keep its archived golden simulated-time
-  signature bit-identical: the origin-selector seams are inert when no
-  farm is wired.
+also runs one control, **placement determinism**: two farms built from
+the same seed must produce byte-identical placement snapshots.  (That
+the origin-selector seams are inert when no farm is wired is the
+tier-1 golden test's job: ``cold_clone@quick`` runs farm-disabled.)
 
 ``run_farmbench`` produces the ``results/BENCH_pr9.json`` document;
 ``check_report`` turns it into the CI ``farm-smoke`` gates: measurable
 storm speedup at 4 and 16 servers vs 1, zero lost acknowledged writes
 and zero unrepaired corruption under the mid-storm crash, observed
 failovers (the crash must actually be survived, not dodged), bounded
-recovery, deterministic placement, and no golden-timing drift.
+recovery and deterministic placement.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ __all__ = [
     "format_report",
     "run_farm_storm",
     "run_farmbench",
-    "run_golden_control",
     "run_placement_determinism",
 ]
 
@@ -211,19 +206,6 @@ def run_placement_determinism(seed: int = 7,
             "entries": len(first), "identical": first == second}
 
 
-def run_golden_control() -> dict:
-    """The farm-disabled control: ``cold_clone@quick`` must keep its
-    archived golden simulated-time signature bit-identical."""
-    from repro.experiments.perf import WORKLOADS, load_golden
-
-    golden = load_golden().get("cold_clone@quick")
-    sample = WORKLOADS["cold_clone"](quick=True)
-    return {"workload": "cold_clone@quick",
-            "golden_signature": golden,
-            "signature": sample.sim_signature,
-            "match": golden is not None and sample.sim_signature == golden}
-
-
 def run_farmbench(quick: bool = False,
                   sessions: Optional[int] = None,
                   cells: Optional[List[Tuple[int, bool]]] = None,
@@ -260,7 +242,6 @@ def run_farmbench(quick: bool = False,
                              if cell["sim_seconds"] else 0.0)
     report["speedups"] = speedups
     report["placement_determinism"] = run_placement_determinism()
-    report["golden_control"] = run_golden_control()
     return report
 
 
@@ -276,8 +257,7 @@ def check_report(report: dict,
       observed failover (the crash landed mid-traffic), re-replication
       ran to completion with nothing unrecoverable, and no unrepaired
       corruption reached a reader;
-    * same-seed placement maps are identical;
-    * the farm-disabled golden control kept its archived signature.
+    * same-seed placement maps are identical.
 
     ``baseline`` (an earlier report at the same scale) adds a storm
     regression bound: no cell may be more than 25% slower in simulated
@@ -329,12 +309,6 @@ def check_report(report: dict,
     det = report.get("placement_determinism", {})
     if not det.get("identical", False):
         failures.append("same-seed farms produced different placement maps")
-    golden = report.get("golden_control", {})
-    if not golden.get("match", False):
-        failures.append(
-            "farm-disabled golden control drifted: "
-            f"expected {golden.get('golden_signature')}, "
-            f"got {golden.get('signature')}")
     if baseline is not None and baseline.get("quick") == report.get("quick"):
         for key, cell in cells.items():
             ref = baseline.get("cells", {}).get(key)
@@ -375,8 +349,4 @@ def format_report(report: dict) -> str:
         lines.append(f"placement determinism: "
                      f"{'identical' if det.get('identical') else 'DIVERGED'} "
                      f"({det.get('entries', 0)} entries, seed {det.get('seed')})")
-    golden = report.get("golden_control", {})
-    if golden:
-        lines.append("golden control (farm disabled): "
-                     + ("bit-identical" if golden.get("match") else "DRIFTED"))
     return "\n".join(lines)

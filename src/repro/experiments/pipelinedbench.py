@@ -105,12 +105,13 @@ def run_read_sweep(depths: Sequence[int] = (0, 1, 4, 8, 16),
             return env.now - t0
 
         seconds = _drive(testbed, job(testbed.env))
-        s = session.client_proxy.stats
+        ahead = session.client_proxy.layer("readahead").stats
+        blocks = session.client_proxy.layer("block-cache").stats
         results[depth] = ReadPoint(depth=depth, seconds=seconds,
-                                   prefetch_issued=s.prefetch_issued,
-                                   prefetch_used=s.prefetch_used,
-                                   prefetch_accuracy=s.prefetch_accuracy,
-                                   coalesced_misses=s.coalesced_misses)
+                                   prefetch_issued=ahead.prefetch_issued,
+                                   prefetch_used=ahead.prefetch_used,
+                                   prefetch_accuracy=ahead.prefetch_accuracy,
+                                   coalesced_misses=blocks.coalesced_misses)
     return results
 
 
@@ -137,7 +138,8 @@ def _flush_once(file_mb: int, coalesce_bytes: int,
         return proxy.upstream.stats.by_proc.get("WRITE", 0) - before, \
             env.now - t0
 
-    return _drive(testbed, job(testbed.env)), proxy.stats
+    return (_drive(testbed, job(testbed.env)),
+            proxy.layer("block-cache").stats)
 
 
 def run_flush_comparison(file_mb: int = 32,

@@ -40,7 +40,8 @@ from repro.scenario.gates import default_gates_for, evaluate_gates, \
     validate_gates
 from repro.scenario.spec import ImageSpec, ScenarioSpec, SpecError
 
-__all__ = ["bench_param_names", "run_bench_driver", "run_spec"]
+__all__ = ["bench_param_names", "load_baseline", "run_bench_driver",
+           "run_spec"]
 
 MB = 1024 * 1024
 
@@ -438,9 +439,15 @@ def _demotion_metrics(sessions, cascade) -> Dict:
 # Bench adapters
 # --------------------------------------------------------------------------
 
-def _load_baseline(path: str):
-    with open(path) as handle:
-        return json.load(handle)
+def load_baseline(path: str) -> Dict:
+    """The earlier report a spec's ``bench.params.baseline`` names."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except FileNotFoundError:
+        raise SpecError(f"no such file {path!r}") from None
+    except ValueError as exc:
+        raise SpecError(f"{path!r} is not JSON ({exc})") from None
 
 
 def _parse_farm_cells(cells) -> List[Tuple[int, bool]]:
@@ -460,17 +467,12 @@ def _parse_farm_cells(cells) -> List[Tuple[int, bool]]:
 #: function in ``repro.experiments.<driver>``, the ``bench.params`` keys
 #: the adapter consumes itself on top of that function's keywords).
 _BENCH_DRIVERS = {
-    "perf": ("run_harness", ("baseline", "max_slowdown")),
     "faultbench": ("run_faultbench", ()),
     "chaosbench": ("run_chaosbench", ()),
     "cascadebench": ("run_cascadebench", ()),
     "coopbench": ("run_coopbench", ()),
     "farmbench": ("run_farmbench", ("baseline",)),
 }
-
-#: ``run_*`` keywords the adapter passes itself (``quick`` comes from
-#: the run, ``baseline_path`` is spelled ``baseline`` in a spec).
-_ADAPTER_PASSED = ("quick", "baseline_path")
 
 
 def _bench_driver(name: str):
@@ -484,9 +486,10 @@ def _bench_driver(name: str):
 
 def bench_param_names(name: str) -> List[str]:
     """Every key a spec's ``bench.params`` may carry for driver
-    ``name``: the driver's ``run_*`` keywords plus the adapter's own."""
+    ``name``: the driver's ``run_*`` keywords (bar ``quick``, which
+    comes from the run) plus the adapter's own."""
     _, run = _bench_driver(name)
-    keywords = set(inspect.signature(run).parameters) - set(_ADAPTER_PASSED)
+    keywords = set(inspect.signature(run).parameters) - {"quick"}
     return sorted(keywords | set(_BENCH_DRIVERS[name][1]))
 
 
@@ -494,49 +497,23 @@ def run_bench_driver(name: str, params: Dict, quick: bool,
                      seed: int = 0) -> Tuple[Dict, List[str], str]:
     """Run a legacy bench driver; returns ``(report_dict, failures,
     formatted_text)``.  ``params`` are the spec's ``bench.params``
-    (already quick-merged); baseline paths are loaded here so specs
-    stay plain data.  A non-zero spec ``seed`` reaches every driver
-    that takes one, unless ``params`` names its own."""
+    (already quick-merged); a baseline path is loaded here, before the
+    run, so specs stay plain data.  A non-zero spec ``seed`` reaches
+    every driver that takes one, unless ``params`` names its own."""
     mod, run = _bench_driver(name)
     params = dict(params)
-    baseline = params.pop("baseline", None)
-    if name == "perf":
-        max_slowdown = params.pop("max_slowdown", None)
-        report = run(quick=quick, baseline_path=baseline, **params)
-        return (report.to_dict(), perf_gate_failures(report, max_slowdown),
-                mod.format_report(report))
     if seed and "seed" in inspect.signature(run).parameters:
         params.setdefault("seed", seed)
     if name == "farmbench":
+        baseline = params.pop("baseline", None)
+        base = load_baseline(baseline) if baseline else None
         if "cells" in params:
             params["cells"] = _parse_farm_cells(params["cells"])
         report = run(quick=quick, **params)
-        base = _load_baseline(baseline) if baseline else None
         return (report, mod.check_report(report, baseline=base),
                 mod.format_report(report))
     report = run(quick=quick, **params)
     return report, mod.check_report(report), mod.format_report(report)
-
-
-def perf_gate_failures(report, max_slowdown=None) -> List[str]:
-    """The perf harness's pass/fail conditions as check_report-style
-    failure strings (shared with the ``repro.cli perf`` gate).
-
-    ``golden_ok is False`` fails; ``None`` (golden check skipped) does
-    not.  ``max_slowdown`` bounds per-workload wall-clock regression
-    against the baseline archive, exactly the old ``--max-slowdown``
-    CLI semantics."""
-    failures = []
-    if report.golden_ok is False:
-        failures.append("simulated-time results drifted from golden "
-                        "timings (a perf change must be timing-neutral)")
-    if max_slowdown:
-        for name, speedup in (report.speedup or {}).items():
-            if speedup < 1.0 / float(max_slowdown):
-                failures.append(
-                    f"{name}: {1 / speedup:.2f}x slower than baseline "
-                    f"(bound {float(max_slowdown):g}x)")
-    return failures
 
 
 # --------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import ProxyCacheConfig, ProxyConfig
 
@@ -479,7 +479,8 @@ class ScenarioSpec:
                 raise SpecError(f"{where}: bench scenarios carry no "
                                 "phases/faults — the driver owns its "
                                 "workload")
-            from repro.scenario.runner import bench_param_names
+            from repro.scenario.runner import (bench_param_names,
+                                               load_baseline)
             try:
                 known = bench_param_names(self.bench.driver)
             except SpecError as exc:
@@ -489,6 +490,12 @@ class ScenarioSpec:
                 raise SpecError(
                     f"{where}.bench.params.{unknown[0]}: unknown key; "
                     f"expected a subset of {known}")
+            if self.bench.params.get("baseline"):
+                try:
+                    load_baseline(self.bench.params["baseline"])
+                except SpecError as exc:
+                    raise SpecError(
+                        f"{where}.bench.params.baseline: {exc}") from None
             return
         if not self.phases:
             raise SpecError(f"{where}: fleet scenarios need at least "
@@ -549,7 +556,3 @@ class ScenarioSpec:
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return dataclasses.replace(self, seed=seed)
-
-
-def spec_names(specs: List[ScenarioSpec]) -> Dict[str, ScenarioSpec]:
-    return {spec.name: spec for spec in specs}

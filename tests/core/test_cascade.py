@@ -81,17 +81,17 @@ def test_tier_restart_is_served_by_the_next_level():
     l2, l3 = cascade.levels
 
     restart(testbed, session, cascade, tiers=1)
-    hits_before = l2.proxy.stats.block_cache_hits
+    hits_before = l2.proxy.layer("block-cache").stats.block_cache_hits
     origin_reads = l3.proxy.upstream.stats.by_proc.get("READ", 0)
     run(testbed, read_block(session, 0)(testbed.env))
-    assert l2.proxy.stats.block_cache_hits == hits_before + 1
+    assert l2.proxy.layer("block-cache").stats.block_cache_hits == hits_before + 1
     assert l3.proxy.upstream.stats.by_proc.get("READ", 0) == origin_reads
 
     restart(testbed, session, cascade, tiers=2)
-    hits_before = l3.proxy.stats.block_cache_hits
+    hits_before = l3.proxy.layer("block-cache").stats.block_cache_hits
     origin_reads = l3.proxy.upstream.stats.by_proc.get("READ", 0)
     run(testbed, read_block(session, 0)(testbed.env))
-    assert l3.proxy.stats.block_cache_hits == hits_before + 1
+    assert l3.proxy.layer("block-cache").stats.block_cache_hits == hits_before + 1
     assert l3.proxy.upstream.stats.by_proc.get("READ", 0) == origin_reads
 
 

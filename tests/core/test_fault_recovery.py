@@ -55,8 +55,8 @@ def test_cached_reads_survive_upstream_outage_in_degraded_mode():
     # Uncached blocks fail cleanly; the cached block is still served.
     assert all(r.status is NfsStatus.IO for r in misses)
     assert cached.ok and cached.data == warm.data
-    assert proxy.stats.degraded_reads == 1
-    assert proxy.stats.degraded_read_errors == 2
+    assert proxy.layer("fault-guard").stats.degraded_reads == 1
+    assert proxy.layer("fault-guard").stats.degraded_read_errors == 2
     assert client.breaker.trips == 1
 
 
@@ -78,8 +78,8 @@ def test_high_water_drains_dirty_blocks_while_upstream_is_up():
             assert reply.ok
 
     rig.run(job(rig.env))
-    assert proxy.stats.high_water_writebacks >= 1
-    assert proxy.stats.degraded_write_rejects == 0
+    assert proxy.layer("fault-guard").stats.high_water_writebacks >= 1
+    assert proxy.layer("fault-guard").stats.degraded_write_rejects == 0
     assert proxy.block_cache.dirty_frames <= 4
 
 
@@ -108,7 +108,7 @@ def test_high_water_rejects_writes_when_upstream_down():
 
     rejected, _ = rig.run(job(rig.env))
     assert rejected.status is NfsStatus.IO
-    assert proxy.stats.degraded_write_rejects == 1
+    assert proxy.layer("fault-guard").stats.degraded_write_rejects == 1
     assert proxy.block_cache.dirty_frames == 2    # absorbed writes kept
 
 
@@ -135,8 +135,8 @@ def test_journal_recovers_dirty_set_after_proxy_crash():
 
     recovered, _ = rig.run(job(rig.env))
     assert [key[1] for key in recovered] == list(range(6))
-    assert proxy.stats.proxy_crashes == 1
-    assert proxy.stats.recovered_dirty_blocks == 6
+    assert proxy.layer("fault-guard").stats.proxy_crashes == 1
+    assert proxy.layer("block-cache").stats.recovered_dirty_blocks == 6
     for b in range(6):                    # nothing lost: bytes made it
         assert server_fs.read(PATH, b * BS, BS) == block(b + 1)
     assert proxy.block_cache.dirty_frames == 0
@@ -162,7 +162,7 @@ def test_without_journal_crash_loses_absorbed_writes():
 
     recovered, _ = rig.run(job(rig.env))
     assert recovered == []
-    assert proxy.stats.recovered_dirty_blocks == 0
+    assert proxy.layer("block-cache").stats.recovered_dirty_blocks == 0
     for b in range(6):                    # absorbed writes are gone
         assert server_fs.read(PATH, b * BS, BS) != block(b + 1)
 
@@ -253,7 +253,7 @@ def test_journal_recovery_discards_corrupted_record():
 
     recovered, _ = rig.run(job(rig.env))
     assert [key[1] for key in recovered] == [0, 2]   # exactly block 1 dropped
-    assert proxy.stats.recovered_dirty_blocks == 2
+    assert proxy.layer("block-cache").stats.recovered_dirty_blocks == 2
     for b in (0, 2):                      # the intact records replayed
         assert server_fs.read(PATH, b * BS, BS) == block(b + 1)
     # Block 1 was neither flushed garbled nor flushed at all.

@@ -1,7 +1,7 @@
 """The composable proxy stack: composition equivalence of a hand-wired
 second level against ``build_cascade``, lifecycle propagation through every
-layer, the aggregated ProxyStats view, uniform reset, stack reports,
-and the quiesce/invalidate coverage of file-channel fetch gates."""
+layer, uniform reset, stack reports, and the quiesce/invalidate coverage
+of file-channel fetch gates."""
 
 import pytest
 
@@ -171,7 +171,7 @@ def test_handle_flows_top_down_through_every_layer():
     assert got is reply
     assert log == [("top", "handle"), ("mid", "handle"),
                    ("bottom", "handle")]
-    assert stack.stats.requests == 1
+    assert stack.front_stats.requests == 1
 
 
 def test_lifecycle_hooks_propagate_bottom_up_through_every_layer():
@@ -208,50 +208,6 @@ def test_invalidate_guard_vetoes_before_any_layer_mutates():
 
 
 # --------------------------------------------------------------------------
-# The aggregated ProxyStats view
-# --------------------------------------------------------------------------
-
-def test_stats_view_routes_reads_and_writes_to_owning_layers():
-    rig = Rig(metadata=False)
-    proxy = rig.session.client_proxy
-
-    proxy.stats.prefetch_failed += 1
-    assert proxy.layer("readahead").stats.prefetch_failed == 1
-
-    # absorbed_writes is owned by both the file-channel and block-cache
-    # layers: reads sum, writes land on the first owner.
-    proxy.layer("file-channel").stats.absorbed_writes = 2
-    proxy.layer("block-cache").stats.absorbed_writes = 3
-    assert proxy.stats.absorbed_writes == 5
-    proxy.stats.absorbed_writes = 10
-    assert proxy.layer("file-channel").stats.absorbed_writes == 7
-    assert proxy.layer("block-cache").stats.absorbed_writes == 3
-    assert proxy.stats.absorbed_writes == 10
-
-    proxy.stats.reset()
-    assert proxy.stats.absorbed_writes == 0
-    assert proxy.stats.prefetch_failed == 0
-
-    with pytest.raises(AttributeError):
-        proxy.stats.no_such_counter
-    with pytest.raises(AttributeError):
-        proxy.stats.no_such_counter = 1
-
-
-def test_cacheless_stack_still_exposes_every_legacy_counter():
-    from repro.core.layers import LEGACY_COUNTERS
-    rig = Rig(metadata=False)
-    server_proxy = rig.endpoint.proxy     # forwarding-only stack
-    for name in LEGACY_COUNTERS:
-        assert isinstance(getattr(server_proxy.stats, name), int)
-    # Cache counters have no owning layer here: they read as zero and
-    # stay writable (middleware compatibility).
-    assert server_proxy.stats.block_cache_misses == 0
-    server_proxy.stats.prefetch_failed += 1
-    assert server_proxy.stats.prefetch_failed == 1
-
-
-# --------------------------------------------------------------------------
 # Uniform reset and stack reports
 # --------------------------------------------------------------------------
 
@@ -266,13 +222,13 @@ def test_stack_reset_zeroes_every_layer_and_component():
         yield env.process(f.write(0, b"x" * BS))
 
     rig.run(job(rig.env))
-    assert proxy.stats.requests > 0
+    assert proxy.front_stats.requests > 0
     assert proxy.block_cache.hits + proxy.block_cache.misses > 0
 
     proxy.reset()
-    assert proxy.stats.requests == 0
-    assert proxy.stats.forwarded == 0
-    assert proxy.stats.block_cache_misses == 0
+    assert proxy.front_stats.requests == 0
+    assert proxy.layer("upstream-rpc").stats.forwarded == 0
+    assert proxy.layer("block-cache").stats.block_cache_misses == 0
     assert proxy.block_cache.hits == 0
     assert proxy.block_cache.misses == 0
     assert proxy.channel.fetches == 0
@@ -310,9 +266,9 @@ def test_stats_snapshot_groups_counters_by_layer():
 
     rig.run(job(rig.env))
     snap = proxy.stats_snapshot()
-    assert snap["front"]["requests"] == proxy.stats.requests
+    assert snap["front"]["requests"] == proxy.front_stats.requests
     assert snap["block-cache"]["block_cache_misses"] >= 1
-    assert snap["upstream-rpc"]["forwarded"] == proxy.stats.forwarded
+    assert snap["upstream-rpc"]["forwarded"] == proxy.layer("upstream-rpc").stats.forwarded
 
 
 # --------------------------------------------------------------------------
@@ -344,7 +300,7 @@ def test_cold_caches_waits_for_inflight_file_channel_fetch():
     rig.run(job(rig.env))
     # The fetch was waited out (quiesce) and its install dropped
     # (invalidate): the cache really is cold, nothing repopulated it.
-    assert proxy.stats.channel_fetches == 1
+    assert proxy.layer("file-channel").stats.channel_fetches == 1
     assert not proxy.layer("file-channel").fetching
     assert fh not in proxy.channel.file_cache
 

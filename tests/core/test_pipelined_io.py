@@ -34,9 +34,9 @@ def test_concurrent_cold_reads_coalesce_to_one_upstream_rpc():
     assert len({r.data for r in replies}) == 1
     # Exactly one upstream READ: the other seven waited on the gate.
     assert proxy.upstream.stats.by_proc.get("READ", 0) == 1
-    assert proxy.stats.coalesced_misses == 7
-    assert proxy.stats.block_cache_misses == 1
-    assert proxy.stats.block_cache_hits == 7
+    assert proxy.layer("block-cache").stats.coalesced_misses == 7
+    assert proxy.layer("block-cache").stats.block_cache_misses == 1
+    assert proxy.layer("block-cache").stats.block_cache_hits == 7
 
 
 def test_readahead_accelerates_cold_sequential_reads():
@@ -56,8 +56,8 @@ def test_readahead_accelerates_cold_sequential_reads():
 
     serial, base = timed(0)
     pipelined, proxy = timed(8)
-    stats = proxy.stats
-    assert base.stats.prefetch_issued == 0    # depth 0 really disables it
+    stats = proxy.layer("readahead").stats
+    assert base.layer("readahead").stats.prefetch_issued == 0    # depth 0 really disables it
     assert pipelined * 2 < serial
     assert stats.readahead_windows >= 1
     assert stats.prefetch_used > 0
@@ -100,7 +100,7 @@ def test_failed_prefetch_releases_gates_and_later_reads_succeed():
     replies, _ = rig.run(job(rig.env))
     assert all(r.ok for r in replies)
     assert state["fails"] == 1
-    assert proxy.stats.prefetch_failed >= 1
+    assert proxy.layer("readahead").stats.prefetch_failed >= 1
     assert not proxy.layer("block-cache").gates             # nothing left wedged
 
     def later(env):
@@ -126,7 +126,7 @@ def test_rpc_timeout_on_demand_miss_returns_clean_error():
     # The retransmission ladder exhausts and the client gets a clean IO
     # error — no hang, no wedged miss gate.
     assert reply.status is NfsStatus.IO
-    assert proxy.stats.degraded_read_errors == 1
+    assert proxy.layer("fault-guard").stats.degraded_read_errors == 1
     assert not proxy.layer("block-cache").gates
 
 
@@ -158,7 +158,7 @@ def test_rpc_timeout_during_readahead_releases_gates():
 
     reply, _ = rig.run(job(rig.env))
     assert reply.ok and len(reply.data) == BS
-    assert proxy.stats.prefetch_failed >= 1
+    assert proxy.layer("readahead").stats.prefetch_failed >= 1
 
 
 def test_dirty_eviction_writes_back_before_flush():
@@ -181,7 +181,7 @@ def test_dirty_eviction_writes_back_before_flush():
     # the two still-cached blocks did not.
     assert server_fs.read(PATH, 0, BS) == block(1)
     assert server_fs.read(PATH, BS, BS) != block(2)
-    assert proxy.stats.writebacks == 1
+    assert proxy.layer("block-cache").stats.writebacks == 1
     assert sorted(k[1] for k in proxy.block_cache.dirty_blocks(fh)) == [1, 2]
 
     rig.run(proxy.flush())
@@ -189,8 +189,8 @@ def test_dirty_eviction_writes_back_before_flush():
     assert server_fs.read(PATH, 2 * BS, BS) == block(3)
     assert not proxy.block_cache.dirty_blocks()
     # The two adjacent dirty blocks went upstream as one merged WRITE.
-    assert proxy.stats.merged_write_rpcs == 1
-    assert proxy.stats.merged_write_blocks == 2
+    assert proxy.layer("block-cache").stats.merged_write_rpcs == 1
+    assert proxy.layer("block-cache").stats.merged_write_blocks == 2
 
 
 def test_write_racing_a_readahead_window_reaches_origin():

@@ -34,7 +34,7 @@ def test_corrupt_metadata_file_is_negative_cached():
         yield env.process(f.read(0, 8192))
         proxy = rig.session.client_proxy
         fh = next(iter(proxy.layer("metadata").cache))
-        return proxy.layer("metadata").cache[fh], proxy.stats.zero_filtered_reads
+        return proxy.layer("metadata").cache[fh], proxy.layer("metadata").stats.zero_filtered_reads
 
     (cached_meta, filtered), _ = rig.run(proc(rig.env))
     assert cached_meta is None        # parse failure -> known-absent

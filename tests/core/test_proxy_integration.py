@@ -53,7 +53,7 @@ def test_zero_blocks_filtered_locally():
 
     value, _ = rig.run(proc(rig.env))
     assert value == bytes(8192)
-    assert rig.session.client_proxy.stats.zero_filtered_reads >= 1
+    assert rig.session.client_proxy.layer("metadata").stats.zero_filtered_reads >= 1
 
 
 def test_zero_filter_count_matches_metadata():
@@ -73,7 +73,7 @@ def test_zero_filter_count_matches_metadata():
             offset += len(data)
 
     rig.run(proc(rig.env))
-    assert rig.session.client_proxy.stats.zero_filtered_reads == n_zero
+    assert rig.session.client_proxy.layer("metadata").stats.zero_filtered_reads == n_zero
 
 
 def test_file_channel_fetch_serves_whole_file():
@@ -95,7 +95,7 @@ def test_file_channel_fetch_serves_whole_file():
 
     value, _ = rig.run(proc(rig.env))
     assert value == golden.read(0, golden.size)
-    stats = rig.session.client_proxy.stats
+    stats = rig.session.client_proxy.layer("file-channel").stats
     assert stats.channel_fetches == 1
     assert stats.file_cache_reads > 0
 
@@ -124,9 +124,9 @@ def test_block_cache_hit_on_second_read():
         yield env.process(f.read(0, 8192))
         rig.mount.drop_caches()  # defeat the kernel buffer cache
         f2 = yield env.process(rig.mount.open("/images/golden/disk.vmdk"))
-        before = rig.session.client_proxy.stats.block_cache_hits
+        before = rig.session.client_proxy.layer("block-cache").stats.block_cache_hits
         yield env.process(f2.read(0, 8192))
-        return before, rig.session.client_proxy.stats.block_cache_hits
+        return before, rig.session.client_proxy.layer("block-cache").stats.block_cache_hits
 
     (before, after), _ = rig.run(proc(rig.env))
     assert after == before + 1
@@ -166,7 +166,7 @@ def test_write_back_absorbs_writes_locally():
     # Data was absorbed by the proxy: fast, and not yet at the server.
     assert elapsed < 0.030  # under one WAN round trip
     assert server_view == b""
-    assert rig.session.client_proxy.stats.absorbed_writes >= 1
+    assert rig.session.client_proxy.layer("block-cache").stats.absorbed_writes >= 1
 
 
 def test_flush_pushes_dirty_blocks_to_server():
@@ -181,7 +181,7 @@ def test_flush_pushes_dirty_blocks_to_server():
 
     value, _ = rig.run(proc(rig.env))
     assert value == b"R" * 8192
-    assert rig.session.client_proxy.stats.writebacks >= 1
+    assert rig.session.client_proxy.layer("block-cache").stats.writebacks >= 1
 
 
 def test_read_your_writes_through_write_back_proxy():
@@ -224,7 +224,7 @@ def test_commit_absorbed_in_write_back_mode():
         yield env.process(f.close())  # close issues COMMIT
 
     rig.run(proc(rig.env))
-    assert rig.session.client_proxy.stats.absorbed_commits >= 1
+    assert rig.session.client_proxy.layer("block-cache").stats.absorbed_commits >= 1
 
 
 def test_invalidate_refuses_dirty_then_succeeds_after_flush():

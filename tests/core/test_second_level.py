@@ -63,7 +63,7 @@ def test_second_compute_node_hits_lan_not_wan():
     box = run(testbed, read_block(sessions[1], 0)(testbed.env))
     # compute1's miss was served by the LAN proxy's block cache: only
     # its own LOOKUP/GETATTR traffic reached the WAN server.
-    assert second.proxy.stats.block_cache_hits >= 1
+    assert second.proxy.layer("block-cache").stats.block_cache_hits >= 1
     reads_at_server = endpoint.server.calls - server_calls_before
     assert box["value"] == image.disk_inode.data.read(0, 8192)
     # No READ went to the origin for that block.

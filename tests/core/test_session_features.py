@@ -37,9 +37,9 @@ def test_shared_cache_serves_across_sessions():
 
     def reread(env):
         f = yield env.process(s3.mount.open("/images/golden/disk.vmdk"))
-        before = s3.client_proxy.stats.block_cache_hits
+        before = s3.client_proxy.layer("block-cache").stats.block_cache_hits
         yield env.process(f.read(0, 8192))
-        return before, s3.client_proxy.stats.block_cache_hits
+        return before, s3.client_proxy.layer("block-cache").stats.block_cache_hits
 
     (before, after), _ = rig.run(reread(rig.env))
     assert after == before + 1  # hit on the *other* session's fill
@@ -55,7 +55,7 @@ def test_shared_cache_sessions_forward_writes():
 
     rig.run(proc(rig.env))
     # The write went upstream (no write-back absorb possible).
-    assert s2.client_proxy.stats.absorbed_writes == 0
+    assert s2.client_proxy.layer("block-cache").stats.absorbed_writes == 0
     assert rig.endpoint.export.fs.read("/images/golden/out.bin") \
         == b"shared-write"
 
@@ -165,6 +165,50 @@ def test_collect_session_stats_aggregates_chain():
     assert "channel fetches" in summary
 
 
+def test_collect_session_stats_reads_each_counter_from_its_owning_layer():
+    """The per-layer bags are the only counters: a session that absorbs
+    writes through *both* the file channel (a cached whole file) and the
+    write-back block cache reports their sum, spelled out; every other
+    proxy field is its single owner's entry in ``stats_snapshot()``."""
+    rig = Rig(image_mb=2)
+    rig.image.generate_metadata()
+    mem = rig.image.memory_inode.data
+    nonzero = next(i for i in range(mem.n_chunks())
+                   if not mem.chunk_is_zero(i))
+
+    def proc(env):
+        f = yield env.process(rig.mount.open("/images/golden/mem.vmss"))
+        yield env.process(f.read(0, 8192))
+        yield env.process(f.read(nonzero * 8192, 8192))
+        yield env.process(f.write_sync(nonzero * 8192, b"to the file cache"))
+        d = yield env.process(rig.mount.open("/images/golden/disk.vmdk"))
+        yield env.process(d.read(0, 8192))
+        rig.mount.drop_caches()     # the re-read must reach the proxy
+        d = yield env.process(rig.mount.open("/images/golden/disk.vmdk"))
+        yield env.process(d.read(0, 8192))
+        for block in range(2):
+            yield env.process(d.write_sync(block * 8192, b"to the block cache"))
+        yield env.process(rig.session.client_proxy.flush())
+
+    rig.run(proc(rig.env))
+    proxy = rig.session.client_proxy
+    assert not hasattr(proxy, "stats")       # no second, flat view
+    layers = proxy.stats_snapshot()
+    in_files = layers["file-channel"]["absorbed_writes"]
+    in_blocks = layers["block-cache"]["absorbed_writes"]
+    assert in_files >= 1 and in_blocks >= 2
+    stats = collect_session_stats(rig.session)
+    assert stats.absorbed_writes == in_files + in_blocks
+    owners = {"zero_filtered_reads": "metadata",
+              "block_cache_hits": "block-cache",
+              "block_cache_misses": "block-cache",
+              "writebacks": "block-cache",
+              "file_cache_reads": "file-channel",
+              "channel_fetches": "file-channel"}
+    for counter, role in owners.items():
+        assert getattr(stats, counter) == layers[role][counter] > 0, counter
+
+
 def test_collect_session_stats_local_scenario():
     rig = Rig(scenario=Scenario.LOCAL)
     stats = collect_session_stats(rig.session)
@@ -226,5 +270,5 @@ def test_neighbouring_sessions_keep_their_own_proxy_config():
     for session in sessions:
         testbed.env.process(stream(session)(testbed.env))
     testbed.env.run()
-    assert sessions[0].client_proxy.stats.prefetch_issued == 0
-    assert sessions[1].client_proxy.stats.prefetch_issued > 0
+    assert sessions[0].client_proxy.layer("readahead").stats.prefetch_issued == 0
+    assert sessions[1].client_proxy.layer("readahead").stats.prefetch_issued > 0

@@ -45,22 +45,14 @@ def test_image_content_is_deterministic_across_processes():
 
 
 def test_perf_workloads_back_to_back_traces_are_byte_identical():
-    """Two consecutive harness runs of the cloning workload must emit
+    """Two consecutive runs of the cloning workload must emit
     byte-identical simulated-time traces — the regression gate for the
     engine/cache fast paths, which may only change wall-clock time."""
-    import json
-    from repro.experiments import perf
+    from tests.experiments.golden import WORKLOADS
 
-    def trace(sample):
-        return json.dumps({"sim": sample.sim_seconds,
-                           "signature": sample.sim_signature,
-                           "events": sample.events,
-                           "blocks": sample.blocks},
-                          sort_keys=True).encode()
-
-    first = trace(perf.WORKLOADS["cold_clone"](True))
-    second = trace(perf.WORKLOADS["cold_clone"](True))
-    assert first == second
+    first = WORKLOADS["cold_clone"](quick=True)
+    second = WORKLOADS["cold_clone"](quick=True)
+    assert first == second      # signature, engine events, disk blocks
 
 
 def test_block_cache_placement_is_process_independent():

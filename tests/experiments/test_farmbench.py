@@ -60,15 +60,6 @@ def test_check_report_flags_zero_failovers(tiny_report):
     assert any("failover" in f for f in failures)
 
 
-def test_check_report_flags_golden_drift(tiny_report):
-    doctored = copy.deepcopy(tiny_report)
-    doctored["golden_control"] = {"match": False,
-                                  "golden_signature": "aaaa",
-                                  "signature": "bbbb"}
-    failures = farmbench.check_report(doctored)
-    assert any("golden" in f for f in failures)
-
-
 def test_check_report_flags_slow_speedup(tiny_report):
     doctored = copy.deepcopy(tiny_report)
     doctored["speedups"] = {"s4": 1.0}

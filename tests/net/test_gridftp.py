@@ -115,5 +115,5 @@ def test_channel_accepts_gridftp_transport():
         yield env.process(f.read(nonzero * 8192, 8192))
 
     rig.run(proc(rig.env))
-    assert proxy.stats.channel_fetches == 1
+    assert proxy.layer("file-channel").stats.channel_fetches == 1
     assert proxy.channel.scp.bytes_transferred > 0

@@ -245,10 +245,10 @@ def test_a_proxy_answered_read_costs_two_events():
     read = NfsRequest(NfsProc.READ, fh=fh, offset=zero_block * BS, count=BS)
     proxy = rig.session.client_proxy
     events_of(rig.env, mount.rpc, read)        # resolves the meta-data
-    filtered = proxy.stats.zero_filtered_reads
+    filtered = proxy.layer("metadata").stats.zero_filtered_reads
     events, reply = events_of(rig.env, mount.rpc, read)
     assert reply.ok and reply.data == bytes(BS)
-    assert proxy.stats.zero_filtered_reads == filtered + 1
+    assert proxy.layer("metadata").stats.zero_filtered_reads == filtered + 1
     assert events == 2
 
 

@@ -151,20 +151,45 @@ def test_bench_params_checked_against_the_driver_at_load(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     with pytest.raises(SpecError, match=r"bench\.params\.polcies"):
         load_spec(str(path))
-    doc = {"name": "t", "kind": "bench", "bench": {"driver": "fleetbench"}}
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SpecError, match="bench.driver: unknown bench "
-                                        "driver 'fleetbench'"):
-        load_spec(str(path))
-    assert main(["scenario", "check", str(path)]) == 2
+    for retired in ("fleetbench", "perf"):
+        doc = {"name": "t", "kind": "bench", "bench": {"driver": retired}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SpecError, match="bench.driver: unknown bench "
+                                            f"driver '{retired}'"):
+            load_spec(str(path))
+        assert main(["scenario", "check", str(path)]) == 2
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "bench.params.baseline: no such file"),
+    ("not json {", "bench.params.baseline: .* is not JSON"),
+], ids=["missing", "not-json"])
+def test_bench_baseline_checked_at_load(tmp_path, capsys, content, message):
+    """A baseline that cannot be read fails ``scenario check`` and
+    ``scenario run`` with its spec path before any storm runs — not as
+    a traceback after one — in the quick profile as well."""
+    from repro.cli import main
+    baseline = tmp_path / "nope.json"
+    if content is not None:
+        baseline.write_text(content)
+    farm = {"driver": "farmbench", "params": {"baseline": str(baseline)}}
+    docs = [{"name": "t", "kind": "bench", "bench": farm},
+            {"name": "t", "kind": "bench", "bench": {"driver": "farmbench"},
+             "quick": {"bench": {"params": farm["params"]}}}]
+    path = tmp_path / "farm.json"
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SpecError, match=message):
+            load_spec(str(path))
+        for action in ("check", "run"):
+            assert main(["scenario", action, str(path)]) == 2
+            assert "bench.params.baseline" in capsys.readouterr().err
 
 
 def test_bench_param_names_follow_the_run_signatures():
     """The accepted keys are each driver's ``run_*`` keywords plus the
     adapter's own — the keys the library specs and docs use."""
     from repro.scenario.runner import bench_param_names
-    assert bench_param_names("perf") == [
-        "baseline", "golden_path", "max_slowdown", "workloads"]
     assert bench_param_names("faultbench") == ["scenarios", "seed"]
     assert bench_param_names("chaosbench") == ["seed"]
     assert bench_param_names("coopbench") == ["depths", "modes", "peers"]

@@ -23,14 +23,13 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_parser_exposes_exactly_five_commands():
+def test_parser_exposes_exactly_four_commands():
     """``scenario run`` is the one way to run a bench driver: no
     per-driver subcommand may come back beside it."""
     import argparse
     subparsers = next(action for action in build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
-    assert set(subparsers.choices) == {"bench", "perf", "scenario",
-                                       "info", "report"}
+    assert set(subparsers.choices) == {"bench", "scenario", "info", "report"}
 
 
 def test_info_command_prints_calibration(capsys):
@@ -100,34 +99,10 @@ def test_bench_subcommands_share_gate_exit_codes(cmd, failures, expected,
         assert captured.err == ""
 
 
-@pytest.mark.parametrize("failures, expected", [([], 0), (["slow"], 1)])
-def test_perf_shares_gate_exit_codes(failures, expected, monkeypatch,
-                                     capsys):
-    from repro.experiments import perf
-    from repro.scenario import runner
-
-    class FakeReport:
-        samples = {}
-
-        def to_dict(self):
-            return {"bench": "pr2", "fake": True}
-
-    monkeypatch.setattr(perf, "run_harness",
-                        lambda *a, **k: FakeReport())
-    monkeypatch.setattr(perf, "format_report", lambda report: "fake perf")
-    monkeypatch.setattr(runner, "perf_gate_failures",
-                        lambda report, max_slowdown: list(failures))
-    assert main(["perf", "--quick"]) == expected
-    captured = capsys.readouterr()
-    assert "fake perf" in captured.out
-    if failures:
-        assert "slow" in captured.err and "violated" in captured.err
-
-
 def test_scenario_list_shows_library(capsys):
     assert main(["scenario", "list"]) == 0
     out = capsys.readouterr().out
-    for name in ("fault_smoke", "fleet_rollout", "perf_smoke"):
+    for name in ("fault_smoke", "fleet_rollout", "farm_smoke"):
         assert name in out
 
 

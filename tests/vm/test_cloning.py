@@ -102,16 +102,16 @@ def test_second_clone_faster_than_first():
 def test_clone_uses_file_channel_when_metadata_present():
     rig = CloneRig(metadata=True)
     rig.run(rig.manager.clone("/images/golden", "/clones/c1"))
-    assert rig.session.client_proxy.stats.channel_fetches == 1
-    assert rig.session.client_proxy.stats.zero_filtered_reads > 0
+    assert rig.session.client_proxy.layer("file-channel").stats.channel_fetches == 1
+    assert rig.session.client_proxy.layer("metadata").stats.zero_filtered_reads > 0
 
 
 def test_clone_without_metadata_goes_block_by_block():
     rig = CloneRig(metadata=False)
     rig.run(rig.manager.clone("/images/golden", "/clones/c1"))
-    stats = rig.session.client_proxy.stats
-    assert stats.channel_fetches == 0
-    assert stats.block_cache_misses > 0
+    proxy = rig.session.client_proxy
+    assert proxy.layer("file-channel").stats.channel_fetches == 0
+    assert proxy.layer("block-cache").stats.block_cache_misses > 0
 
 
 def test_metadata_clone_faster_than_block_clone():
