@@ -217,9 +217,11 @@ class BlockCacheLayer(ProxyLayer):
             # Always release the gate, even when the upstream RPC fails —
             # a failed fetch must never wedge later READs of this block.
             # (A proxy crash may have already succeeded and dropped it.)
+            # Once out of the table nobody new can find the gate, so
+            # one that gathered no waiter is dropped, not fired.
             if self.gates.get(key) is gate:
                 del self.gates[key]
-            if not gate.triggered:
+            if gate.callbacks and not gate.triggered:
                 gate.succeed()
         if not reply.ok:
             return reply

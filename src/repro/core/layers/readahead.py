@@ -159,8 +159,16 @@ class ReadaheadLayer(ProxyLayer):
 
         victims: List = []
         try:
-            yield AllOf(self.env, [self.env.process(fetch_one(i))
-                                   for i in idxs])
+            # The window is already a process of its own: it fetches
+            # its first block itself and spawns only the rest, so the
+            # common one-block window costs no child and no condition.
+            # (The siblings are spawned first: they start one queue
+            # turn later, as they did when the first block had a child
+            # of its own, and the fetches leave in index order.)
+            rest =[self.env.process(fetch_one(i)) for i in idxs[1:]]
+            yield from fetch_one(idxs[0])
+            if rest:
+                yield AllOf(self.env, rest)
             items = []
             for i in sorted(fetched):
                 key = (fh, i)
@@ -176,7 +184,7 @@ class ReadaheadLayer(ProxyLayer):
                 gate = gates[i]
                 if block.gates.get((fh, i)) is gate:
                     del block.gates[(fh, i)]
-                if not gate.triggered:
+                if gate.callbacks and not gate.triggered:
                     gate.succeed()
         for victim in victims:
             try:

@@ -60,10 +60,6 @@ class SshTunnel:
         """End-to-end propagation latency of the underlying route."""
         return self.route.latency
 
-    def cipher_delay(self, nbytes: int) -> float:
-        """Encrypt+decrypt CPU time for ``nbytes`` (both endpoints)."""
-        return 2.0 * nbytes / self.cipher_bps
-
     def connect(self) -> Generator:
         """Process: establish the tunnel (idempotent)."""
         if self._established:

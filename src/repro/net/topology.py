@@ -236,8 +236,8 @@ class PeerCacheDirectory:
         elif member not in owners:
             owners.append(member)
         pending = self._pending.pop(key, None)
-        if pending is not None and not pending[1].triggered:
-            pending[1].succeed()
+        if pending is not None:
+            self._release(pending[1])
 
     def _retract(self, member: PeerMember, key) -> None:
         owners = self._owners.get(key)
@@ -265,10 +265,17 @@ class PeerCacheDirectory:
         stuck = [key for key, (fetcher, _) in self._pending.items()
                  if fetcher is member]
         for key in stuck:
-            _, gate = self._pending.pop(key)
-            if not gate.triggered:
-                gate.succeed()
+            self._release(self._pending.pop(key)[1])
         self.retirements += 1
+
+    @staticmethod
+    def _release(gate: Event) -> None:
+        """Wake the askers parked on a gate just taken out of the
+        pending table; one nobody waited on is dropped, not fired (an
+        asker registers in the same step that it finds the gate, so
+        none can arrive later)."""
+        if gate.callbacks and not gate.triggered:
+            gate.succeed()
 
     def locate(self, key, exclude: Optional[PeerMember] = None):
         """First registered owner of ``key`` other than ``exclude``
@@ -504,7 +511,7 @@ class Testbed:
         """WAN image server → compute node."""
         return self._route(self.wan_server, self.compute[compute_index], True)
 
-    def lan_server_route(self, to_wan: bool = True) -> Route:
+    def lan_server_route(self) -> Route:
         """LAN image server → WAN image server (2nd-level cache fills)."""
         return self._route(self.lan_server, self.wan_server, True)
 

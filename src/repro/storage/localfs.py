@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Generator, Optional
 
-from repro.sim import Environment
+from repro.sim import Environment, Event
 from repro.storage.disk import Disk, DiskParams, SCSI_2003
 from repro.storage.vfs import CHUNK_SIZE, FileSystem, Inode
 
@@ -38,7 +38,10 @@ class LocalFileSystem:
         # kernel's dirty-ratio behaviour).
         self.dirty_limit = 16 * 1024 * 1024
         self._dirty_bytes = 0
-        self._flusher_running = False
+        # One flusher process for this file system's life, started by
+        # the first async write; between bursts it parks on this event.
+        self._flusher_started = False
+        self._flusher_idle: Optional[Event] = None
         self._below_limit_waiters: list = []
         self._flush_seq = 0  # synthetic sequential offset for flusher writes
         # Adaptive readahead: per-file next-sequential offset; misses on
@@ -185,16 +188,7 @@ class LocalFileSystem:
         if sync:
             yield from self.disk.write(inode, offset, len(data))
             return
-        # Async write-behind: account the bytes as dirty and let the
-        # background flusher drain them; block only above the dirty limit.
-        self._dirty_bytes += len(data)
-        if not self._flusher_running:
-            self._flusher_running = True
-            self.env.process(self._flusher(), name=f"{self.fs.name}.flusher")
-        while self._dirty_bytes > self.dirty_limit:
-            gate = self.env.event()
-            self._below_limit_waiters.append(gate)
-            yield gate
+        yield from self._write_behind(len(data))
 
     def stage_bulk_write(self, inode: Inode, nbytes: int,
                          warm_chunks: Optional[list] = None) -> Generator:
@@ -212,29 +206,44 @@ class LocalFileSystem:
             raise ValueError(f"negative bulk write: {nbytes}")
         for idx in warm_chunks or ():
             self._cache_insert(self._cache_key(inode, idx))
+        yield from self._write_behind(nbytes)
+
+    def _write_behind(self, nbytes: int) -> Generator:
+        """Process: account ``nbytes`` as dirty and let the background
+        flusher drain them; block only above the dirty limit."""
         self._dirty_bytes += nbytes
-        if not self._flusher_running:
-            self._flusher_running = True
+        if not self._flusher_started:
+            self._flusher_started = True
             self.env.process(self._flusher(), name=f"{self.fs.name}.flusher")
+        elif self._flusher_idle is not None:
+            # Parked: the kick takes the slot a fresh process's
+            # bootstrap would, and nothing fires when the burst ends.
+            idle, self._flusher_idle = self._flusher_idle, None
+            idle.succeed()
         while self._dirty_bytes > self.dirty_limit:
             gate = self.env.event()
             self._below_limit_waiters.append(gate)
             yield gate
 
     def _flusher(self) -> Generator:
-        """Background process draining dirty bytes at disk speed."""
+        """Background process draining dirty bytes at disk speed; parks
+        on an idle event whenever the pool is empty."""
         batch = 1024 * 1024
-        while self._dirty_bytes > 0:
-            take = min(batch, self._dirty_bytes)
-            offset = self._flush_seq
-            self._flush_seq += take
-            yield from self.disk.write(self, offset, take)
-            self._dirty_bytes -= take
-            if self._dirty_bytes <= self.dirty_limit and self._below_limit_waiters:
-                waiters, self._below_limit_waiters = self._below_limit_waiters, []
-                for gate in waiters:
-                    gate.succeed()
-        self._flusher_running = False
+        while True:
+            while self._dirty_bytes > 0:
+                take = min(batch, self._dirty_bytes)
+                offset = self._flush_seq
+                self._flush_seq += take
+                yield from self.disk.write(self, offset, take)
+                self._dirty_bytes -= take
+                if (self._dirty_bytes <= self.dirty_limit
+                        and self._below_limit_waiters):
+                    waiters, self._below_limit_waiters = \
+                        self._below_limit_waiters, []
+                    for gate in waiters:
+                        gate.succeed()
+            self._flusher_idle = self.env.event()
+            yield self._flusher_idle
 
     def sync(self) -> Generator:
         """Process: wait until all dirty write-behind data is on disk."""

@@ -60,11 +60,18 @@ class RandomContent(ContentSource):
     multi-hundred-MB file for its zero map is fast.  Non-zero chunks are
     half-entropy (a 4 KB random page tiled twice), giving gzip the ~2:1
     ratio typical of real memory pages.
+
+    Generated chunks are memoised per source, and a source lives as
+    long as what it backs: one per image *file* (memory state, virtual
+    disk) and one per *VM* for the guest's write payload — so a chunk
+    is generated once however many clones, runs or guest files ask for
+    it.
     """
 
     #: Per-source memo capacity: 8192 chunks x 8 KB = 64 MB ceiling —
     #: enough to hold every non-zero chunk of a paper-scale memory
-    #: state, so back-to-back clones regenerate nothing.
+    #: state (or every payload index a VM's guest files reach), so
+    #: back-to-back clones and guest writes regenerate nothing.
     _MEMO_CHUNKS = 8192
 
     def __init__(self, seed: int, zero_fraction: float = 0.0):
@@ -73,11 +80,12 @@ class RandomContent(ContentSource):
         self.seed = seed
         self.zero_fraction = zero_fraction
         self._threshold = int(zero_fraction * 2**64)
-        # Chunk generation (an RNG construction + fill per call) is one
-        # of the hottest non-simulation costs of a clone, and the same
-        # chunks are read over and over (per clone, per run, and by
-        # compression sizing).  The bytes are deterministic, so an LRU
-        # memo returns the identical object without re-generating it.
+        # Chunk generation (a bit-generator construction + fill per
+        # call) is one of the hottest non-simulation costs of a clone or
+        # a guest write, and the same chunks are asked for over and over
+        # (per clone, per run, per guest file, and by compression
+        # sizing).  The bytes are deterministic, so an LRU memo returns
+        # the identical object without re-generating it.
         self._memo: "OrderedDict[int, bytes]" = OrderedDict()
 
     def is_zero(self, index: int) -> bool:
@@ -91,8 +99,11 @@ class RandomContent(ContentSource):
         if data is not None:
             memo.move_to_end(index)
             return data
-        rng = np.random.default_rng(_mix(self.seed, index))
-        half = rng.integers(0, 256, CHUNK_SIZE // 2, dtype=np.uint8).tobytes()
+        # The 4 KB half is the PCG64 raw stream itself, little-endian:
+        # the one primitive numpy keeps stable across versions.
+        raw = np.random.PCG64(_mix(self.seed, index)).random_raw(
+            CHUNK_SIZE // 16)
+        half = raw.astype("<u8", copy=False).tobytes()
         data = half + half
         memo[index] = data
         if len(memo) > self._MEMO_CHUNKS:

@@ -48,6 +48,9 @@ class VirtualMachine:
         self._guest_cache: OrderedDict = OrderedDict()
         self._guest_cache_capacity = max(cache_blocks, 16)
         self.running = True
+        # Guest write payload: one source for the VM's life, so payload
+        # chunk i is generated once, not once per guest file written.
+        self._write_payload = RandomContent(config.seed ^ 0x5EED)
         # User data (attached by middleware; see attach_user_data).
         self.user_mount = None
         self.user_dir = ""
@@ -129,7 +132,7 @@ class VirtualMachine:
         offsets = gf.block_offsets(self.config.disk_bytes, self.block_size,
                                    self.config.seed)
         n = max(int(len(offsets) * fraction), 1) if offsets else 0
-        payload = RandomContent(self.config.seed ^ 0x5EED)
+        payload = self._write_payload
         for i, offset in enumerate(offsets[:n]):
             yield from self._disk_write(offset,
                                         payload.chunk(i)[:self.block_size])
