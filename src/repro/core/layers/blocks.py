@@ -277,6 +277,9 @@ class BlockCacheLayer(ProxyLayer):
             if guard is not None:
                 return guard.reject_write(fh)
             return NfsReply(NfsProc.WRITE, NfsStatus.IO, fh=fh)
+        readahead = self._readahead
+        if readahead is not None:
+            readahead.forget_prefetch(key)
         self.stats.absorbed_writes += 1
         self.stack.bump_local_size(fh, offset + len(data))
         return NfsReply(NfsProc.WRITE, NfsStatus.OK, fh=fh, count=len(data))

@@ -91,8 +91,9 @@ class ProxyStack:
     #: CPU cost of proxy request processing (user-level RPC dispatch).
     OP_CPU = 30e-6
 
-    #: ``handle`` takes the arrival instant of a loopback request and
-    #: sleeps hop + admission as one event (``RpcHandler`` protocol).
+    #: ``handle`` takes the arrival instant of a request still on the
+    #: loopback, or in a tunnel's decryption, and sleeps that delay +
+    #: admission as one event (``RpcHandler`` protocol).
     absorbs_hop = True
 
     def __init__(self, env, upstream, config: ProxyConfig = ProxyConfig(),
@@ -183,9 +184,10 @@ class ProxyStack:
     def handle(self, request, arrival: Optional[float] = None) -> Generator:
         """Process: service one RPC call (the server face of the proxy).
 
-        A same-host ``RpcClient`` passes the instant its request, still
-        on the loopback, will arrive: the front door then sleeps once,
-        until ``arrival + OP_CPU`` — where hop sleep + admission sleep end.
+        An ``RpcClient`` whose hop ends in a pure delay (the loopback,
+        a tunnel's decryption) passes the instant its request will
+        arrive: the front door then sleeps once, until ``arrival +
+        OP_CPU`` — where hop sleep + admission sleep end.
         """
         if arrival is None:
             self.front_stats.requests += 1

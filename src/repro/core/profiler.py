@@ -170,7 +170,7 @@ class Prefetcher:
         else:
             readahead = self.proxy.layer("readahead")
             readahead.stats.prefetch_failed += 1
-            readahead.prefetched.discard((fh, index))
+            readahead.forget_prefetch((fh, index))
             self.blocks_skipped += 1
 
     def prefetch(self, profile: AccessProfile) -> Generator:

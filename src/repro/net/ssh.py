@@ -69,16 +69,28 @@ class SshTunnel:
             self.HANDSHAKE_ROUND_TRIPS * rtt + self.HANDSHAKE_CPU)
         self._established = True
 
-    def transmit(self, nbytes: int) -> Generator:
-        """Process: push one message of ``nbytes`` through the tunnel."""
+    def carry(self, nbytes: int) -> Generator:
+        """Process: encrypt one message and move it across the route;
+        returns the decryption delay still owed (the hop's tail).
+
+        Decryption is a pure delay at the receiving end — no resource,
+        no fault port — so a handler that ``absorbs_hop`` may sleep it
+        together with its own admission (``RpcClient._attempt``);
+        everyone else calls :meth:`transmit`, which sleeps it here.
+        """
         if not self._established:
             yield from self.connect()
         # Encryption happens before the wire, decryption after; both
         # serialize with the message itself.
-        yield self.env.timeout(nbytes / self.cipher_bps)
+        cipher = nbytes / self.cipher_bps
+        yield self.env.timeout(cipher)
         yield from self.route.transmit(nbytes)
-        yield self.env.timeout(nbytes / self.cipher_bps)
         self.bytes_tunnelled += nbytes
+        return cipher
+
+    def transmit(self, nbytes: int) -> Generator:
+        """Process: push one message of ``nbytes`` through the tunnel."""
+        yield self.env.timeout((yield from self.carry(nbytes)))
 
 
 class ScpTransfer:

@@ -46,8 +46,9 @@ class RpcHandler(Protocol):
 
     One whose admission is a plain sleep may set ``absorbs_hop = True``
     and accept ``handle(request, arrival)``: a request still crossing a
-    :class:`LoopbackTransport` arrives at the absolute instant ``arrival``
-    and the handler sleeps hop and admission as one event.
+    :class:`LoopbackTransport`, or being decrypted at the far end of a
+    tunnel (``carry``), arrives at the absolute instant ``arrival`` and
+    the handler sleeps that pure delay and its admission as one event.
     """
 
     def handle(self, request: NfsRequest) -> Generator: ...  # pragma: no cover
@@ -225,12 +226,17 @@ class RpcClient:
 
     def _attempt(self, request: NfsRequest) -> Generator:
         out, handler = self.out, self.handler
-        if (type(out) is LoopbackTransport
-                and getattr(handler, "absorbs_hop", False)):
+        absorbs = getattr(handler, "absorbs_hop", False)
+        if absorbs and type(out) is LoopbackTransport:
             # Same-host hop into a proxy: nothing can happen between the
             # send and the proxy's admission, so the two sleeps are one.
             reply = yield from handler.handle(
                 request, self.env.now + out.send(request.wire_size()))
+        elif absorbs and hasattr(out, "carry"):
+            # Tunnel hop into a proxy: the same for the decryption that
+            # ends the hop (``SshTunnel.carry`` returns it unslept).
+            tail = yield from out.carry(request.wire_size())
+            reply = yield from handler.handle(request, self.env.now + tail)
         else:
             yield from out.transmit(request.wire_size())
             reply = yield from handler.handle(request)

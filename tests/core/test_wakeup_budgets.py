@@ -1,10 +1,12 @@
 """Event budgets of the block path's background work, pinned next to
 PR 13's "a proxy-answered READ costs exactly 2 events"
 (``tests/nfs/test_rpc_equivalence.py``): a readahead window is a
-process that fetches its first block itself, and a miss gate nobody
-waits on is dropped instead of fired.  The oracles are the parent's
-bodies: the process-per-block window of ``reference_window.py``, and
-gates that always fire — recreated by giving each gate a listener.
+process that fetches its first block itself, a miss gate nobody
+waits on is dropped instead of fired, and a request crossing a tunnel
+into the next proxy up is decrypted and admitted in one sleep.  The
+oracles are the parent's bodies: the process-per-block window of
+``reference_window.py``, gates that always fire — recreated by giving
+each gate a listener — and the two-sleep ``ReferenceRpcClient``.
 Over seeded schedules every completion instant, tie, reply and counter
 must compare equal with ``==``; only the event count may differ, by
 exactly the wake-ups removed.
@@ -21,6 +23,8 @@ from tests.core.harness import NO_READAHEAD, SMALL_CACHE, Rig
 from tests.core.reference_window import ReferenceReadaheadLayer
 from tests.core.test_coop import make_peer_rig, read_block, run
 from tests.core.test_pipelined_io import BS, fh_for
+from tests.nfs.reference_rpc import ReferenceRpcClient
+from tests.nfs.test_rpc_equivalence import events_of
 
 SCHEDULES = 32
 
@@ -103,6 +107,27 @@ def test_crash_mid_window_releases_only_the_gates_the_window_owns():
     block.gates[(fh, 2)] = fresh = env.event()
     env.run()
     assert block.gates == {(fh, 2): fresh} and not fresh.triggered
+
+
+def test_cascade_hop_over_a_tunnel_costs_one_wake_up_less():
+    """Client proxy -> SSH tunnel -> server-side proxy -> kernel server:
+    the request is encrypted, crosses the WAN route, and is decrypted
+    and admitted by the far proxy in one sleep (``SshTunnel.carry``);
+    the reference sleeps the two apart.  Same reply, same instant."""
+    seen = []
+    for reference in (True, False):
+        rig = Rig(metadata=False, proxy_config=NO_READAHEAD)
+        upstream = rig.session.client_proxy.upstream
+        if reference:
+            upstream.__class__ = ReferenceRpcClient
+        events, reply = events_of(rig.env, upstream, NfsRequest(
+            NfsProc.READ, fh=fh_for(rig), offset=0, count=BS))
+        assert reply.ok and len(reply.data) == BS
+        assert rig.endpoint.proxy.front_stats.requests == 1
+        seen.append((events, rig.env.now, reply))
+    (before, *theirs), (after, *ours) = seen
+    assert ours == theirs
+    assert (before, after) == (15, 14)
 
 
 # -- the block path against the parent's bodies ---------------------------------

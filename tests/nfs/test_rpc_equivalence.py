@@ -10,8 +10,10 @@ whose time-outs land inside the fused sleep (and retransmit), a proxy
 crash with requests in flight — and every completion instant, reply,
 ``RpcStats`` field and stack counter must compare equal with ``==``;
 only the event count may differ, by exactly one per request admitted.
-The last tests pin the event budget of a proxied RPC so a later change
-cannot quietly put the wake-up back.
+An SSH tunnel into a stack is fused the same way (its decryption is
+the pure delay) and replays the same plans.  The last tests pin the
+event budget of a proxied RPC so a later change cannot quietly put the
+wake-up back.
 """
 
 import dataclasses
@@ -22,6 +24,7 @@ import pytest
 from repro.core.config import ProxyConfig
 from repro.core.layers.stack import ProxyStack
 from repro.net.link import Link, Route
+from repro.net.ssh import SshTunnel
 from repro.nfs.protocol import FileHandle, NfsProc, NfsRequest
 from repro.nfs.rpc import LoopbackTransport, RpcClient, RpcTimeout
 from repro.nfs.server import NfsServer
@@ -178,9 +181,9 @@ def test_schedules_cover_timeouts_retransmissions_and_crashes():
 
 
 def test_other_transports_keep_the_two_sleep_path():
-    """A network route or a loopback *subclass* into the same stack is
-    not a pure delay the stack knows about: the production client and
-    the reference behave — and cost — exactly the same."""
+    """A bare network route or a loopback *subclass* into the same
+    stack is not a pure delay the stack knows about: the production
+    client and the reference behave — and cost — exactly the same."""
     def routes(env, index):
         if index % 2:
             tagged = TaggedLoopback(env)
@@ -190,6 +193,26 @@ def test_other_transports_keep_the_two_sleep_path():
 
     for seed in (3, 4):
         assert_equivalent(make_plan(seed), routes, fused=False)
+
+
+def test_tunnel_hop_into_a_stack_is_fused_like_the_loopback():
+    """An SSH tunnel's last leg is the decryption, a pure delay at the
+    far end: ``carry`` hands it to the stack, which sleeps it with its
+    admission.  The reference sleeps it in ``SshTunnel.transmit`` —
+    same instants, time-outs inside the leg included, one event more
+    per request admitted."""
+    def tunnels(env, index):
+        return tuple(
+            SshTunnel(env, Route([Link(env, 1e-4, 1e8,
+                                       name=f"c{index}.{way}")]),
+                      pre_established=index % 2 == 0, name=f"c{index}.{way}")
+            for way in ("out", "back"))
+
+    timeouts = 0
+    for seed in (3, 4, 5, 6):
+        ours = assert_equivalent(make_plan(seed), tunnels, fused=True)
+        timeouts += sum(s["retransmissions"] for s in ours["rpc_stats"])
+    assert timeouts > 10
 
 
 @pytest.mark.parametrize("timeout,admitted", [(20e-6, 0), (45e-6, 1)])
