@@ -350,7 +350,7 @@ class ProxyBlockCache:
         (possibly empty; clean ones only with ``capture_clean_victims``).
         """
         victims: List[CachedBlock] = []
-        writes: List[Tuple[int, object, int, bytes]] = []
+        writes: List[Tuple[int, int, Inode, bytes]] = []
         for key, data in items:
             placed = yield from self._place(key, data, dirty)
             if placed is None:
@@ -358,23 +358,25 @@ class ProxyBlockCache:
             inode, offset, victim = placed
             if victim is not None:
                 victims.append(victim)
-            writes.append((id(inode), inode, offset, data))
-        writes.sort(key=lambda w: (w[0], w[2]))
+            writes.append((inode.fileid, offset, inode, data))
+        # By bank file, then offset.  (The bank file's id, not the
+        # object's address: a window that crosses a bank group must
+        # issue its writes in the same order in every process.)
+        writes.sort(key=lambda w: w[:2])
         bs = self.config.block_size
         n = len(writes)
         i = 0
         while i < n:
-            _, inode, offset, data = writes[i]
+            _, offset, inode, _ = writes[i]
             j = i + 1
-            while (j < n and writes[j][1] is inode
-                   and writes[j][2] == offset + (j - i) * bs
+            while (j < n and writes[j][2] is inode
+                   and writes[j][1] == offset + (j - i) * bs
                    and len(writes[j - 1][3]) == bs):
                 j += 1
-            # A single-frame run writes its block without re-buffering;
-            # longer runs join once (no incremental bytearray growth).
-            if j > i + 1:
-                data = b"".join(w[3] for w in writes[i:j])
-            yield from self.storage.timed_write_inode(inode, data, offset)
+            # One charged I/O for the run; the bank file keeps each
+            # block's own bytes object (no join, no slicing back).
+            yield from self.storage.timed_write_inode(
+                inode, [w[3] for w in writes[i:j]], offset)
             i = j
         if self.observers and not dirty:
             for key, _ in items:

@@ -88,11 +88,16 @@ class ProxyConfig:
     #: Absorb client COMMITs when write-back caching (the middleware,
     #: not the kernel client, decides when data reaches the server).
     absorb_commits: bool = True
-    #: Pipelined I/O — sequential readahead: number of blocks fetched
-    #: ahead of a detected sequential miss run (0 disables readahead).
+    #: Pipelined I/O — sequential readahead: how many blocks ahead of
+    #: the reader the window *speculates*, beyond the evidence.  A run
+    #: length the file handle's own history vouches for is fetched
+    #: whole whatever this says (``core/layers/readahead.py``); with no
+    #: history, or past it, this is the window.  0 disables readahead,
+    #: history and all.
     readahead_depth: int = 8
-    #: Consecutive block-cache misses of adjacent blocks before the
-    #: run detector starts prefetching.
+    #: Evidence of a sequential reader the detector asks for before it
+    #: prefetches: a run of this many adjacent blocks — the current
+    #: one, or, from its first miss, the one the history vouches for.
     readahead_min_run: int = 2
     #: Pipelined I/O — coalesced write-back: maximum bytes merged into
     #: one upstream WRITE RPC when flushing adjacent dirty blocks

@@ -207,7 +207,9 @@ class ProxyLayer:
         """Synchronous: drop clean cached state (cold-cache setup)."""
 
     # ------------------------------------------------------------------ stats
-    def stats_snapshot(self) -> Dict[str, int]:
+    def stats_snapshot(self, deep: bool = False) -> Dict[str, int]:
+        """This layer's counters; ``deep`` also asks for whatever
+        structured detail a subclass keeps beside them."""
         if self.stats is None:
             return {}
         return {name: getattr(self.stats, name)

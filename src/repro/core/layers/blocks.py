@@ -526,7 +526,7 @@ class BlockCacheLayer(ProxyLayer):
         self.gates.clear()
         self.block_cache = new_cache
 
-    def stats_snapshot(self) -> dict:
+    def stats_snapshot(self, deep: bool = False) -> dict:
         # Beyond the request counters, expose the cache's own occupancy
         # and churn: the adaptive-sizing planner estimates each level's
         # working set from deep snapshots alone (repro.core.adaptive).

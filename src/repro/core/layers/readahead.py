@@ -7,12 +7,17 @@ installing them with merged bank-file writes.  Prefetch gates live in
 the block layer's gate table, so demand READs coalesce onto in-flight
 prefetches exactly as they coalesce onto each other.
 
-The window does not run past where the file's runs have been ending:
-the layer remembers the lengths of the last ``RUN_HISTORY`` completed
-runs per file handle and, while the current run is no longer than the
-longest of them, stops the window at that length.  A guest file
-system lays files out in short extents, and a fixed window reads
-``readahead_depth`` blocks past the end of every one of them.
+The lengths of the last ``RUN_HISTORY`` completed runs per file handle
+are evidence of where the current one will end, and the layer trusts
+it both ways.  The length most of them reached (their upper median) is
+*vouched for*: the first miss of a new run arms the detector without
+waiting for a second, and one launch fetches the whole vouched run
+whatever ``readahead_depth`` says — a guest file system lays files out
+in extents, and a window that creeps along one pays two WAN round
+trips to get going and then keeps catching up with itself.  Past the
+vouched length the window is speculation, ``readahead_depth`` blocks
+deep, and while the run is no longer than the longest remembered one
+it stops where a run of that length would end.
 
 On the request path this layer is a pure pass-through (zero events);
 its work rides on the sideways API the block layer calls.
@@ -20,7 +25,7 @@ its work rides on the sideways API the block layer calls.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Generator, List, Optional, Tuple
 
@@ -38,6 +43,15 @@ __all__ = ["ReadaheadLayer"]
 #: RPC latency at 1, +1.2 % at 4 and at 32, where no run outgrows.
 RUN_HISTORY = 32
 
+#: Blocks a window may reach past the reader on the history's word
+#: alone.  A safety rail, not a knob: 64 blocks x 8 KB is about half
+#: the WAN's bandwidth-delay product (30 MB/s x 37.6 ms = 1.1 MB), so a
+#: file whose runs have been thousands of blocks long — a VM's memory
+#: state read block-wise — still streams, and a remembered length that
+#: turns out wrong costs at most this much.  No workload or golden
+#: signature reaches it (docs/performance.md "Round nine").
+VOUCHED_CAP = 64
+
 
 @dataclass
 class ReadaheadStats:
@@ -45,6 +59,7 @@ class ReadaheadStats:
     prefetch_used: int = 0          # prefetched blocks later hit by demand
     prefetch_failed: int = 0        # prefetches that returned no data
     readahead_windows: int = 0      # window launches by the run detector
+    vouched_windows: int = 0        # ... made on the run history alone
 
     @property
     def prefetch_wasted(self) -> int:
@@ -78,6 +93,9 @@ class ReadaheadLayer(ProxyLayer):
         self.run_last: Dict[FileHandle, int] = {}
         self.frontier: Dict[FileHandle, int] = {}
         self.run_history: Dict[FileHandle, Deque[int]] = {}
+        # A counter, not detector state: every completed run's length,
+        # per file handle, for the deep ``stats_snapshot``.
+        self.run_lengths: Dict[FileHandle, Counter] = {}
 
     @property
     def _block(self):
@@ -89,8 +107,9 @@ class ReadaheadLayer(ProxyLayer):
         """Run detection on the demand stream: a miss next to the last
         block the guest demanded continues the run, any other miss
         closes it (its length goes into the history) and opens a new
-        one; a run of K blocks arms a readahead window ahead of the
-        reader."""
+        one.  A run of K blocks arms a readahead window ahead of the
+        reader; so does the first miss of a run whose file's history
+        vouches for K."""
         # Fetched on demand now, whatever became of an earlier prefetch
         # of this block (evicted unread): a later hit is not its doing.
         self.prefetched.discard((fh, idx))
@@ -99,14 +118,27 @@ class ReadaheadLayer(ProxyLayer):
         last = self.run_last.get(fh)
         if last != idx - 1:
             if last is not None:
+                length = last - self.run_start[fh] + 1
                 self.run_history.setdefault(
-                    fh, deque(maxlen=RUN_HISTORY)).append(
-                        last - self.run_start[fh] + 1)
+                    fh, deque(maxlen=RUN_HISTORY)).append(length)
+                self.run_lengths.setdefault(fh, Counter())[length] += 1
             self.run_start[fh] = idx
             self.frontier.pop(fh, None)   # a new run, a new window
         self.run_last[fh] = idx
-        if idx - self.run_start[fh] + 1 >= self.config.readahead_min_run:
+        min_run = self.config.readahead_min_run
+        if idx - self.run_start[fh] + 1 >= min_run:
             self.extend_readahead(fh, idx, meta)
+        elif self.vouched(fh) >= min_run:
+            self.extend_readahead(fh, idx, meta, on_history=True)
+
+    def vouched(self, fh: FileHandle) -> int:
+        """The run length ``fh``'s history vouches for: the one most of
+        its remembered runs reached (their upper median; 0 with none).
+        One long run among short ones vouches for nothing."""
+        history = self.run_history.get(fh)
+        if not history:
+            return 0
+        return sorted(history)[len(history) // 2]
 
     def consume_prefetch(self, key: Tuple[FileHandle, int],
                          meta: Optional[FileMetadata]) -> None:
@@ -138,12 +170,16 @@ class ReadaheadLayer(ProxyLayer):
 
     # ---------------------------------------------------------------- windows
     def extend_readahead(self, fh: FileHandle, idx: int,
-                         meta: Optional[FileMetadata]) -> None:
-        """Schedule background fetches up to ``readahead_depth`` blocks
-        past demand block ``idx`` (skipping cached, in-flight and
-        zero-filled blocks, and stopping at the known file size) — and,
-        while the current run is no longer than the longest remembered
-        one, no further than where a run of that length would end."""
+                         meta: Optional[FileMetadata],
+                         on_history: bool = False) -> None:
+        """Schedule background fetches past demand block ``idx``
+        (skipping cached, in-flight and zero-filled blocks, and
+        stopping at the known file size): in one launch to the end of
+        the run the history vouches for, and beyond the evidence up to
+        ``readahead_depth`` blocks — while the current run is no longer
+        than the longest remembered one, no further than where a run of
+        that length would end.  ``on_history``: the run itself has not
+        armed the detector yet, the history did."""
         block = self._block
         bs = self.stack.block_size()
         lo = idx + 1
@@ -159,6 +195,9 @@ class ReadaheadLayer(ProxyLayer):
             start, longest = self.run_start[fh], max(history)
             if self.run_last[fh] - start < longest:
                 hi = min(hi, start + longest - 1)
+            if idx >= start:              # not a stray hit below the run
+                hi = max(hi, min(start + self.vouched(fh) - 1,
+                                 idx + VOUCHED_CAP))
         idxs = []
         for i in range(lo, hi + 1):
             if size_limit is not None and i * bs >= size_limit:
@@ -176,6 +215,7 @@ class ReadaheadLayer(ProxyLayer):
             block.gates[(fh, i)] = self.env.event()
         self.stats.prefetch_issued += len(idxs)
         self.stats.readahead_windows += 1
+        self.stats.vouched_windows += on_history
         self.env.process(self._window(fh, idxs),
                          name=f"{self.config.name}.readahead")
 
@@ -251,3 +291,16 @@ class ReadaheadLayer(ProxyLayer):
         self.run_history.clear()
 
     invalidate = crash
+
+    # ------------------------------------------------------------------ stats
+    def stats_snapshot(self, deep: bool = False) -> dict:
+        snap = super().stats_snapshot()
+        if deep:
+            snap["run_lengths"] = {
+                str(fh): dict(sorted(lengths.items()))
+                for fh, lengths in self.run_lengths.items()}
+        return snap
+
+    def reset(self) -> None:
+        super().reset()
+        self.run_lengths.clear()

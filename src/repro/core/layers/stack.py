@@ -316,7 +316,7 @@ class ProxyStack:
         """
         snap: Dict = {"front": {"requests": self.front_stats.requests}}
         for layer in self.layers:
-            snap[layer.ROLE] = layer.stats_snapshot()
+            snap[layer.ROLE] = layer.stats_snapshot(deep)
         if deep:
             up = self.upstream_stack()
             if up is not None:

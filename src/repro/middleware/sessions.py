@@ -229,6 +229,8 @@ class VmSessionManager:
                     continue
                 bucket = totals.setdefault(role, {})
                 for key, value in counters.items():
+                    if isinstance(value, dict):
+                        continue   # per-session detail, not a counter
                     bucket[key] = bucket.get(key, 0) + value
         return {"sessions": len(self.sessions),
                 "active_sessions": self.active_sessions,

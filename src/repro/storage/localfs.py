@@ -165,10 +165,23 @@ class LocalFileSystem:
         inode = self.fs.lookup(path)
         yield from self.timed_write_inode(inode, data, offset, sync)
 
-    def timed_write_inode(self, inode: Inode, data: bytes, offset: int = 0,
+    def timed_write_inode(self, inode: Inode, data, offset: int = 0,
                           sync: bool = False) -> Generator:
-        """Process: like :meth:`timed_write` but addressed by inode."""
-        inode.data.write(offset, data)
+        """Process: like :meth:`timed_write` but addressed by inode.
+
+        ``data`` is the bytes to write or a list of pieces that follow
+        one another from ``offset`` — one charged I/O of their summed
+        length, each piece stored as it is (a chunk-aligned piece by
+        reference, where one joined buffer would be sliced back into
+        fresh copies)."""
+        if type(data) is list:
+            nbytes = 0
+            for piece in data:
+                inode.data.write(offset + nbytes, piece)
+                nbytes += len(piece)
+        else:
+            inode.data.write(offset, data)
+            nbytes = len(data)
         inode.touch()
         fid = inode.fileid
         cache = self._page_cache
@@ -176,7 +189,7 @@ class LocalFileSystem:
         popitem = cache.popitem
         capacity = self._page_cache_capacity
         pos = offset
-        end = offset + len(data)
+        end = offset + nbytes
         while pos < end:
             idx = pos // CHUNK_SIZE
             key = (fid, idx)
@@ -186,9 +199,9 @@ class LocalFileSystem:
                 popitem(last=False)
             pos = (idx + 1) * CHUNK_SIZE
         if sync:
-            yield from self.disk.write(inode, offset, len(data))
+            yield from self.disk.write(inode, offset, nbytes)
             return
-        yield from self._write_behind(len(data))
+        yield from self._write_behind(nbytes)
 
     def stage_bulk_write(self, inode: Inode, nbytes: int,
                          warm_chunks: Optional[list] = None) -> Generator:

@@ -1,25 +1,32 @@
-"""Reference model for :meth:`ReadaheadLayer.extend_readahead`: the
-window always reaches ``readahead_depth`` blocks past the reader,
-whatever the file's earlier runs looked like — the PR-1 body, kept
-verbatim as the oracle the run-length bound is compared against in
-``test_readahead_bound.py``.  Run detection and the window process are
-the production layer's.
-"""
+"""Reference model for :class:`ReadaheadLayer`'s rules: PR 20's
+``note_demand_miss`` and ``extend_readahead`` kept verbatim (comments
+aside) — armed by ``readahead_min_run`` adjacent blocks only, never
+past ``readahead_depth``, the history used only to stop.  The oracle
+for ``test_readahead_bound.py`` and ``test_readahead_vouched.py``."""
 
-from __future__ import annotations
+from collections import deque
 
-from typing import Optional
-
-from repro.core.layers.readahead import ReadaheadLayer
-from repro.core.metadata import FileMetadata
-from repro.nfs.protocol import FileHandle
+from repro.core.layers.readahead import RUN_HISTORY, ReadaheadLayer
 
 
-class UnboundedReadaheadLayer(ReadaheadLayer):
-    """A readahead layer that never learns where runs end."""
+class Pr20ReadaheadLayer(ReadaheadLayer):
+    def note_demand_miss(self, fh, idx, meta) -> None:
+        self.prefetched.discard((fh, idx))
+        if self.config.readahead_depth <= 0 or self._block is None:
+            return
+        last = self.run_last.get(fh)
+        if last != idx - 1:
+            if last is not None:
+                self.run_history.setdefault(
+                    fh, deque(maxlen=RUN_HISTORY)).append(
+                        last - self.run_start[fh] + 1)
+            self.run_start[fh] = idx
+            self.frontier.pop(fh, None)
+        self.run_last[fh] = idx
+        if idx - self.run_start[fh] + 1 >= self.config.readahead_min_run:
+            self.extend_readahead(fh, idx, meta)
 
-    def extend_readahead(self, fh: FileHandle, idx: int,
-                         meta: Optional[FileMetadata]) -> None:
+    def extend_readahead(self, fh, idx, meta) -> None:
         block = self._block
         bs = self.stack.block_size()
         lo = idx + 1
@@ -29,15 +36,21 @@ class UnboundedReadaheadLayer(ReadaheadLayer):
         size_limit = None
         if meta is not None:
             size_limit = max(meta.file_size, self.stack.local_size(fh))
+        hi = idx + self.config.readahead_depth
+        history = self.run_history.get(fh)
+        if history:
+            start, longest = self.run_start[fh], max(history)
+            if self.run_last[fh] - start < longest:
+                hi = min(hi, start + longest - 1)
         idxs = []
-        for i in range(lo, idx + 1 + self.config.readahead_depth):
+        for i in range(lo, hi + 1):
             if size_limit is not None and i * bs >= size_limit:
                 break
             key = (fh, i)
             if key in block.gates or key in block.block_cache:
                 continue
             if meta is not None and meta.covers_read(i * bs, bs):
-                continue   # zero-filled: answered locally, nothing to fetch
+                continue
             idxs.append(i)
         if not idxs:
             return

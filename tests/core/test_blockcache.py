@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core.blockcache import ProxyBlockCache
+from repro.core.blockcache import ProxyBlockCache, _Bank
 from repro.core.config import CachePolicy, ProxyCacheConfig
 from repro.nfs.protocol import FileHandle
 from repro.sim import Environment
 from repro.storage.localfs import LocalFileSystem
+from repro.storage.vfs import Inode
 
 
 def make_cache(**kwargs):
@@ -221,7 +222,7 @@ def count_bank_writes(cache, calls):
     orig = cache.storage.timed_write_inode
 
     def counting(inode, data, offset=0, sync=False):
-        calls.append((offset, len(data)))
+        calls.append((offset, sum(map(len, data))))     # a list of pieces
         return orig(inode, data, offset, sync)
 
     cache.storage.timed_write_inode = counting
@@ -245,10 +246,45 @@ def test_insert_many_merges_adjacent_frames_into_one_bank_write():
     victims = run(env, cache.insert_many(items))
     assert victims == []
     # Blocks 0..7 fill way 0 of eight consecutive sets in one bank:
-    # physically contiguous, so the whole window is one 64 KB write.
+    # physically contiguous, so the whole window is one 64 KB write —
+    # charged as one, handed over as its eight blocks, which the bank
+    # file keeps as they are (joined, it would slice eight fresh copies).
     assert calls == [(0, 8 * 8192)]
-    for i in range(8):
-        assert run(env, cache.lookup((FH, i))).data == bytes([i]) * 8192
+    disk = cache.storage.disk
+    run(env, cache.storage.sync())
+    assert (disk.writes, disk.bytes_written) == (1, 8 * 8192)
+    for i, (key, data) in enumerate(items):
+        hit = run(env, cache.lookup(key))
+        assert hit.data == data
+        assert hit.data is data or i == 0      # (all zeros: left sparse)
+
+
+def test_insert_many_orders_bank_writes_by_bank_file_not_by_address():
+    """A window that crosses a bank group writes two bank files.  Their
+    order must not hang on where the inode objects sit in this process's
+    heap: here the bank file with the lower id has the higher address."""
+    env, cache = make_cache()
+    fh = next(fh for fh in (FileHandle("img", n) for n in range(100))
+              if cache._index((fh, 7))[0] != cache._index((fh, 8))[0])
+    blank = sorted((Inode.__new__(Inode) for _ in range(2)), key=id)
+    for fileid, inode, block in zip((901, 900), blank, (7, 8)):
+        inode.__init__(fileid, "file", lambda: env.now)
+        n = cache.config.frames_per_bank
+        cache._banks[cache._index((fh, block))[0]] = _Bank(
+            inode, n, cache.policy.new_bank(n))
+    assert blank[0].fileid > blank[1].fileid and id(blank[0]) < id(blank[1])
+    order = []
+    orig = cache.storage.timed_write_inode
+
+    def recording(inode, data, offset=0, sync=False):
+        order.append(inode.fileid)
+        return orig(inode, data, offset, sync)
+    cache.storage.timed_write_inode = recording
+    items = [((fh, i), bytes([i]) * 8192) for i in range(6, 10)]
+    run(env, cache.insert_many(items))
+    assert order == [900, 901]
+    for key, data in items:
+        assert run(env, cache.lookup(key)).data == data
 
 
 def test_insert_many_does_not_merge_past_short_blocks():

@@ -1,15 +1,18 @@
-"""The readahead window stops where the file's runs have been ending.
+"""The readahead window trusts the file's run history both ways.
 
 ``ReadaheadLayer`` remembers the lengths of the last ``RUN_HISTORY``
-demand runs per file handle and, while the current run is no longer
-than the longest of them, issues nothing past ``run_start + longest -
-1``.  The oracle is the parent's unbounded ``extend_readahead``
-(``reference_readahead.py``): a guest reading mixed extents through
-both must see the bound hold, pay at most one demand miss for a run
-that outgrows its history, and — with no history to go by — replay the
-oracle instant for instant and event for event.  The last tests pin
-the prefetch ledger: a block fetched on demand or overwritten is no
-longer a prefetch waiting to pay off.
+demand runs per file handle.  The length most of them reached is
+vouched for: the first miss of a run arms the window and one launch
+reaches ``run_start + vouched - 1``.  Past that, and while the current
+run is no longer than the longest of them, nothing is issued past
+``run_start + longest - 1``.  The oracle is the parent's layer
+(``reference_readahead.py``: armed by two adjacent misses, never past
+``readahead_depth``): a guest reading mixed extents through both must
+see both bounds hold, save exactly the second miss of every vouched
+run, and — with no history to go by — replay the oracle instant for
+instant and event for event.  The last tests pin the prefetch ledger:
+a block fetched on demand or overwritten is no longer a prefetch
+waiting to pay off.
 """
 
 from collections import deque
@@ -17,17 +20,18 @@ from collections import deque
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ProxyCacheConfig, ProxyConfig
-from repro.core.layers.readahead import RUN_HISTORY
+from repro.core.layers.readahead import RUN_HISTORY, VOUCHED_CAP
 from repro.nfs.protocol import FileHandle, NfsProc, NfsRequest
 
 from tests.core.harness import SMALL_CACHE, Rig
-from tests.core.reference_readahead import UnboundedReadaheadLayer
+from tests.core.reference_readahead import Pr20ReadaheadLayer
 from tests.core.test_wakeup_budgets import BS, OneEventUpstream, block_bytes
 
 DEPTH = 8
 #: Extents sit this far apart: further than any window can overshoot
-#: (a bounded one ends before ``start + 64``, an unbounded one before
-#: ``start + 64 + DEPTH``), so every extent is one run, read cold.
+#: (a vouched or bounded one ends before ``start + 64``, a speculative
+#: one before ``start + 64 + DEPTH``), so every extent is one run, read
+#: cold.
 PITCH = 100
 
 
@@ -39,7 +43,7 @@ class Guest:
     """One closed-loop reader over a caching client proxy whose
     upstream — below the fault guard, so demand and prefetch alike —
     answers any READ of any file in one timer; ``reference`` swaps in
-    the unbounded oracle.  Every window launch is logged with the block
+    the parent's rules.  Every window launch is logged with the block
     the guest was demanding at that moment."""
 
     def __init__(self, reference: bool = False, cache_config=SMALL_CACHE,
@@ -51,7 +55,7 @@ class Guest:
         self.block = proxy.layer("block-cache")
         self.readahead = readahead = proxy.layer("readahead")
         if reference:
-            readahead.__class__ = UnboundedReadaheadLayer
+            readahead.__class__ = Pr20ReadaheadLayer
         proxy.layer("fault-guard").next = self.upstream = OneEventUpstream(
             rig.env)
         self.demanding = None
@@ -119,7 +123,8 @@ def scripts(draw):
 
 def extents_of(script) -> dict:
     """(handle, extent start) -> (length, longest of the handle's
-    earlier extents within the history, or 0)."""
+    earlier extents within the history, the length most of them
+    reached; both 0 for a handle's first extent)."""
     lengths, order = {}, {}
     for n, start, _ in script:
         if (n, start) not in lengths:
@@ -128,8 +133,11 @@ def extents_of(script) -> dict:
     out = {}
     for n, starts in order.items():
         for k, start in enumerate(starts):
-            earlier = [lengths[(n, s)] for s in starts[max(k - RUN_HISTORY, 0):k]]
-            out[(n, start)] = (lengths[(n, start)], max(earlier, default=0))
+            earlier = sorted(lengths[(n, s)]
+                             for s in starts[max(k - RUN_HISTORY, 0):k])
+            out[(n, start)] = (
+                lengths[(n, start)], max(earlier, default=0),
+                earlier[len(earlier) // 2] if earlier else 0)
     return out
 
 
@@ -142,29 +150,45 @@ def test_window_stops_where_runs_have_been_ending(script):
 
     for fileid, demanded, issued in ours.windows:
         start = demanded - demanded % PITCH
-        _, longest = extents[(fileid - 9000, start)]
-        assert demanded < issued[0] and issued[-1] <= demanded + DEPTH
+        _, longest, vouched = extents[(fileid - 9000, start)]
+        assert demanded < issued[0]
+        # Armed by the run's second block, or at its first by a history
+        # that vouches for a second.
+        assert demanded > start or vouched >= 2
+        evidence = min(start + vouched - 1, demanded + VOUCHED_CAP)
         if longest and demanded - start + 1 <= longest:
-            # The run still fits its history: nothing past where a run
-            # of the longest remembered length would end.
-            assert issued[-1] <= start + longest - 1
+            # The run still fits its history: speculation ends where a
+            # run of the longest remembered length would.
+            assert issued[-1] <= max(evidence, min(demanded + DEPTH,
+                                                   start + longest - 1))
         else:
             # No history, or outgrown: exactly the oracle's reach.
             assert issued[-1] == demanded + DEPTH
 
-    for (n, start), (length, longest) in extents.items():
+    for (n, start), (length, longest, vouched) in extents.items():
         mine = ours.misses[(9000 + n, start)]
         theirs = oracle.misses[(9000 + n, start)]
-        outgrew = bool(longest) and length > longest
-        assert theirs <= mine <= theirs + outgrew, (n, start, length, longest)
+        # The oracle's two misses to get going (and its one more when
+        # the run outgrows a history that bounded it), less the second
+        # of them.
+        assert theirs == min(length, 2) + (2 <= longest < length)
+        assert mine == theirs - (vouched >= 2 and length >= 2), \
+            (n, start, length, longest, vouched)
 
-    mine, theirs = ours.readahead.stats, oracle.readahead.stats
-    assert mine.prefetch_issued <= theirs.prefetch_issued
-    assert mine.prefetch_wasted <= theirs.prefetch_wasted
-    assert mine.prefetch_failed == theirs.prefetch_failed == 0
-    # Everything the bound saves is blocks nobody read.
-    assert (theirs.prefetch_issued - mine.prefetch_issued
-            >= theirs.prefetch_wasted - mine.prefetch_wasted >= 0)
+    for guest in (ours, oracle):
+        stats = guest.readahead.stats
+        assert stats.prefetch_failed == 0
+        # Every block was read once, cold: a demand miss or a prefetch
+        # that paid off, and nothing paid off that was not issued.
+        assert (stats.prefetch_used + sum(guest.misses.values())
+                == len(script))
+        assert stats.prefetch_used <= stats.prefetch_issued
+    # What trusting the history costs: at most the vouched run, less
+    # the one block read, per extent — beyond what the oracle wastes.
+    assert (ours.readahead.stats.prefetch_wasted
+            <= oracle.readahead.stats.prefetch_wasted
+            + sum(max(min(vouched, VOUCHED_CAP + 1) - length, 0)
+                  for length, _, vouched in extents.values()))
 
 
 @settings(max_examples=15, deadline=None)
@@ -183,15 +207,21 @@ def test_repeated_short_extents_stop_the_window_at_the_extent_end():
     script = [(0, k * PITCH, k * PITCH + i) for k in range(6) for i in range(4)]
     ours = Guest().play(script)
     oracle = Guest(reference=True).play(script)
-    # First extent: no history, the window runs DEPTH past the reader
-    # (blocks 2..11 for a 4-block file).  Every later one: blocks 2..3.
-    assert ours.readahead.stats.prefetch_issued == 10 + 5 * 2
-    assert ours.readahead.stats.prefetch_used == 6 * 2
-    assert oracle.readahead.stats.prefetch_issued == 6 * 10
+    # First extent: no history, two misses and the window runs DEPTH
+    # past the reader (blocks 2..11 for a 4-block file).  Every later
+    # one: blocks 1..3 off its first miss; the oracle, 2..3 off its
+    # second.
+    assert ours.readahead.stats.prefetch_issued == 10 + 5 * 3
+    assert ours.readahead.stats.prefetch_used == 2 + 5 * 3
+    assert ours.readahead.stats.vouched_windows == 5
+    assert oracle.readahead.stats.prefetch_issued == 10 + 5 * 2
     assert oracle.readahead.stats.prefetch_used == 6 * 2
     assert ours.readahead.run_history[handle_of(0)] == deque([4] * 5)
-    # Same demand misses, same answers; only the wasted fetches differ.
-    assert ours.misses == oracle.misses
+    # Same answers, nothing more wasted; one demand miss less per extent.
+    assert sorted(oracle.misses.values()) == [2] * 6
+    assert sorted(ours.misses.values()) == [1] * 5 + [2]
+    assert (ours.readahead.stats.prefetch_wasted
+            == oracle.readahead.stats.prefetch_wasted == 8)
     assert [d[:2] for d in ours.done] == [d[:2] for d in oracle.done]
 
 
@@ -200,8 +230,8 @@ def test_outgrowing_run_pays_one_miss_then_runs_at_full_depth():
               + [(0, PITCH, PITCH + i) for i in range(40)])
     ours = Guest().play(script)
     oracle = Guest(reference=True).play(script)
-    assert oracle.misses[(9000, PITCH)] == 2
-    assert ours.misses[(9000, PITCH)] == 3           # block PITCH + 4
+    assert oracle.misses[(9000, PITCH)] == 3         # PITCH, + 1, + 4
+    assert ours.misses[(9000, PITCH)] == 2           # PITCH and PITCH + 4
     later = [w for w in ours.windows if w[1] >= PITCH + 4]
     assert later[0] == (9000, PITCH + 4,
                         tuple(range(PITCH + 5, PITCH + 5 + DEPTH)))
@@ -235,9 +265,10 @@ def test_stray_hit_on_a_leftover_prefetch_does_not_stretch_the_run():
                + [(0, 0, 0), (0, 0, 1),
                   (0, 0, high + 7),                  # consumed, not adjacent
                   (0, far, far), (0, far, far + 1)])
-    assert guest.readahead.stats.prefetch_used == 2 + 1
+    # (Blocks high + 2, + 3; block 1; the stray; block far + 1.)
+    assert guest.readahead.stats.prefetch_used == 2 + 1 + 1 + 1
     assert guest.readahead.run_history[handle_of(0)] == deque([4, 2])
-    assert guest.windows[-1] == (9000, far + 1, (far + 2, far + 3))
+    assert guest.windows[-1] == (9000, far, (far + 1, far + 2, far + 3))
 
 
 def test_crash_and_invalidate_forget_the_history():

@@ -253,7 +253,7 @@ def schedule(seed: int):
 
 
 def test_block_path_matches_the_parent_over_seeded_schedules():
-    one_block = wide = dropped = fired = coalesced = evictions = 0
+    one_block = wide = dropped = fired = coalesced = evictions = vouched = 0
     for seed in range(SCHEDULES):
         config, script, cache = schedule(seed)
         try:
@@ -266,9 +266,11 @@ def test_block_path_matches_the_parent_over_seeded_schedules():
         fired += out["gates"] - out["dropped"]
         coalesced += out["layers"]["block-cache"]["coalesced_misses"]
         evictions += out["layers"]["block-cache"]["cache_evictions"]
-    # Not vacuous: windows of one block and of many, gates dropped and
-    # gates fired into waiters, and a cache small enough to evict.
-    assert one_block > 300 and wide > 30
+        vouched += out["layers"]["readahead"]["vouched_windows"]
+    # Not vacuous: windows of one block and of many (some launched on
+    # the run history alone), gates dropped and gates fired into
+    # waiters, and a cache small enough to evict.
+    assert one_block > 300 and wide > 30 and vouched
     assert dropped > 500 and fired > 100 and coalesced > 100
     assert evictions > 100
 
