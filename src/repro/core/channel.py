@@ -186,3 +186,12 @@ class CascadedFileChannel(FileChannel):
             yield from self.parent.fetch(fh)
         entry = yield from super().fetch(fh)
         return entry
+
+    def upload(self, fh: FileHandle) -> Generator:
+        """Process: write back into the parent's cached copy, dirty
+        from then on until the parent's own flush uploads it."""
+        compressed = yield from super().upload(fh)
+        held = self.parent.file_cache.entry(fh)
+        held.size = held.inode.data.size
+        held.dirty = True
+        return compressed

@@ -242,20 +242,27 @@ class BlockCacheLayer(ProxyLayer):
             # writes pass straight through.
             return (yield from self.next.handle(request))
 
+        # One piece per frame touched: the kernel client writes within
+        # a frame, the flush of a proxy below sends coalesced runs —
+        # which must leave no frame they cover holding older bytes.
         bs = self.stack.block_size()
         idx, within = divmod(offset, bs)
+        pieces = [((fh, idx), within, data)]
         if within + len(data) > bs:
-            return (yield from self.next.handle(request))
-        key = (fh, idx)
+            pieces = [((fh, idx), within, data[:bs - within])]
+            for pos in range(bs - within, len(data), bs):
+                idx += 1
+                pieces.append(((fh, idx), 0, data[pos:pos + bs]))
 
         if not self.write_back:
             # Write-through: server first, then refresh the cached copy.
             reply = yield from self.next.handle(request)
             if reply.ok:
-                try:
-                    yield from self.merge_into_cache(key, within, data)
-                except RpcTimeout:
-                    pass   # server has the data; only the cache refresh failed
+                for key, within, piece in pieces:
+                    try:
+                        yield from self.merge_into_cache(key, within, piece)
+                    except RpcTimeout:
+                        pass   # server has the data; only the cache refresh failed
                 self.stack.bump_local_size(fh, offset + len(data))
             return reply
 
@@ -265,11 +272,14 @@ class BlockCacheLayer(ProxyLayer):
         # synchronously — or, with the upstream down, is rejected.
         guard = self._guard
         if guard is not None:
-            rejected = yield from guard.ensure_write_capacity(key)
-            if rejected is not None:
-                return rejected
+            for key, _, _ in pieces:
+                rejected = yield from guard.ensure_write_capacity(key)
+                if rejected is not None:
+                    return rejected
         try:
-            yield from self.merge_into_cache(key, within, data, dirty=True)
+            for key, within, piece in pieces:
+                yield from self.merge_into_cache(key, within, piece,
+                                                 dirty=True)
         except RpcTimeout:
             # The read-modify-write base fetch failed; absorbing the
             # partial write over a zeroed base would corrupt the block
@@ -279,7 +289,8 @@ class BlockCacheLayer(ProxyLayer):
             return NfsReply(NfsProc.WRITE, NfsStatus.IO, fh=fh)
         readahead = self._readahead
         if readahead is not None:
-            readahead.forget_prefetch(key)
+            for key, _, _ in pieces:
+                readahead.forget_prefetch(key)
         self.stats.absorbed_writes += 1
         self.stack.bump_local_size(fh, offset + len(data))
         return NfsReply(NfsProc.WRITE, NfsStatus.OK, fh=fh, count=len(data))

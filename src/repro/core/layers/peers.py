@@ -89,7 +89,15 @@ class PeerCacheLayer(ProxyLayer):
                 self.stats.peer_stale += 1
             else:
                 self.stats.peer_misses += 1
-            return (yield from self.next.handle(request))
+            reply = None
+            try:
+                reply = yield from self.next.handle(request)
+            finally:
+                if reply is None or not reply.ok or not reply.data:
+                    # Nothing to publish (an outage, a window past
+                    # EOF): nobody may wait on this member's fetch.
+                    self.member.abandon((fh, idx))
+            return reply
         self.stats.peer_hits += 1
         self.stats.peer_bytes += len(data)
         # Like a local cache hit: a short block is the file's last

@@ -13,6 +13,7 @@ the file-channel and block-cache layers to consult synchronously.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Generator, Optional
 
 from repro.core.layers.base import ProxyLayer
@@ -20,6 +21,12 @@ from repro.core.metadata import FileMetadata, METADATA_SUFFIX, metadata_name_for
 from repro.nfs.protocol import FileHandle, NfsProc, NfsReply, NfsRequest, NfsStatus
 
 __all__ = ["ZeroMapLayer"]
+
+
+@lru_cache(maxsize=16)
+def _zeros(n: int) -> bytes:
+    """One shared zero block per read size, not one per READ."""
+    return bytes(n)
 
 
 @dataclass
@@ -99,7 +106,7 @@ class ZeroMapLayer(ProxyLayer):
             n = max(end - offset, 0)
             self.stats.zero_filtered_reads += 1
             return NfsReply(NfsProc.READ, NfsStatus.OK, fh=fh,
-                            data=bytes(n), count=n,
+                            data=_zeros(n), count=n,
                             eof=offset + n >= meta.file_size)
         return (yield from self.next.handle(request))
 

@@ -483,10 +483,16 @@ class GvfsSession:
 
     # -- middleware operations ------------------------------------------------
     def flush(self) -> Generator:
-        """Process: force all session dirty state to the image server."""
+        """Process: force all session dirty state to the image server —
+        through every caching proxy on the way, client-ward first: a
+        write-back cascade level absorbs what the proxy below it
+        flushes (a level shared by several sessions drains all it
+        holds, never less than this session's data)."""
         yield self.env.process(self.mount.flush_all())
         if self.client_proxy is not None:
-            yield self.env.process(self.client_proxy.flush())
+            for stack in self.client_proxy.cascade_stacks():
+                if stack.block_cache is not None:
+                    yield self.env.process(stack.flush())
 
     def harden_rpc(self, timeout: float = 1.0, max_retries: int = 5,
                    backoff: float = 2.0, max_timeout: float = 8.0,

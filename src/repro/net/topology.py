@@ -153,6 +153,10 @@ class PeerMember:
         :meth:`PeerCacheDirectory.borrow`)."""
         return self.directory.borrow(self, key)
 
+    def abandon(self, key) -> None:
+        """This member's own fetch of ``key`` published nothing."""
+        self.directory.abandon(self, key)
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"<PeerMember {self.name} on {self.host.name}>"
 
@@ -267,6 +271,15 @@ class PeerCacheDirectory:
         for key in stuck:
             self._release(self._pending.pop(key)[1])
         self.retirements += 1
+
+    def abandon(self, member: PeerMember, key) -> None:
+        """``key``'s designated fetcher came back empty-handed: its
+        askers re-query now, not after :attr:`PENDING_TIMEOUT`, and no
+        reservation stays behind."""
+        pending = self._pending.get(key)
+        if pending is not None and pending[0] is member:
+            del self._pending[key]
+            self._release(pending[1])
 
     @staticmethod
     def _release(gate: Event) -> None:

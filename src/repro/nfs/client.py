@@ -599,11 +599,17 @@ class NfsFile:
                 # Partial update of an uncached block within the file:
                 # read-modify-write, like a real page-cache fill.
                 existing = yield from self._fetch_block(idx)
-            base = bytearray(existing or b"")
-            if len(base) < within + take:
-                base.extend(bytes(within + take - len(base)))
-            base[within:within + take] = view[:take]
-            self.mount.cache.put_dirty(key, bytes(base))
+            if take == bs == len(data):
+                # One whole block: staged as the caller's own immutable
+                # object (a zero block stays the one shared zero block).
+                block = view.obj
+            else:
+                base = bytearray(existing or b"")
+                if len(base) < within + take:
+                    base.extend(bytes(within + take - len(base)))
+                base[within:within + take] = view[:take]
+                block = bytes(base)
+            self.mount.cache.put_dirty(key, block)
             view = view[take:]
             pos += take
         self.size = max(self.size, pos)

@@ -12,7 +12,8 @@ Vocabulary (params in braces):
     The end-of-run durability probe found every flushed byte at the
     origin (``metrics["lost_writes"] == 0``).
 ``integrity``
-    Every cloned/replayed guest image matched its golden bytes.
+    Every cloned guest image matched its golden bytes, and every
+    migrated VM's memory copy what its source suspended.
 ``replay_identical``
     Running the same spec + seed twice produced bit-identical metrics.
 ``makespan_ceiling {phase, max_s}``
@@ -66,8 +67,8 @@ def _integrity(metrics: dict, params: dict) -> Tuple[bool, str]:
     ok = metrics.get("integrity_ok")
     if ok is None:
         return False, "run recorded no integrity check"
-    return bool(ok), "cloned images match golden bytes" if ok \
-        else "cloned image bytes diverged from golden"
+    return bool(ok), "cloned and migrated images match their sources" \
+        if ok else "cloned or migrated image bytes diverged"
 
 
 def _replay_identical(metrics: dict, params: dict) -> Tuple[bool, str]:

@@ -140,6 +140,7 @@ def _run_fleet_once(spec: ScenarioSpec) -> Dict:
     from repro.net.topology import make_paper_testbed
     from repro.nfs.protocol import NFS_BLOCK_SIZE
     from repro.sim import AllOf
+    from repro.storage.vfs import CHUNK_SIZE
     from repro.vm.cloning import CloneManager
     from repro.vm.image import VmImage
     from repro.vm.migration import MigrationManager
@@ -284,8 +285,7 @@ def _run_fleet_once(spec: ScenarioSpec) -> Dict:
         for session in sessions:
             yield env.process(session.cold_caches())
         for level in cascade.levels:
-            # Levels absorb client write-back; drain before dropping.
-            yield env.process(level.proxy.flush())
+            # (Drained by the sessions' flushes; fetches may linger.)
             yield env.process(level.proxy.quiesce())
             level.proxy.invalidate_caches()
         yield from clone_storm(
@@ -294,6 +294,7 @@ def _run_fleet_once(spec: ScenarioSpec) -> Dict:
     def migration_wave(phase):
         """Every peer boots a VM from server-side state, then migrates
         it to its ring neighbour through the image server."""
+        nonlocal integrity_ok
         img = image_specs[phase.image]
         # Per-peer VM state materialized origin-side (free of sim cost):
         # resume then streams it across the WAN through each mount.
@@ -306,6 +307,7 @@ def _run_fleet_once(spec: ScenarioSpec) -> Dict:
 
         t0, w0 = env.now, wan_bytes()
         downtimes = [0.0] * n
+        intact = [False] * n
 
         def work(i):
             vm_dir = f"/images/{phase.name}-p{i}"
@@ -317,8 +319,16 @@ def _run_fleet_once(spec: ScenarioSpec) -> Dict:
             result = yield from mover.migrate(
                 vm, vm_dir, dest_dir=f"/fleet/{phase.name}-p{i}-moved")
             downtimes[i] = result.downtime_seconds
+            # The destination resumed from what the source suspended.
+            moved = testbed.compute[dst].local.fs.lookup(
+                f"/fleet/{phase.name}-p{i}-moved/{VmImage.MEMORY_NAME}").data
+            payload = VmMonitor.suspend_payload(vm.config)
+            intact[i] = moved.size == vm.config.memory_bytes and all(
+                moved.read(k * CHUNK_SIZE, CHUNK_SIZE) == payload.chunk(k)
+                for k in range(moved.n_chunks()))
 
         yield from staggered(phase, work)
+        integrity_ok = integrity_ok and all(intact)
         phases.append({"phase": phase.name, "kind": phase.kind,
                        "makespan_s": env.now - t0,
                        "wan_bytes": wan_bytes() - w0,
@@ -333,16 +343,15 @@ def _run_fleet_once(spec: ScenarioSpec) -> Dict:
                        "makespan_s": env.now - t0, "wan_bytes": 0})
 
     def durability_probe():
-        """Write through every mount, flush every tier client-ward →
-        origin-ward, then diff the origin bytes block by block."""
+        """Write through every mount, flush every session (each
+        drains every tier, client-ward → origin-ward), then diff the
+        origin bytes block by block."""
         for i in range(n):
             handle = yield env.process(
                 sessions[i].mount.open(f"/probe/w{i}"))
             yield env.process(handle.write(0, probe_payloads[i]))
         for session in sessions:
             yield env.process(session.flush())
-        for level in cascade.levels:
-            yield env.process(level.proxy.flush())
 
     kinds = {"clone_storm": clone_storm, "trace_load": trace_load,
              "restart_clients": restart_clients, "rollout": rollout,

@@ -199,7 +199,9 @@ class SessionSpec:
     #: Intermediate-level cache sizes, client-ward first; when shorter
     #: than ``depth - 1`` the last entry repeats origin-ward.
     level_cache_mb: Tuple[int, ...] = ()
-    readahead_depth: int = 0
+    #: Unset, every proxy the spec builds runs ``ProxyConfig``'s own
+    #: default read path; 0 disables readahead.
+    readahead_depth: int = ProxyConfig.readahead_depth
     #: ``GvfsSession.harden_rpc`` keyword overrides; ``None`` means
     #: "default ladder, applied automatically when faults are declared".
     harden: Optional[dict] = None

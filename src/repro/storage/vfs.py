@@ -125,6 +125,17 @@ class SparseFile:
             pos += take
         return bytes(out)
 
+    def _store_chunk(self, idx: int, data: bytes) -> None:
+        """Keep whole chunk ``idx``; an all-zero one costs nothing —
+        absent from a zero-filled file (a mostly-zero memory image
+        costs its payload), the shared zero chunk over a source."""
+        if data != _ZERO_CHUNK:
+            self._chunks[idx] = data
+        elif self.source is None:
+            self._chunks.pop(idx, None)
+        else:
+            self._chunks[idx] = _ZERO_CHUNK
+
     def write(self, offset: int, data: bytes) -> None:
         """Write ``data`` at ``offset``, extending the file if needed."""
         if offset < 0:
@@ -134,11 +145,7 @@ class SparseFile:
             # Aligned whole-chunk write (every block-granular copy):
             # store the caller's immutable bytes directly, skipping the
             # memoryview walk and its re-buffering.
-            idx = offset // CHUNK_SIZE
-            if self.source is None and data == _ZERO_CHUNK:
-                self._chunks.pop(idx, None)
-            else:
-                self._chunks[idx] = data
+            self._store_chunk(offset // CHUNK_SIZE, data)
             end = offset + CHUNK_SIZE
             if end > self.size:
                 self.size = end
@@ -149,14 +156,7 @@ class SparseFile:
             idx, within = divmod(pos, CHUNK_SIZE)
             take = min(CHUNK_SIZE - within, len(remaining))
             if within == 0 and take == CHUNK_SIZE:
-                blob = bytes(remaining[:take])
-                if self.source is None and blob == _ZERO_CHUNK:
-                    # All-zero chunk in a zero-filled file: stay sparse, so
-                    # copying a mostly-zero VM memory image costs only its
-                    # payload.
-                    self._chunks.pop(idx, None)
-                else:
-                    self._chunks[idx] = blob
+                self._store_chunk(idx, bytes(remaining[:take]))
             else:
                 base = bytearray(self._chunk_bytes(idx))
                 base[within:within + take] = remaining[:take]

@@ -265,11 +265,17 @@ class VmMonitor:
         return VirtualMachine(self.env, self.host, config, disk_file, redo,
                               self.block_size)
 
+    @staticmethod
+    def suspend_payload(config: VmConfig) -> RandomContent:
+        """The memory state :meth:`suspend` writes for a VM of
+        ``config`` (what a checkpoint must read back, byte for byte)."""
+        return RandomContent(config.seed ^ 0xD1E, zero_fraction=0.85)
+
     def suspend(self, mount, vm_dir: str, vm: VirtualMachine) -> Generator:
         """Process: write the VM's entire memory state back to its files."""
         vm_dir = vm_dir.rstrip("/")
         mem_file = yield from mount.open(f"{vm_dir}/{VmImage.MEMORY_NAME}")
-        payload = RandomContent(vm.config.seed ^ 0xD1E, zero_fraction=0.85)
+        payload = self.suspend_payload(vm.config)
         offset = 0
         size = vm.config.memory_bytes
         idx = 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.metadata import MetadataAction, generate_metadata
 from repro.core.session import Scenario
-from repro.nfs.protocol import NfsProc
+from repro.nfs.protocol import FileHandle, NfsProc, NfsRequest
 from tests.core.harness import Rig
 
 
@@ -54,6 +54,28 @@ def test_zero_blocks_filtered_locally():
     value, _ = rig.run(proc(rig.env))
     assert value == bytes(8192)
     assert rig.session.client_proxy.layer("metadata").stats.zero_filtered_reads >= 1
+
+
+def test_zero_filtered_reads_share_one_block_per_length():
+    rig = Rig()
+    meta = rig.image.generate_metadata()
+    proxy = rig.session.client_proxy
+    fh = FileHandle("images", rig.image.memory_inode.fileid)
+    zeros = sorted(meta.zero_blocks)[:3]
+
+    def proc(env):
+        yield env.process(rig.mount.open("/images/golden/mem.vmss"))
+        out = []
+        for block, count in [(b, 8192) for b in zeros] + [(zeros[0], 100)]:
+            reply = yield from proxy.handle(NfsRequest(
+                NfsProc.READ, fh=fh, offset=block * 8192, count=count))
+            out.append(reply.data)
+        return out
+
+    (a, b, c, short), _ = rig.run(proc(rig.env))
+    assert a == bytes(8192) and short == bytes(100)
+    assert a is b is c and short is not a
+    assert proxy.layer("metadata").stats.zero_filtered_reads == 4
 
 
 def test_zero_filter_count_matches_metadata():

@@ -31,6 +31,7 @@ from tests.core.test_readahead_bound import DEPTH, PITCH, Guest, handle_of
 from tests.core.test_wakeup_budgets import BS
 
 EXTENT = 16
+MEMORY = "/images/golden/mem.vmss"
 
 
 def extents(n: int, lengths, first: int = 0) -> list:
@@ -162,14 +163,14 @@ class WanGuest:
     """The real rig (WAN origin, write-back client proxy): READs and
     WRITEs checked against an in-memory copy of each file."""
 
-    def __init__(self):
-        self.rig = rig = Rig(metadata=False)
-        self.env, self.proxy = rig.env, rig.session.client_proxy
+    def __init__(self, rig=None, session=None, paths=(PATH, MEMORY)):
+        self.rig = rig = rig or Rig(metadata=False)
+        self.session = session or rig.session
+        self.env, self.proxy = rig.env, self.session.client_proxy
         self.block = self.proxy.layer("block-cache")
         self.readahead = self.proxy.layer("readahead")
         self.fs = rig.endpoint.export.fs
-        self.paths = {fh_for(rig, path): path for path in
-                      (PATH, "/images/golden/mem.vmss")}
+        self.paths = {fh_for(rig, path): path for path in paths}
         self.model = {fh: bytearray(self.fs.read(path))
                       for fh, path in self.paths.items()}
 
@@ -190,7 +191,7 @@ class WanGuest:
         assert (fh, offset // BS) not in self.readahead.prefetched
 
     def flush(self):
-        yield from self.proxy.flush()
+        yield self.env.process(self.session.flush())
         assert not self.block.block_cache.dirty_frames
         for fh, path in self.paths.items():
             assert self.fs.read(path) == self.model[fh], path
@@ -255,14 +256,12 @@ def test_write_absorbed_while_a_vouched_launch_is_in_flight(target):
 SCHEDULES = 10
 
 
-def play_schedule(seed: int) -> WanGuest:
-    """Two files read in extents (mostly 16 blocks, so the history
-    vouches), each extent once; WRITEs — whole blocks and fragments —
-    thrown at the extent being read and the one after it, most of them
-    right behind the miss that launched the window; now and then a
-    flush.  One guest process: what races it is the windows."""
-    rng = random.Random(seed)
-    guest = WanGuest()
+def schedule(guest: WanGuest, rng: random.Random):
+    """One guest process: two files read in extents (mostly 16 blocks,
+    so the history vouches), each extent once; WRITEs — whole blocks
+    and fragments — thrown at the extent being read and the one after
+    it, most of them right behind the miss that launched the window;
+    now and then a flush.  What races it is the windows."""
     pitch = 20
     todo = [(fh, start) for fh, data in guest.model.items()
             for start in range(0, len(data) // BS - 2 * pitch, pitch)]
@@ -276,20 +275,23 @@ def play_schedule(seed: int) -> WanGuest:
         return guest.write(fh, block * BS + within,
                            bytes([rng.randrange(1, 256)]) * length)
 
-    def job():
-        for fh, start in todo[:24]:
-            length = EXTENT if rng.random() < 0.8 else rng.randrange(1, pitch)
-            for block in range(start, start + length):
-                yield from guest.read(fh, block)
-                if rng.random() < (0.6 if block == start else 0.1):
-                    yield from write_near(fh, start)
-                    guest.check_ledger()
-            if rng.random() < 0.15:
-                yield from guest.flush()
-        yield from guest.proxy.quiesce()
-        assert not guest.block.gates
-        yield from guest.flush()
-    guest.rig.run(job())
+    for fh, start in todo[:24]:
+        length = EXTENT if rng.random() < 0.8 else rng.randrange(1, pitch)
+        for block in range(start, start + length):
+            yield from guest.read(fh, block)
+            if rng.random() < (0.6 if block == start else 0.1):
+                yield from write_near(fh, start)
+                guest.check_ledger()
+        if rng.random() < 0.15:
+            yield from guest.flush()
+    yield from guest.proxy.quiesce()
+    assert not guest.block.gates
+    yield from guest.flush()
+
+
+def play_schedule(seed: int) -> WanGuest:
+    guest = WanGuest()
+    guest.rig.run(schedule(guest, random.Random(seed)))
     guest.check_ledger()
     return guest
 

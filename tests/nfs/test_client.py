@@ -321,3 +321,28 @@ def test_truncate_through_client():
     (size, data), _ = s.run(proc(s.env))
     assert size == 4
     assert data == b"0123"
+
+
+def test_whole_block_write_stages_the_callers_object():
+    """A whole aligned block is staged as the immutable object handed
+    in (a VM suspending a mostly-zero memory image stages one shared
+    zero block, not a copy per block); anything else is merged."""
+    s = Stack()
+    seed(s, "/f", b"A" * 32768)
+    zero, other = bytes(8192), b"B" * 8192
+
+    def proc(env):
+        f = yield env.process(s.mount.open("/f"))
+        yield env.process(f.write(0, zero))
+        yield env.process(f.write(8192, other))
+        staged = [s.mount.cache.peek((f.fh, idx)) for idx in (0, 1)]
+        yield env.process(f.write(16384 + 5, b"xyz"))
+        data = yield env.process(f.read(0, 32768))
+        yield env.process(f.close())
+        return staged, data
+
+    (staged, data), _ = s.run(proc(s.env))
+    assert staged[0] is zero and staged[1] is other
+    expected = zero + other + b"A" * 5 + b"xyz" + b"A" * (16384 - 8)
+    assert data == expected
+    assert s.server_fs.fs.read("/f") == expected

@@ -1,8 +1,14 @@
 """Runner: end-to-end fleet runs, determinism, arrival processes."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.layers import (disable_stack_reports, enable_stack_reports,
+                               registered_stacks)
+from repro.core.session import GvfsSession
 from repro.scenario.arrivals import arrival_offsets
+from repro.scenario.loader import load_spec
 from repro.scenario.runner import run_bench_driver, run_spec
 from repro.scenario.schema import validate_report
 from repro.scenario.spec import ArrivalSpec, ScenarioSpec
@@ -142,3 +148,70 @@ def test_windowed_arrivals_stay_in_window():
         a = _arrival(kind=kind, window_s=30.0)
         offs = arrival_offsets(a, 16, seed=1, key="k")
         assert all(0.0 <= o <= 30.0 for o in offs)
+
+
+# -- the composed stack: migrations checked, readahead where it now runs --------
+
+MIGRATION_CELL = {
+    "name": "mig",
+    "kind": "fleet",
+    "seed": 3,
+    "topology": {"peers": 2,
+                 "images": [{"name": "img", "memory_mb": 2,
+                             "disk_gb": 0.0625}]},
+    "sessions": {"mode": "inclusive", "depth": 2, "client_cache_mb": 8},
+    "phases": [{"name": "wave", "kind": "migration_wave", "image": "img",
+                "arrival": {"kind": "fixed", "stagger_s": 2.0}}],
+    "gates": ["zero_lost_writes", "integrity"],
+}
+
+
+def test_integrity_gate_checks_what_a_migration_resumed_from(monkeypatch):
+    envelope, _ = run_spec(ScenarioSpec.from_dict(MIGRATION_CELL))
+    assert envelope["ok"] is True
+
+    def shallow_flush(self):
+        """The parent commit's: stop at the client proxy."""
+        yield self.env.process(self.mount.flush_all())
+        yield self.env.process(self.client_proxy.flush())
+
+    monkeypatch.setattr(GvfsSession, "flush", shallow_flush)
+    envelope, text = run_spec(ScenarioSpec.from_dict(MIGRATION_CELL))
+    gates = {g["name"]: g["ok"] for g in envelope["gates"]}
+    assert gates == {"zero_lost_writes": False, "integrity": False}, text
+
+
+def test_fleet_rollout_quick_reads_ahead_and_leaves_nothing_behind():
+    """Cooperative peers, a shared level, a WAN flap and a fleet-wide
+    invalidation — with every proxy running the default read path."""
+    spec = load_spec("fleet_rollout").quicked()
+    spec = dataclasses.replace(spec, gates=tuple(
+        g for g in spec.gates if g.name != "replay_identical"))
+    enable_stack_reports()
+    try:
+        envelope, text = run_spec(spec)
+        stacks = [s for s in registered_stacks()
+                  if s.layer("readahead") is not None]
+    finally:
+        disable_stack_reports()
+    assert envelope["ok"] is True, text
+    metrics = envelope["metrics"]
+    assert metrics["fault_timeline"]            # the flap struck
+    assert len(stacks) == metrics["peers"] + 1  # the clients and the level
+    for stack in stacks:
+        name = stack.config.name
+        ledger = stack.layer("readahead").stats
+        assert ledger.prefetch_issued > 0, name
+        assert (ledger.prefetch_used + ledger.prefetch_failed
+                <= ledger.prefetch_issued), name
+        # Quiesced: no fetch gate, no whole-file fetch, no dirty frame.
+        assert not stack.layer("block-cache").gates, name
+        assert not stack.layer("file-channel").fetching, name
+        assert stack.dirty_state() == (0, 0), name
+    directory = stacks[-1].layer("peer-cache").member.directory
+    assert not directory._pending               # no reservation left over
+    # The rollout invalidated with windows barely landed: nothing of
+    # the old image was served afterwards, by a cache or by a peer.
+    assert metrics["integrity_ok"] is True
+    assert metrics["peer_stats"]["peer_stale"] == 0
+    assert metrics["peer_stats"]["peer_hits"] > 0

@@ -1,7 +1,10 @@
 """Spec schema: strict parsing, normalization round-trip, quick merge."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.core.config import ProxyConfig
 from repro.scenario.spec import (
     ArrivalSpec,
     ScenarioSpec,
@@ -153,3 +156,29 @@ def test_gate_shorthand_and_params():
     assert [g.name for g in spec.gates] == ["zero_lost_writes",
                                             "makespan_ceiling"]
     assert spec.gates[1].params["max_s"] == 10
+
+
+def test_unset_readahead_depth_is_the_proxy_default():
+    """One place the default lives: a spec that says nothing runs the
+    proxy's own read path, and the key still pins or disables it."""
+    unset = ScenarioSpec.from_dict(MINIMAL_FLEET).sessions
+    assert unset.proxy_config() == ProxyConfig()
+    assert unset.proxy_config().readahead_depth > 0
+    # ... through the normalized form and the quick merge too.
+    again = ScenarioSpec.from_dict(
+        ScenarioSpec.from_dict(MINIMAL_FLEET).to_dict()).quicked()
+    assert again.sessions.proxy_config() == ProxyConfig()
+    for depth in (0, 3):
+        pinned = ScenarioSpec.from_dict(
+            {**MINIMAL_FLEET, "sessions": {"readahead_depth": depth}})
+        assert pinned.sessions.proxy_config().readahead_depth == depth
+        assert pinned.to_dict()["sessions"]["readahead_depth"] == depth
+
+
+def test_no_scenario_in_the_library_pins_readahead():
+    """The CI matrix is green under the default, not around it."""
+    library = Path(__file__).resolve().parents[2] / "scenarios"
+    specs = sorted(library.glob("*.yaml"))
+    assert specs
+    for path in specs:
+        assert "readahead_depth" not in path.read_text(), path.name

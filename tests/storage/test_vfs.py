@@ -9,6 +9,7 @@ from repro.storage.vfs import (
     FsError,
     Inode,
     SparseFile,
+    _ZERO_CHUNK,
 )
 
 
@@ -107,6 +108,31 @@ def test_write_overrides_source():
     f.write(0, b"ZZZZ")
     assert f.read(0, 4) == b"ZZZZ"
     assert f.read(4, 4) == bytes([1]) * 4  # rest of chunk keeps source data
+
+
+def test_zero_chunks_over_a_source_are_one_shared_object():
+    """A suspended memory image is mostly zeros written over generated
+    content: each all-zero chunk must hide the source, and none may
+    cost a private 8 KB."""
+    source = PatternSource()
+    f = SparseFile(size=6 * CHUNK_SIZE, source=source)
+    model = bytearray(b"".join(source.chunk(i) for i in range(6)))
+    for offset, length in ((0, CHUNK_SIZE),                      # aligned
+                           (2 * CHUNK_SIZE - 10, 2 * CHUNK_SIZE + 20)):
+        f.write(offset, bytes(bytearray(length)))    # a fresh object each
+        model[offset:offset + length] = bytes(length)
+    assert f.read(0, f.size) == model
+    assert model[4 * CHUNK_SIZE + 10] == 5           # the source shows again
+    assert all(f._chunks[i] is _ZERO_CHUNK for i in (0, 2, 3))
+    assert [f.chunk_is_zero(i) for i in range(6)] == [
+        True, True, True, True, False, True]
+    f.write(0, b"\x07" * CHUNK_SIZE)                    # ... and back
+    assert f.read(0, CHUNK_SIZE) == b"\x07" * CHUNK_SIZE
+    # Without a source an all-zero chunk is simply absent.
+    g = SparseFile()
+    g.write(0, b"\x01" * CHUNK_SIZE)
+    g.write(0, bytes(CHUNK_SIZE))
+    assert g.materialized_chunks == 0 and g.read(0, 4) == bytes(4)
 
 
 def test_chunk_is_zero_uses_source_hint():

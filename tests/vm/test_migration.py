@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core.session import GvfsSession, LocalMount, Scenario, ServerEndpoint
+from repro.core.session import (GvfsSession, LocalMount, Scenario,
+                                ServerEndpoint, build_cascade)
 from repro.net.topology import Testbed
 from repro.sim import Environment
+from repro.storage.vfs import SparseFile
 from repro.vm.cloning import CloneManager
 from repro.vm.image import VmConfig, VmImage
 from repro.vm.migration import MigrationManager
@@ -126,3 +128,76 @@ def test_downtime_far_below_full_state_staging():
     # staging's own suspend/resume fixed costs, so the bound is modest
     # here and grows with state size (the disk is never copied at all).
     assert result.downtime_seconds < staging_roundtrip * 0.7
+
+
+# -- the checkpoint reaches the origin through any cascade ----------------------
+
+BS = 8192
+
+
+def stale_blocks(copied: bytes, expected: bytes) -> int:
+    assert len(copied) == len(expected)
+    return sum(copied[o:o + BS] != expected[o:o + BS]
+               for o in range(0, len(expected), BS))
+
+
+@pytest.mark.parametrize("metadata", [True, False], ids=["meta", "nometa"])
+@pytest.mark.parametrize("mode", ["inclusive", "cooperative"])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_destination_memory_is_what_the_source_suspended(depth, mode,
+                                                         metadata):
+    """Three peers each resume a VM and migrate it to their ring
+    neighbour (the fleet scenario's migration wave, scaled down): the
+    destination's local memory copy is, byte for byte, what the
+    source's ``suspend`` wrote — whatever write-back levels sit between
+    the client proxies and the image server."""
+    n = 3
+    testbed = Testbed(Environment(), n_compute=n)
+    env = testbed.env
+    endpoint = ServerEndpoint(env, testbed.wan_server)
+    fs = endpoint.export.fs
+    configs = []
+    for i in range(n):
+        cfg = VmConfig(name=f"mobile{i}", memory_mb=2, disk_gb=0.01,
+                       seed=900 + i, persistent=False)
+        image = VmImage.create(fs, f"/images/mobile{i}", cfg,
+                               zero_fraction=0.5)
+        if metadata:
+            image.generate_metadata()
+        configs.append(cfg)
+    cascade = build_cascade(testbed, endpoint, [SMALL_CACHE] * (depth - 1))
+    directory = testbed.peer_directory() if mode == "cooperative" else None
+    sessions = [GvfsSession.build(testbed, Scenario.WAN_CACHED,
+                                  endpoint=endpoint, compute_index=i,
+                                  cache_config=SMALL_CACHE, via=cascade,
+                                  peer_directory=directory,
+                                  metadata=metadata)
+                for i in range(n)]
+    monitors = [VmMonitor(env, testbed.compute[i]) for i in range(n)]
+
+    def work(i):
+        yield env.timeout(2.0 * i)
+        vm = yield env.process(monitors[i].resume(sessions[i].mount,
+                                                  f"/images/mobile{i}"))
+        dst = (i + 1) % n
+        mover = MigrationManager(env, monitors[i], sessions[i],
+                                 monitors[dst], sessions[dst])
+        yield from mover.migrate(vm, f"/images/mobile{i}",
+                                 dest_dir=f"/migrated/mobile{i}")
+
+    for i in range(n):
+        env.process(work(i))
+    env.run()
+
+    stale = []
+    for i, cfg in enumerate(configs):
+        expected = SparseFile(cfg.memory_bytes, VmMonitor.suspend_payload(
+            cfg)).read(0, cfg.memory_bytes)
+        copied = testbed.compute[(i + 1) % n].local.fs.read(
+            f"/migrated/mobile{i}/mem.vmss")
+        # ... and so is the server of record.
+        origin = fs.read(f"/images/mobile{i}/mem.vmss")
+        stale += [stale_blocks(copied, expected),
+                  stale_blocks(origin, expected)]
+    assert stale == [0, 0] * n, \
+        f"stale memory blocks per VM (destination, origin): {stale}"
