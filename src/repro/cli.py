@@ -14,7 +14,7 @@ Commands
     profile, ``--check`` turns failed gates into exit code 1 (the CI
     scenario-smoke matrix runs ``scenario run <spec> --quick
     --check``).  This is the one way to run a bench driver (fault,
-    chaos, cascade, coop, farm): a ``kind: bench`` spec names it and
+    chaos, farm): a ``kind: bench`` spec names it and
     ``seed`` + ``bench.params`` parameterise it (docs/scenarios.md).
     ``list`` prints the spec library; ``check`` validates a spec
     (including its quick profile) without running it.

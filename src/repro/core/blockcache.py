@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core.config import ProxyCacheConfig
-from repro.core.eviction import EvictionPolicy, make_policy
 from repro.nfs.protocol import FileHandle
 from repro.sim import Environment
 from repro.storage.localfs import LocalFileSystem
@@ -65,21 +64,17 @@ class _Bank:
     of chasing a per-frame object).
 
     ``keys[i]``/``lengths[i]``/``dirty[i]``/``lru[i]`` describe frame
-    ``i``; a free frame has ``keys[i] is None``.  ``aux`` is the
-    eviction policy's optional per-frame state (LFU counts, 2Q queue
-    tags) — None under plain LRU.
+    ``i``; a free frame has ``keys[i] is None``.
     """
 
-    __slots__ = ("inode", "keys", "lengths", "dirty", "lru", "aux")
+    __slots__ = ("inode", "keys", "lengths", "dirty", "lru")
 
-    def __init__(self, inode: Inode, n_frames: int,
-                 aux: Optional[List[int]] = None):
+    def __init__(self, inode: Inode, n_frames: int):
         self.inode = inode
         self.keys: List[Optional[BlockKey]] = [None] * n_frames
         self.lengths: List[int] = [0] * n_frames
         self.dirty: List[bool] = [False] * n_frames
         self.lru: List[int] = [0] * n_frames
-        self.aux = aux
 
 
 @dataclass(frozen=True)
@@ -92,23 +87,16 @@ class CachedBlock:
 
 
 class ProxyBlockCache:
-    """Set-associative, disk-backed block cache with pluggable
-    within-set eviction (LRU by default; see
-    :mod:`repro.core.eviction`)."""
+    """Set-associative, disk-backed block cache with LRU-in-set."""
 
     def __init__(self, env: Environment, storage: LocalFileSystem,
                  config: ProxyCacheConfig = ProxyCacheConfig(),
-                 name: str = "proxycache", read_only: bool = False,
-                 policy: Optional[EvictionPolicy] = None):
+                 name: str = "proxycache", read_only: bool = False):
         self.env = env
         self.storage = storage
         self.config = config
         self.name = name
         self.read_only = read_only
-        #: Victim-selection strategy; defaults to the config's named
-        #: policy so per-level cascade policies need no extra plumbing.
-        self.policy = policy if policy is not None \
-            else make_policy(config.eviction)
         self._tick = 0
         # bank index -> _Bank (inode + frame tag arrays); created on demand.
         self._banks: Dict[int, _Bank] = {}
@@ -134,18 +122,13 @@ class ProxyBlockCache:
                 self._journal_offset = self._journal_inode.data.size
             else:
                 self._journal_inode = storage.fs.create(path)
-        # Cooperative-caching hooks (both default off, so the hot path
+        # Cooperative-caching hook (empty by default, so the hot path
         # of a non-cooperative proxy is untouched).  ``observers`` get
         # told when a clean block becomes shareable or stops being so
         # (see PeerCacheDirectory in repro.net.topology, duck-typed:
         # block_published / block_retracted / cache_cleared, plus
-        # cache_crashed for observers that distinguish a crash).  With
-        # ``capture_clean_victims`` set, eviction reads *clean* victims
-        # back and hands them to the caller like dirty ones, so a
-        # cascade level can demote them upstream instead of dropping
-        # them (exclusive caching).
+        # cache_crashed for observers that distinguish a crash).
         self.observers: List = []
-        self.capture_clean_victims = False
         # Statistics
         self.hits = 0
         self.misses = 0
@@ -183,8 +166,7 @@ class ProxyBlockCache:
             # "Cache banks are created on the local disk by the proxy on
             # demand."
             inode = self.storage.fs.create(f"{self._root()}/bank{bank_index:04d}")
-            n = self.config.frames_per_bank
-            bank = _Bank(inode, n, self.policy.new_bank(n))
+            bank = _Bank(inode, self.config.frames_per_bank)
             self._banks[bank_index] = bank
         return bank
 
@@ -218,7 +200,7 @@ class ProxyBlockCache:
         bank_index, frame_index = where
         bank = self._banks[bank_index]
         self._tick += 1
-        self.policy.on_hit(bank, frame_index, self._tick)
+        bank.lru[frame_index] = self._tick
         data = yield from self.storage.timed_read_inode(
             bank.inode, self._frame_offset(frame_index),
             self.config.block_size)
@@ -237,9 +219,7 @@ class ProxyBlockCache:
         Returns None, placing nothing, for a clean block over a resident
         dirty frame: the fill raced a WRITE, whose bytes are newer.
         Evicting a dirty frame reads the old bytes back (charged here)
-        and hands them out as ``victim``; with
-        ``capture_clean_victims`` set, clean victims are read back and
-        handed out the same way (``victim.dirty`` tells them apart).
+        and hands them out as ``victim``; a clean victim is dropped.
         """
         if self.read_only and dirty:
             raise PermissionError(f"{self.name}: dirty insert into shared "
@@ -257,8 +237,8 @@ class ProxyBlockCache:
             if bank.dirty[frame_index] and not dirty:
                 return None
         else:
-            # Choose a frame in the set: free first, else ask the
-            # eviction policy to pick a victim within the full set.
+            # Choose a frame in the set: free first, else the least
+            # recently touched (lowest frame index on ties).
             a = self.config.associativity
             base = set_index * a
             frame_index = None
@@ -267,17 +247,17 @@ class ProxyBlockCache:
                     frame_index = i
                     break
             if frame_index is None:
-                frame_index = self.policy.victim(bank, base, a)
+                frame_index = min(range(base, base + a),
+                                  key=bank.lru.__getitem__)
                 self.evictions += 1
-                old_dirty = bank.dirty[frame_index]
-                if old_dirty or self.capture_clean_victims:
+                if bank.dirty[frame_index]:
                     old_data = yield from self.storage.timed_read_inode(
                         bank.inode, self._frame_offset(frame_index),
                         self.config.block_size)
                     if keys[frame_index] is not None:
                         victim = CachedBlock(
                             keys[frame_index],
-                            old_data[:bank.lengths[frame_index]], old_dirty)
+                            old_data[:bank.lengths[frame_index]], True)
                 # The tag may already be gone if the cache was flushed
                 # while this placement waited on the victim read, so
                 # re-read it rather than trusting a pre-wait snapshot.
@@ -290,11 +270,10 @@ class ProxyBlockCache:
         self._tick += 1
         was_dirty = keys[frame_index] is not None and bank.dirty[frame_index]
         self.dirty_frames += (dirty - was_dirty)
-        new_block = keys[frame_index] != key
         keys[frame_index] = key
         bank.lengths[frame_index] = len(data)
         bank.dirty[frame_index] = dirty
-        self.policy.on_fill(bank, frame_index, self._tick, new_block)
+        bank.lru[frame_index] = self._tick
         self._where[key] = (bank_index, frame_index)
         self.insertions += 1
         if self.journal_enabled:
@@ -324,8 +303,7 @@ class ProxyBlockCache:
                dirty: bool = False) -> Generator:
         """Process: place a block; returns an evicted
         :class:`CachedBlock` victim or None.  Victims are dirty frames
-        needing upstream write-back — plus, with
-        ``capture_clean_victims``, clean frames eligible for demotion."""
+        needing upstream write-back."""
         placed = yield from self._place(key, data, dirty)
         if placed is None:
             return None
@@ -346,8 +324,8 @@ class ProxyBlockCache:
         A readahead window of consecutive blocks lands in consecutive
         sets of one bank with the way-major frame layout, so the whole
         window usually costs one disk write instead of one per block.
-        Returns the list of evicted :class:`CachedBlock` victims
-        (possibly empty; clean ones only with ``capture_clean_victims``).
+        Returns the list of evicted dirty :class:`CachedBlock` victims
+        (possibly empty).
         """
         victims: List[CachedBlock] = []
         writes: List[Tuple[int, int, Inode, bytes]] = []
@@ -592,7 +570,6 @@ class ProxyBlockCache:
             bank.dirty[:] = [False] * n
             bank.lengths[:] = [0] * n
             bank.lru[:] = [0] * n
-            self.policy.clear_bank(bank)
         self._where.clear()
         self.dirty_frames = 0
         self._journal_live.clear()
@@ -641,7 +618,7 @@ class ProxyBlockCache:
             bank.keys[frame_index] = key
             bank.lengths[frame_index] = length
             bank.dirty[frame_index] = True
-            self.policy.on_fill(bank, frame_index, self._tick, True)
+            bank.lru[frame_index] = self._tick
             self._where[key] = (bank_index, frame_index)
             self._journal_live[key] = (bank_index, frame_index, length, crc)
             recovered.append(key)
@@ -738,7 +715,6 @@ class ProxyBlockCache:
             bank.keys[:] = [None] * n
             bank.dirty[:] = [False] * n
             bank.lengths[:] = [0] * n
-            self.policy.clear_bank(bank)
         self._where.clear()
         self.dirty_frames = 0
         if self.observers:

@@ -12,7 +12,6 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.core.eviction import POLICIES
 from repro.nfs.protocol import NFS_BLOCK_SIZE, NFS_MAX_BLOCK_SIZE
 
 __all__ = ["CachePolicy", "ProxyCacheConfig", "ProxyConfig"]
@@ -42,15 +41,8 @@ class ProxyCacheConfig:
     #: a crashed proxy can recover its write-back dirty set (off by
     #: default: journal appends cost disk time on every dirty write).
     journal: bool = False
-    #: Within-set victim-selection policy (:mod:`repro.core.eviction`):
-    #: ``lru`` (the paper's default), ``lfu`` or ``2q``.  Per-proxy, so
-    #: each level of a cache cascade can run a different policy.
-    eviction: str = "lru"
 
     def __post_init__(self):
-        if self.eviction not in POLICIES:
-            raise ValueError(f"unknown eviction policy {self.eviction!r}; "
-                             f"choose from {sorted(POLICIES)}")
         if self.block_size <= 0 or self.block_size > NFS_MAX_BLOCK_SIZE:
             raise ValueError(
                 f"block_size must be in (0, {NFS_MAX_BLOCK_SIZE}], "

@@ -13,15 +13,6 @@ Degraded-mode decisions (clean error on a miss with the upstream down,
 the dirty high-water mark, write rejects during an outage) are
 delegated sideways to the fault-guard layer; readahead bookkeeping
 (run detection, prefetch accounting) to the readahead layer.
-
-Exclusive-cascade demotion (off by default): once :meth:`arm_demotion`
-verifies the next level up also runs a block cache, clean eviction
-victims are handed upstream as ``DEMOTE`` calls carrying the block
-bytes — the receiver caches them without re-reading origin — instead
-of being dropped, so stacked cascade levels stop holding duplicate
-copies of the same golden-image blocks.  Adaptive sizing can also
-``bypass`` a level whose cache stopped paying: a bypassed layer passes
-every request straight down and absorbs nothing.
 """
 
 from __future__ import annotations
@@ -31,15 +22,12 @@ from typing import Generator, List, Optional, Tuple
 
 from repro.core.config import CachePolicy
 from repro.core.layers.base import ProxyLayer
-from repro.nfs.protocol import (FileHandle, NfsError, NfsProc, NfsReply,
-                                NfsRequest, NfsStatus)
+from repro.nfs.protocol import (FileHandle, NfsProc, NfsReply, NfsRequest,
+                                NfsStatus)
 from repro.nfs.rpc import RpcTimeout
-from repro.sim import AllOf, AnyOf
+from repro.sim import AllOf
 
 __all__ = ["BlockCacheLayer"]
-
-#: Sentinel distinguishing the demote deadline from a (None) failed send.
-_DEMOTE_LOST = object()
 
 
 @dataclass
@@ -53,11 +41,6 @@ class BlockCacheStats:
     merged_write_rpcs: int = 0      # coalesced upstream WRITEs during flush
     merged_write_blocks: int = 0    # blocks those WRITEs carried
     recovered_dirty_blocks: int = 0 # dirty frames rebuilt from the journal
-    demotions_out: int = 0          # clean victims DEMOTEd to the next level
-    demotions_in: int = 0           # demoted blocks absorbed from below
-    demotion_drops: int = 0         # demotes refused or failed (best-effort)
-    demotion_timeouts: int = 0      # demotes abandoned at the send deadline
-    bypassed_requests: int = 0      # requests passed through while bypassed
     frames_corrupted: int = 0       # cached frames garbled by fault injection
     procs_blackholed: int = 0       # incoming RPCs parked by a blackhole fault
     procs_delayed: int = 0          # incoming RPCs slowed by a delay fault
@@ -70,9 +53,6 @@ class BlockCacheLayer(ProxyLayer):
     ROLE = "block-cache"
     Stats = BlockCacheStats
     FAULT_PROCS = True
-    #: Seconds a demote send may spend before being abandoned (a clean
-    #: victim is re-fetchable; an outage must not wedge the eviction).
-    DEMOTE_DEADLINE = 2.0
 
     def __init__(self, block_cache):
         super().__init__()
@@ -80,10 +60,6 @@ class BlockCacheLayer(ProxyLayer):
         # (fh, block) -> in-progress block fetch gate: N concurrent READs
         # of one uncached block coalesce onto a single upstream RPC.
         self.gates: dict = {}
-        #: Exclusive-cascade demotion, armed via :meth:`arm_demotion`.
-        self.demote_enabled = False
-        #: Adaptive-sizing bypass: pass everything straight down.
-        self.bypassed = False
 
     # --------------------------------------------------------------- sideways
     @property
@@ -112,9 +88,7 @@ class BlockCacheLayer(ProxyLayer):
         ``corrupt-frame`` garbles the ``arg``-th (mod population, so a
         seeded sweep never misses) clean cached frame on disk — the
         cache tag stays valid, exactly the silent-corruption case an
-        end-to-end checksum must catch.  The per-proc kinds matter here
-        because DEMOTE enters a stack through its front door and is
-        routed to this layer, bypassing the sender's terminal.
+        end-to-end checksum must catch.
         """
         if kind == "corrupt-frame":
             keys = self.block_cache.iter_clean_keys()
@@ -143,11 +117,6 @@ class BlockCacheLayer(ProxyLayer):
 
     def _route(self, request) -> Generator:
         proc = request.proc
-        if proc is NfsProc.DEMOTE:
-            return (yield from self._handle_demote(request))
-        if self.bypassed:
-            self.stats.bypassed_requests += 1
-            return (yield from self.next.handle(request))
         if proc is NfsProc.READ:
             return (yield from self._handle_read(request))
         if proc is NfsProc.WRITE:
@@ -321,106 +290,11 @@ class BlockCacheLayer(ProxyLayer):
         if victim is not None:
             yield from self.dispose_victim(victim)
 
-    # --------------------------------------------------- exclusive demotion
-    def arm_demotion(self) -> bool:
-        """Arm exclusive-cascade demotion for this level.
-
-        Only sensible — and only safe — when the next level up also
-        runs a writable block cache of the same block size: the kernel
-        NFS server does not speak ``DEMOTE``, and a demoted block must
-        land in a frame it fits.  Returns whether demotion was armed;
-        arming also turns on clean-victim capture in the cache (the
-        only way clean victims surface at all).
-        """
-        up = self.stack.upstream_stack()
-        if up is None:
-            return False
-        target = up.layer("block-cache")
-        if target is None or target.block_cache.read_only:
-            return False
-        if up.block_size() != self.stack.block_size():
-            return False
-        self.demote_enabled = True
-        self.block_cache.capture_clean_victims = True
-        return True
-
-    def dispose_victim(self, victim) -> Generator:
-        """Process: route one eviction victim — dirty blocks write back
-        upstream; clean ones (surfaced only while demotion is armed)
-        demote one hop up."""
-        if victim.dirty:
-            yield from self.write_back_block(victim.key, victim.data)
-        else:
-            yield from self.demote_block(victim.key, victim.data)
-
-    def demote_block(self, key, data: bytes) -> Generator:
-        """Process: hand one clean eviction victim to the next level up.
-
-        Best effort: a lost demote costs a future refetch, never
-        correctness, so upstream failures are swallowed rather than
-        propagated into whatever I/O triggered the eviction.  The send
-        is bounded by ``DEMOTE_DEADLINE`` even when the upstream client
-        has no timeout of its own (the session default): a demote stuck
-        behind a dead link is abandoned — and counted, not absorbed —
-        instead of wedging the eviction that triggered it.
-        """
-        if not self.demote_enabled:
-            return
-        fh, idx = key
-        request = NfsRequest(
-            NfsProc.DEMOTE, fh=fh,
-            offset=idx * self.stack.block_size(), data=data,
-            stable=False, credentials=self.config.identity or (0, 0))
-        attempt = self.env.process(self._demote_call(request),
-                                   name=f"demote-{idx}")
-        timer = self.env.timeout(self.DEMOTE_DEADLINE, value=_DEMOTE_LOST)
-        outcome = yield AnyOf(self.env, [attempt, timer])
-        if outcome is _DEMOTE_LOST:
-            if attempt.is_alive:
-                attempt.interrupt("demote deadline")
-            self.stats.demotion_timeouts += 1
-            self.stats.demotion_drops += 1
-            return
-        if outcome is not None and outcome.ok:
-            self.stats.demotions_out += 1
-        else:
-            self.stats.demotion_drops += 1
-
-    def _demote_call(self, request) -> Generator:
-        """Process: one demote send; upstream failure maps to None."""
-        try:
-            return (yield from self.stack.upstream.call(request))
-        except (RpcTimeout, NfsError):
-            return None
-
-    def _handle_demote(self, request) -> Generator:
-        """Process: absorb a block demoted by the cache one level down.
-
-        The block is installed clean without re-reading origin — that
-        is the whole point of the fast path.  A demote never travels
-        further down the stack (one hop per demote; an insert here may
-        of course evict a victim of its own, which is disposed the
-        usual way), and never overwrites a resident copy: a raced
-        demand fill is as fresh, and a dirty local copy is newer.
-        """
-        fh, data = request.fh, request.data
-        bs = self.stack.block_size()
-        idx, within = divmod(request.offset, bs)
-        if (self.bypassed or self.block_cache.read_only or within
-                or len(data) > bs):
-            self.stats.demotion_drops += 1
-            return NfsReply(NfsProc.DEMOTE, NfsStatus.OK, fh=fh)
-        key = (fh, idx)
-        if key in self.block_cache:
-            self.stats.demotion_drops += 1
-            return NfsReply(NfsProc.DEMOTE, NfsStatus.OK, fh=fh)
-        victim = yield from self.block_cache.insert(key, data, dirty=False)
-        self.stats.demotions_in += 1
-        if victim is not None:
-            yield from self.dispose_victim(victim)
-        return NfsReply(NfsProc.DEMOTE, NfsStatus.OK, fh=fh, count=len(data))
-
     # -------------------------------------------------------------- write-back
+    def dispose_victim(self, victim) -> Generator:
+        """Process: push one (dirty) eviction victim upstream."""
+        yield from self.write_back_block(victim.key, victim.data)
+
     def write_back_block(self, key, data: bytes) -> Generator:
         """Process: push one dirty block upstream."""
         fh, idx = key
@@ -514,40 +388,15 @@ class BlockCacheLayer(ProxyLayer):
     def dirty_blocks(self) -> int:
         return len(self.block_cache.dirty_blocks())
 
-    def replace_cache(self, new_cache) -> None:
-        """Swap the backing block cache (adaptive resizing).
-
-        Refused while dirty frames exist — the caller flushes first, so
-        a resize can never lose write-back data.  Cooperative state
-        carries over: observers move to the new cache (which starts
-        empty, so the old contents are retracted from any directory)
-        and clean-victim capture keeps its setting.
-        """
-        if self.block_cache.dirty_frames:
-            raise RuntimeError(f"{self.block_cache.name}: replace_cache "
-                               "with dirty frames; flush first")
-        if new_cache.config.block_size != self.block_cache.config.block_size:
-            raise ValueError("replace_cache must keep the block size")
-        old = self.block_cache
-        new_cache.capture_clean_victims = old.capture_clean_victims
-        new_cache.observers.extend(old.observers)
-        for obs in old.observers:
-            obs.cache_cleared()
-        old.observers.clear()
-        self.gates.clear()
-        self.block_cache = new_cache
-
     def stats_snapshot(self, deep: bool = False) -> dict:
-        # Beyond the request counters, expose the cache's own occupancy
-        # and churn: the adaptive-sizing planner estimates each level's
-        # working set from deep snapshots alone (repro.core.adaptive).
+        # Beyond the request counters, the cache's own occupancy and
+        # churn.
         snap = super().stats_snapshot()
         cache = self.block_cache
         snap["cache_insertions"] = cache.insertions
         snap["cache_evictions"] = cache.evictions
         snap["cached_blocks"] = cache.cached_blocks
         snap["capacity_frames"] = cache.config.total_frames
-        snap["bypassed"] = int(self.bypassed)
         return snap
 
     def reset(self) -> None:

@@ -1,8 +1,8 @@
 """End-to-end block integrity: crc32 per block, verified at the client.
 
 The cache hierarchy is deep — client frames, cascade levels, peer
-copies, demoted blocks — and every copy is a place silent corruption
-can hide behind a perfectly valid cache tag.  Following the end-to-end
+copies — and every copy is a place silent corruption can hide behind a
+perfectly valid cache tag.  Following the end-to-end
 argument (and AliEnFS's validate-every-path design), integrity is not
 delegated to any cache: a :class:`ChecksumLayer` in **record** mode
 sits in the origin-adjacent forwarding stack and checksums every block
@@ -10,7 +10,7 @@ as it leaves or reaches the server of record; a second instance in
 **verify** mode sits at the top of the client stack and re-checks
 every full-block READ reply that is about to cross back to the client
 — wherever the bytes came from (local frame, cascade level, peer
-borrow, demoted copy, or origin itself).
+borrow, or origin itself).
 
 Both instances share one :class:`ChecksumRegistry` ((fh, block) ->
 (crc32, length)), standing in for checksums that a real deployment

@@ -68,7 +68,7 @@ def standard_layers(block_cache=None, channel=None,
     checksum layer (a pre-built
     :class:`~repro.core.layers.checksum.ChecksumLayer`) sits *above*
     every cache, so a verify instance checks blocks however they got
-    here — local frame, cascade level, peer borrow, or demotion.
+    here — local frame, cascade level, or peer borrow.
     """
     layers: List[ProxyLayer] = [AttrPatchLayer(), ZeroMapLayer()]
     if checksum is not None:
@@ -353,8 +353,7 @@ class ProxyStack:
                 ratio = hits / (hits + misses) if hits + misses else 0.0
                 body = (f"requests={stack.front_stats.requests} "
                         f"hits={hits} misses={misses} "
-                        f"hit_ratio={ratio:.3f} "
-                        f"eviction={layer.block_cache.policy.name}")
+                        f"hit_ratio={ratio:.3f}")
             lines.append(f"  L{i} {stack.config.name:<20} {body}")
         return "\n".join(lines)
 

@@ -8,10 +8,7 @@ swap or harden it live.
 
 This is also the natural place to fault a single RPC procedure on the
 upstream hop — blackhole every READ, delay COMMITs — so the terminal
-opts into the per-proc fault port (``FAULT_PROCS``).  Note DEMOTE does
-not pass through the *sender's* terminal (demotion calls the upstream
-client directly); DEMOTE faults belong on the receiving block-cache
-layer instead.
+opts into the per-proc fault port (``FAULT_PROCS``).
 """
 
 from __future__ import annotations

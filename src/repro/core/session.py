@@ -335,9 +335,8 @@ class CascadeLevelSpec:
     """Declarative description of one cascade level for
     :func:`build_cascade`.
 
-    ``cache_config`` carries the level's block-cache geometry *and*
-    eviction policy (``ProxyCacheConfig.eviction``); ``link`` the
-    network of the hop toward the next level (``"lan"``/``"wan"``,
+    ``cache_config`` carries the level's block-cache geometry; ``link``
+    the network of the hop toward the next level (``"lan"``/``"wan"``,
     default inferred from the upstream host); ``host`` pins the level
     to an existing testbed host (default: the LAN image server for the
     origin-adjacent level, a freshly attached LAN host otherwise).
@@ -396,23 +395,6 @@ class ProxyCascade:
     def stats_snapshots(self) -> List[dict]:
         """Per-level counter snapshots, client-ward first."""
         return [level.proxy.stats_snapshot() for level in self.levels]
-
-    def arm_exclusive(self) -> int:
-        """Make the cascade exclusive: every level whose next level up
-        also caches demotes clean eviction victims upstream instead of
-        dropping them (see ``BlockCacheLayer.arm_demotion``).  The
-        origin-adjacent level stays inclusive — its upstream is the
-        server-side forwarding proxy, which has no cache to demote
-        into.  Client proxies arm themselves via
-        ``GvfsSession.build(..., exclusive=True)``.  Returns the number
-        of levels armed.
-        """
-        armed = 0
-        for level in self.levels:
-            layer = level.proxy.layer("block-cache")
-            if layer is not None and layer.arm_demotion():
-                armed += 1
-        return armed
 
 
 def build_cascade(testbed: Testbed, endpoint: ServerEndpoint,
@@ -550,7 +532,6 @@ class GvfsSession:
               via: Optional[Union[CascadeLevel, ProxyCascade]] = None,
               shared_block_cache: Optional[ProxyBlockCache] = None,
               peer_directory=None,
-              exclusive: bool = False,
               file_cache_capacity: Optional[int] = None,
               integrity=None,
               origin=None,
@@ -571,10 +552,7 @@ class GvfsSession:
         ``peer_directory`` (a :meth:`Testbed.peer_directory`) registers
         this session's block cache with the site's cooperative peer
         directory so LAN peers answer each other's misses before they
-        escalate over the WAN.  ``exclusive=True`` arms exclusive-
-        cascade demotion: the client proxy hands clean eviction victims
-        to its upstream cache level (a no-op when the upstream is the
-        cacheless server endpoint, so depth-1 behavior is unchanged).
+        escalate over the WAN.
 
         ``integrity`` (a ``ChecksumRegistry``, WAN_CACHED only) inserts
         a verify-mode checksum layer at the top of the client proxy;
@@ -689,8 +667,6 @@ class GvfsSession:
                 peer_member=peer_member, integrity=integrity,
                 origin_selector=(upstream if origin is not None else None),
                 channel_selector=channel_selector)
-            if exclusive:
-                client_proxy.layer("block-cache").arm_demotion()
             loop = LoopbackTransport(env)
             mount_rpc = RpcClient(env, client_proxy, loop, loop,
                                   name=f"s{n}.mount")

@@ -165,30 +165,6 @@ class VmSessionManager:
     def active_sessions(self) -> int:
         return sum(1 for s in self.sessions if not s.closed)
 
-    def start_adaptive_sizing(self, interval: float,
-                              rounds: Optional[int] = None,
-                              apply: bool = True, **planner_kwargs):
-        """Start PR 7's cascade-sizing planner on an engine timer.
-
-        Each tick re-plans every *live* session's cascade from a deep
-        stats snapshot and (unless ``apply=False``) enacts the verdicts
-        on the running stacks — the §3.2.2 middleware knowledge loop
-        running periodically *during* the workload rather than between
-        phases.  Returns the :class:`~repro.core.adaptive.PeriodicSizer`
-        (call ``.stop()`` at workload end, or bound it with ``rounds``,
-        so ``env.run()`` can drain).
-        """
-        from repro.core.adaptive import PeriodicSizer
-
-        def live_stacks():
-            return [s.gvfs.client_proxy for s in self.sessions
-                    if not s.closed and s.gvfs.client_proxy is not None]
-
-        sizer = PeriodicSizer(self.env, live_stacks, interval,
-                              rounds=rounds, apply=apply, **planner_kwargs)
-        sizer.start()
-        return sizer
-
     # ---------------------------------------------------------------- telemetry
     def session_telemetry(self, deep: bool = True) -> List[dict]:
         """Per-session proxy telemetry, one entry per session.

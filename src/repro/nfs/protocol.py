@@ -54,11 +54,6 @@ class NfsProc(enum.Enum):
     RENAME = 14
     READDIR = 16
     COMMIT = 21
-    #: GVFS extension (not in RFC 1813): a cache one cascade level down
-    #: hands a clean eviction victim to the next level up, carrying the
-    #: block bytes so the receiver caches them without re-reading origin.
-    #: Only proxies that advertise a block cache ever see this call.
-    DEMOTE = 22
 
 
 class NfsStatus(enum.Enum):
@@ -194,7 +189,7 @@ class NfsRequest:
         n = d.get("_wire_size")
         if n is None:
             n = RPC_OVERHEAD_BYTES
-            if d["proc"] is NfsProc.WRITE or d["proc"] is NfsProc.DEMOTE:
+            if d["proc"] is NfsProc.WRITE:
                 n += len(d["data"])
             for s in (d["name"], d["target"], d["to_name"]):
                 if s:

@@ -26,8 +26,6 @@ Vocabulary (params in braces):
 ``peer_hit_min {min_hits[, min_ratio]}``
     Cooperative peer caches served at least ``min_hits`` blocks
     (and optionally at least ``min_ratio`` of lookups).
-``demotions_min {min}``
-    Exclusive cascades demoted at least ``min`` victims downstream.
 ``golden_signature {signature}``
     The run's timing signature (phase makespans + final clock) equals a
     pinned golden value.
@@ -125,15 +123,6 @@ def _peer_hit_min(metrics: dict, params: dict) -> Tuple[bool, str]:
     return ok, detail
 
 
-def _demotions_min(metrics: dict, params: dict) -> Tuple[bool, str]:
-    stats = metrics.get("demotion_stats")
-    if not stats:
-        return False, "run recorded no demotion stats"
-    out = int(stats.get("demotions_out", 0))
-    floor = int(params.get("min", 1))
-    return out >= floor, f"{out} demotion(s) vs floor {floor}"
-
-
 def _golden_signature(metrics: dict, params: dict) -> Tuple[bool, str]:
     want = params["signature"]
     got = metrics.get("sim_signature")
@@ -166,7 +155,6 @@ GATES = {
     "throughput_floor": _throughput_floor,
     "wan_bytes_ceiling": _wan_bytes_ceiling,
     "peer_hit_min": _peer_hit_min,
-    "demotions_min": _demotions_min,
     "golden_signature": _golden_signature,
     "downtime_ceiling": _downtime_ceiling,
     "check_report": _check_report,

@@ -167,12 +167,8 @@ def _run_fleet_once(spec: ScenarioSpec) -> Dict:
     sessions = [GvfsSession.build(
         testbed, Scenario.WAN_CACHED, endpoint=endpoint,
         compute_index=i, cache_config=client_cfg, via=cascade,
-        peer_directory=directory,
-        exclusive=(spec.sessions.mode == "exclusive"),
-        proxy_config=proxy_cfg)
+        peer_directory=directory, proxy_config=proxy_cfg)
         for i in range(n)]
-    if spec.sessions.mode == "exclusive":
-        cascade.arm_exclusive()
 
     monitors = [VmMonitor(env, testbed.compute[i]) for i in range(n)]
     managers = [CloneManager(env, monitors[i], sessions[i].mount,
@@ -388,7 +384,6 @@ def _run_fleet_once(spec: ScenarioSpec) -> Dict:
         + [round(env.now, 9)],
     }
     metrics.update(_peer_metrics(sessions))
-    metrics["demotion_stats"] = _demotion_metrics(sessions, cascade)
     if injector is not None:
         metrics["fault_timeline"] = [list(entry)
                                      for entry in injector.timeline]
@@ -431,19 +426,6 @@ def _peer_metrics(sessions) -> Dict:
                                if served else 0.0)}
 
 
-def _demotion_metrics(sessions, cascade) -> Dict:
-    totals = {"demotions_out": 0, "demotions_in": 0, "demotion_drops": 0}
-    stacks = ([s.client_proxy for s in sessions]
-              + [lvl.proxy for lvl in cascade.levels])
-    for stack in stacks:
-        layer = stack.layer("block-cache")
-        if layer is None:
-            continue
-        for key in totals:
-            totals[key] += getattr(layer.stats, key)
-    return totals
-
-
 # --------------------------------------------------------------------------
 # Bench adapters
 # --------------------------------------------------------------------------
@@ -478,8 +460,6 @@ def _parse_farm_cells(cells) -> List[Tuple[int, bool]]:
 _BENCH_DRIVERS = {
     "faultbench": ("run_faultbench", ()),
     "chaosbench": ("run_chaosbench", ()),
-    "cascadebench": ("run_cascadebench", ()),
-    "coopbench": ("run_coopbench", ()),
     "farmbench": ("run_farmbench", ("baseline",)),
 }
 

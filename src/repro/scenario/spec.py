@@ -18,8 +18,8 @@ Two scenario kinds share the envelope:
     sessions + phases + faults, gated by the named assertions in
     :mod:`repro.scenario.gates`.
 ``bench``
-    A legacy ``*bench`` driver (faultbench, coopbench, …) run through
-    the same report envelope; ``bench.driver`` names it and
+    A legacy ``*bench`` driver (faultbench, chaosbench, farmbench) run
+    through the same report envelope; ``bench.driver`` names it and
     ``bench.params`` forwards keyword arguments.
 
 Every spec may carry a ``quick`` section: a partial document deep-merged
@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.core.config import ProxyCacheConfig, ProxyConfig
+from repro.sim.faults import LAYER_KINDS
 
 __all__ = [
     "ArrivalSpec",
@@ -52,7 +53,7 @@ __all__ = [
 ]
 
 SCENARIO_KINDS = ("fleet", "bench")
-SESSION_MODES = ("inclusive", "exclusive", "cooperative")
+SESSION_MODES = ("inclusive", "cooperative")
 ARRIVAL_KINDS = ("fixed", "uniform", "poisson", "diurnal")
 MB = 1024 * 1024
 PHASE_KINDS = ("clone_storm", "trace_load", "restart_clients", "rollout",
@@ -62,10 +63,27 @@ FAULT_KINDS = ("link_flap", "server_outage", "server_crash",
 
 #: Phase kinds that boot VMs other phases can replay traces on.
 _VM_SOURCES = ("clone_storm", "rollout")
+#: ``FaultSpec.fault`` values (``kind: layer``).
+_LAYER_FAULTS = sorted(kind.value for kind in LAYER_KINDS)
+#: Layer roles of every caching proxy the runner builds (``kind: layer``
+#: targets are ``<stack>/<role>``); cooperative client proxies add
+#: ``peer-cache``.
+_STACK_ROLES = ("attr-patch", "metadata", "file-channel", "block-cache",
+                "readahead", "fault-guard", "upstream-rpc")
+#: Which of ``ScenarioSpec.fault_targets`` each fault kind strikes.
+_TARGET_FAMILY = {"link_flap": "link", "seeded_flaps": "link",
+                  "server_outage": "server", "server_crash": "server",
+                  "proxy_restart": "proxy", "layer": "layer"}
 
 
 class SpecError(ValueError):
     """A scenario document failed to parse or validate."""
+
+
+def _abbreviated(names: List[str], keep: int = 6) -> str:
+    if len(names) <= keep:
+        return str(names)
+    return f"{names[:keep]} … ({len(names)} in all)"
 
 
 # --------------------------------------------------------------------------
@@ -192,8 +210,9 @@ class TopologySpec:
 class SessionSpec:
     """Per-peer session + cascade construction knobs."""
 
-    mode: str = "inclusive"             # inclusive | exclusive | cooperative
+    mode: str = "inclusive"             # inclusive | cooperative
     depth: int = 1                      # cascade depth incl. client proxy
+    #: A validated constant: older specs spell ``eviction: lru``.
     eviction: str = "lru"
     client_cache_mb: int = 16
     #: Intermediate-level cache sizes, client-ward first; when shorter
@@ -209,11 +228,34 @@ class SessionSpec:
     @classmethod
     def from_dict(cls, data, where: str = "sessions") -> "SessionSpec":
         spec = _build(cls, data, where)
+        if spec.mode == "exclusive":
+            raise SpecError(
+                f"{where}.mode: 'exclusive' was removed in PR 23 (DEMOTE "
+                f"cascades cost fleet_rollout +1.5 % / +1.2 % makespan at "
+                f"seeds 42 / 7 for no WAN bytes saved; the level above "
+                f"dropped 93 % of the demoted blocks); choose from "
+                f"{list(SESSION_MODES)}")
         if spec.mode not in SESSION_MODES:
-            raise SpecError(f"{where}: mode must be one of "
+            raise SpecError(f"{where}.mode: must be one of "
                             f"{list(SESSION_MODES)}, got {spec.mode!r}")
+        if spec.eviction in ("lfu", "2q"):
+            raise SpecError(
+                f"{where}.eviction: {spec.eviction!r} was removed in PR 23 "
+                f"(on fleet_rollout at seeds 42 / 7 lfu cost +2.1 % / "
+                f"+2.1 % makespan and 2q moved it by under 0.2 %, WAN "
+                f"bytes within 0.3 % for both); 'lru' is the only in-set "
+                f"policy")
+        if spec.eviction != "lru":
+            raise SpecError(f"{where}.eviction: must be 'lru', got "
+                            f"{spec.eviction!r}")
         if spec.depth < 1:
             raise SpecError(f"{where}: depth must be >= 1")
+        if len(spec.level_cache_mb) > spec.depth - 1:
+            raise SpecError(
+                f"{where}.level_cache_mb: lists "
+                f"{len(spec.level_cache_mb)} sizes but depth {spec.depth} "
+                f"has {spec.depth - 1} intermediate level(s); the extra "
+                f"would be ignored")
         if spec.client_cache_mb < 1:
             raise SpecError(f"{where}: client_cache_mb must be >= 1")
         if spec.harden is not None:
@@ -230,7 +272,6 @@ class SessionSpec:
         # a value the config classes refuse is a load error naming its
         # key, not a ValueError halfway into a run.
         for key, build in (("readahead_depth", spec.proxy_config),
-                           ("eviction", spec.client_cache_config),
                            ("level_cache_mb", spec.level_cache_configs)):
             try:
                 build()
@@ -245,8 +286,7 @@ class SessionSpec:
 
     def client_cache_config(self) -> ProxyCacheConfig:
         return ProxyCacheConfig(capacity_bytes=self.client_cache_mb * MB,
-                                n_banks=8, associativity=4,
-                                eviction=self.eviction)
+                                n_banks=8, associativity=4)
 
     def level_cache_configs(self) -> List[ProxyCacheConfig]:
         """Intermediate-level cache geometries, client-ward first."""
@@ -255,7 +295,7 @@ class SessionSpec:
         while len(sizes) < self.depth - 1:  # last entry repeats origin-ward
             sizes.append(sizes[-1])
         return [ProxyCacheConfig(capacity_bytes=mb * MB, n_banks=16,
-                                 associativity=4, eviction=self.eviction)
+                                 associativity=4)
                 for mb in sizes[:self.depth - 1]]
 
     def to_dict(self) -> dict:
@@ -384,9 +424,9 @@ class FaultSpec:
             raise SpecError(f"{where}: {spec.kind} needs down_for > 0")
         if spec.kind == "seeded_flaps" and spec.horizon <= 0:
             raise SpecError(f"{where}: seeded_flaps needs horizon > 0")
-        if spec.kind == "layer" and not spec.fault:
-            raise SpecError(f"{where}: layer faults need 'fault' (a "
-                            "FaultKind value, e.g. corrupt-frame)")
+        if spec.kind == "layer" and spec.fault not in _LAYER_FAULTS:
+            raise SpecError(f"{where}.fault: layer faults need one of "
+                            f"{_LAYER_FAULTS}, got {spec.fault!r}")
         return spec
 
     def to_dict(self) -> dict:
@@ -518,10 +558,33 @@ class ScenarioSpec:
                                 "clone_storm or rollout to boot VMs")
             if phase.kind in _VM_SOURCES:
                 booted = True
-        if self.sessions.depth < 2 and any(
-                f.target.startswith("level:") for f in self.faults):
-            raise SpecError(f"{where}: level:<k> fault targets need "
-                            "depth >= 2")
+        targets = self.fault_targets() if self.faults else {}
+        for i, fault in enumerate(self.faults):
+            allowed = targets[_TARGET_FAMILY[fault.kind]]
+            if fault.target not in allowed:
+                raise SpecError(
+                    f"{where}.faults[{i}].target: {fault.kind} cannot "
+                    f"strike {fault.target!r}; with {self.topology.peers} "
+                    f"peer(s) at depth {self.sessions.depth} it takes one "
+                    f"of {_abbreviated(allowed)}")
+
+    def fault_targets(self) -> dict:
+        """The names the fleet runner attaches to its fault injector,
+        by what can strike them: ``link`` (flaps), ``server`` (outage,
+        crash), ``proxy`` (restart) and ``layer`` (``<stack>/<role>``
+        fault ports)."""
+        peers = range(self.topology.peers)
+        levels = range(2, self.sessions.depth + 1)
+        client_roles = _STACK_ROLES + (
+            ("peer-cache",) if self.sessions.mode == "cooperative" else ())
+        return {
+            "link": ["wan"],
+            "server": ["origin"],
+            "proxy": [f"client:{i}" for i in peers]
+            + [f"level:{k}" for k in levels],
+            "layer": [f"s{i}/{role}" for i in peers for role in client_roles]
+            + [f"l{k}/{role}" for k in levels for role in _STACK_ROLES],
+        }
 
     # -- normalization -----------------------------------------------------
     def to_dict(self) -> dict:

@@ -269,9 +269,8 @@ def test_insert_many_orders_bank_writes_by_bank_file_not_by_address():
     blank = sorted((Inode.__new__(Inode) for _ in range(2)), key=id)
     for fileid, inode, block in zip((901, 900), blank, (7, 8)):
         inode.__init__(fileid, "file", lambda: env.now)
-        n = cache.config.frames_per_bank
         cache._banks[cache._index((fh, block))[0]] = _Bank(
-            inode, n, cache.policy.new_bank(n))
+            inode, cache.config.frames_per_bank)
     assert blank[0].fileid > blank[1].fileid and id(blank[0]) < id(blank[1])
     order = []
     orig = cache.storage.timed_write_inode

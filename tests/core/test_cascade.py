@@ -14,7 +14,6 @@ from repro.core.layers import (
     format_cascade_reports,
 )
 from repro.core.session import (
-    CascadeLevelSpec,
     GvfsSession,
     Scenario,
     ServerEndpoint,
@@ -115,9 +114,9 @@ def test_deep_reset_covers_every_level():
     run(testbed, read_block(session, 0)(testbed.env))
     assert endpoint.proxy.front_stats.requests > 0
     session.client_proxy.reset(deep=True)
-    # Gauges survive a stats reset: capacity is geometry, occupancy and
-    # the bypass flag describe live state, not accumulated traffic.
-    gauges = {"capacity_frames", "cached_blocks", "bypassed"}
+    # Gauges survive a stats reset: capacity is geometry, occupancy
+    # describes live state, not accumulated traffic.
+    gauges = {"capacity_frames", "cached_blocks"}
     for stack in session.client_proxy.cascade_stacks():
         assert stack.front_stats.requests == 0
         snap = stack.stats_snapshot()
@@ -159,7 +158,7 @@ def test_cascade_report_covers_every_level():
     assert report.count("cascade from") == 1
     for line in ("L1 ", "L2 ", "L3 ", "L4 "):
         assert line in report
-    assert "eviction=lru" in report
+    assert "hit_ratio=" in report
 
 
 def test_cascade_reset_and_snapshots_api():
@@ -169,23 +168,10 @@ def test_cascade_reset_and_snapshots_api():
     assert cascade.top is cascade.levels[0]
     assert len(cascade.stats_snapshots()) == 2
     cascade.reset()
-    gauges = {"capacity_frames", "cached_blocks", "bypassed"}
+    gauges = {"capacity_frames", "cached_blocks"}
     assert all(v == 0 for snap in cascade.stats_snapshots()
                for counters in snap.values()
                for key, v in counters.items() if key not in gauges)
-
-
-def test_per_level_eviction_policies():
-    testbed = Testbed(Environment(), n_compute=1)
-    endpoint = ServerEndpoint(testbed.env, testbed.wan_server)
-    from dataclasses import replace
-    cascade = build_cascade(
-        testbed, endpoint,
-        [CascadeLevelSpec(cache_config=replace(SMALL_CACHE, eviction="2q")),
-         CascadeLevelSpec(cache_config=replace(SMALL_CACHE,
-                                               eviction="lfu"))])
-    assert [level.block_cache.policy.name for level in cascade.levels] \
-        == ["2q", "lfu"]
 
 
 def test_cascade_levels_get_their_own_hosts():

@@ -1,11 +1,9 @@
 """End-to-end block integrity: the checksum registry, the verify layer
 at the top of the client stack, and repair-by-refetch — including
-corruption that travels sideways through peer borrowing or upward
-through exclusive-cascade demotion."""
+corruption that travels sideways through peer borrowing."""
 
 from types import SimpleNamespace
 
-from repro.core.config import ProxyCacheConfig
 from repro.core.layers import ChecksumRegistry
 from repro.core.session import (
     GvfsSession,
@@ -22,14 +20,9 @@ from tests.core.harness import NO_READAHEAD, SMALL_CACHE
 BS = 8192
 PATH = "/images/golden/disk.vmdk"
 
-#: One set of two frames, as in the coop tests: every third distinct
-#: block forces an eviction (and, when armed, a demotion).
-TINY_CACHE = ProxyCacheConfig(capacity_bytes=2 * BS, n_banks=1,
-                              associativity=2, block_size=BS)
-
 
 def make_rig(levels=(), client_cache=SMALL_CACHE, n_compute=1,
-             exclusive=False, peers=False, integrity=True,
+             peers=False, integrity=True,
              proxy_config=NO_READAHEAD):
     testbed = Testbed(Environment(), n_compute=n_compute)
     registry = ChecksumRegistry() if integrity else None
@@ -46,7 +39,7 @@ def make_rig(levels=(), client_cache=SMALL_CACHE, n_compute=1,
                                   endpoint=endpoint, compute_index=i,
                                   cache_config=client_cache, metadata=False,
                                   via=cascade, peer_directory=directory,
-                                  exclusive=exclusive, integrity=registry,
+                                  integrity=registry,
                                   proxy_config=proxy_config)
                 for i in range(n_compute)]
     return SimpleNamespace(testbed=testbed, env=testbed.env,
@@ -146,36 +139,6 @@ def test_corrupt_client_frame_is_caught_and_repaired():
     assert chk.corruptions_repaired == 1
     assert chk.verify_unrepaired == 0
     assert proxy.layer("block-cache").stats.frames_corrupted == 1
-
-
-def test_corruption_travelling_via_demotion_is_caught():
-    """A corrupt frame demoted into the next level up is served back as
-    a perfectly ordinary L2 hit — only the client-top verify instance
-    stands between it and the reader."""
-    rig = make_rig(levels=[TINY_CACHE], client_cache=TINY_CACHE,
-                   exclusive=True)
-    client = rig.session.client_proxy
-    l2 = rig.cascade.levels[0].proxy
-    fh = fh_for(rig)
-    golden = rig.image.disk_inode.data.read(0, BS)
-
-    def job(env):
-        for b in (0, 1):                          # client and L2 hold {0, 1}
-            assert (yield from read(client, fh, b)).ok
-        client.layer("block-cache").block_cache.corrupt_frame((fh, 0))
-        # Reading block 2 evicts block 0 from both two-frame caches —
-        # L2 first (demand fill), then the client, whose armed demotion
-        # hands the *garbled* copy up into the now-vacant L2 frame.
-        assert (yield from read(client, fh, 2)).ok
-        return (yield from read(client, fh, 0))
-
-    reply, _ = run(rig, job(rig.env))
-    assert reply.ok and reply.data == golden
-    assert client.layer("block-cache").stats.demotions_out >= 1
-    assert l2.layer("block-cache").stats.demotions_in >= 1
-    chk = client.layer("checksum").stats
-    assert chk.corruptions_caught == 1
-    assert chk.corruptions_repaired == 1
 
 
 def test_corruption_borrowed_from_a_peer_is_caught():

@@ -1,9 +1,10 @@
-"""Cooperative peer caching and exclusive-cascade demotion.
+"""Cooperative peer caching, and eviction under a cascade.
 
-Covers the behavioural guarantees the coopbench gates rely on: a clean
-eviction victim demotes exactly one hop (and only once), dirty victims
-always write back instead, demotion schedules are deterministic, and a
-peer-cache hit returns bytes identical to an origin read.
+Covers the behavioural guarantees the ``coop_smoke`` gates rely on: a
+peer-cache hit returns bytes identical to an origin read, directory
+state tracks the caches through eviction and crashes, concurrent misses
+coalesce on one WAN fetch — and a dirty eviction victim is written
+back, never dropped.
 """
 
 from repro.core.config import ProxyCacheConfig
@@ -15,8 +16,6 @@ from repro.core.session import (
 )
 from repro.net.topology import Testbed
 from repro.sim import Environment
-from repro.sim.chaos import attach_stack, layer_outage
-from repro.sim.faults import FaultInjector, FaultKind
 from repro.vm.image import VmConfig, VmImage
 from tests.core.harness import NO_READAHEAD, SMALL_CACHE
 
@@ -27,7 +26,7 @@ TINY_CACHE = ProxyCacheConfig(capacity_bytes=2 * BS, n_banks=1,
                               associativity=2, block_size=BS)
 
 
-def make_demote_rig(seed=11, proxy_config=NO_READAHEAD):
+def make_cascade_rig(seed=11, proxy_config=NO_READAHEAD):
     testbed = Testbed(Environment(), n_compute=1)
     endpoint = ServerEndpoint(testbed.env, testbed.wan_server)
     image = VmImage.create(endpoint.export.fs, "/images/golden",
@@ -78,75 +77,11 @@ def read_block(session, block):
     return gen
 
 
-def read_blocks(session, blocks):
-    def gen(env):
-        f = yield env.process(session.mount.open("/images/golden/disk.vmdk"))
-        out = []
-        for block in blocks:
-            out.append((yield env.process(f.read(block * BS, BS))))
-        return f.fh, out
-    return gen
+# -- eviction under a cascade ----------------------------------------------
 
-
-def level_restart(testbed, level):
-    def gen(env):
-        yield env.process(level.proxy.quiesce())
-        level.proxy.invalidate_caches()
-    run(testbed, gen(testbed.env))
-
-
-# -- exclusive demotion -----------------------------------------------------
-
-def test_clean_eviction_demotes_exactly_once():
-    """A clean victim travels exactly one hop up — the next level
-    absorbs it without re-reading origin, and serves it back later."""
-    testbed, endpoint, image, cascade, session = make_demote_rig()
+def test_dirty_victim_writes_back():
+    testbed, endpoint, image, cascade, session = make_cascade_rig()
     client = session.client_proxy.layer("block-cache")
-    assert client.arm_demotion()
-    l2 = cascade.levels[0]
-    l2_layer = l2.proxy.layer("block-cache")
-
-    box = run(testbed, read_blocks(session, [0, 1])(testbed.env))
-    fh = box["value"][0]
-    # Empty the next level so the demote is the only way block 0's
-    # bytes can get back there.
-    level_restart(testbed, l2)
-    assert (fh, 0) not in l2.block_cache
-
-    run(testbed, read_blocks(session, [2])(testbed.env))
-    assert client.stats.demotions_out == 1       # exactly one DEMOTE out
-    assert l2_layer.stats.demotions_in == 1      # absorbed exactly once
-    assert (fh, 0) in l2.block_cache             # the key landed in L2
-
-    # The demoted copy now serves a refetch with no origin READ.  Drop
-    # only the kernel client's page cache so the demand read reaches
-    # the proxy tiers.
-    session.mount.drop_caches()
-    origin_reads = l2.proxy.upstream.stats.by_proc.get("READ", 0)
-    hits_before = l2.proxy.layer("block-cache").stats.block_cache_hits
-    run(testbed, read_blocks(session, [0])(testbed.env))
-    assert l2.proxy.layer("block-cache").stats.block_cache_hits == hits_before + 1
-    assert l2.proxy.upstream.stats.by_proc.get("READ", 0) == origin_reads
-
-
-def test_resident_upstream_copy_drops_duplicate_demote():
-    """Inclusive fill already placed the victim upstream: the demote is
-    refused (never double-inserted), counted as a drop."""
-    testbed, endpoint, image, cascade, session = make_demote_rig()
-    client = session.client_proxy.layer("block-cache")
-    assert client.arm_demotion()
-    l2_layer = cascade.levels[0].proxy.layer("block-cache")
-
-    run(testbed, read_blocks(session, [0, 1, 2])(testbed.env))
-    assert client.stats.demotions_out == 1
-    assert l2_layer.stats.demotions_in == 0
-    assert l2_layer.stats.demotion_drops == 1
-
-
-def test_dirty_victim_writes_back_never_demotes():
-    testbed, endpoint, image, cascade, session = make_demote_rig()
-    client = session.client_proxy.layer("block-cache")
-    assert client.arm_demotion()
 
     payload = b"D" * BS
 
@@ -155,11 +90,9 @@ def test_dirty_victim_writes_back_never_demotes():
         yield env.process(f.write_sync(0, payload))    # block 0 dirty
         yield env.process(f.read(1 * BS, BS))
         yield env.process(f.read(2 * BS, BS))          # evicts dirty block 0
-        return f.fh
 
-    box = run(testbed, dirty_then_evict(testbed.env))
-    assert client.stats.demotions_out == 0
-    assert client.stats.demotion_drops == 0
+    run(testbed, dirty_then_evict(testbed.env))
+    assert client.stats.writebacks == 1
 
     # The modification survived the eviction (write-back, not a drop).
     def reread(env):
@@ -168,55 +101,6 @@ def test_dirty_victim_writes_back_never_demotes():
         return (yield env.process(f.read(0, BS)))
 
     assert run(testbed, reread(testbed.env))["value"] == payload
-
-
-def test_unarmed_client_never_emits_demotes():
-    testbed, endpoint, image, cascade, session = make_demote_rig()
-    client = session.client_proxy.layer("block-cache")
-    run(testbed, read_blocks(session, [0, 1, 2, 3])(testbed.env))
-    assert client.stats.demotions_out == 0
-    assert cascade.levels[0].proxy.layer(
-        "block-cache").stats.demotions_in == 0
-
-
-def test_arm_demotion_refused_without_writable_upstream_cache():
-    """The top session proxy talks straight to the origin: no DEMOTE."""
-    testbed = Testbed(Environment(), n_compute=1)
-    endpoint = ServerEndpoint(testbed.env, testbed.wan_server)
-    VmImage.create(endpoint.export.fs, "/images/golden",
-                   VmConfig(name="golden", memory_mb=2, disk_gb=0.01, seed=3))
-    session = GvfsSession.build(testbed, Scenario.WAN_CACHED,
-                                endpoint=endpoint, cache_config=TINY_CACHE,
-                                metadata=False)
-    assert session.client_proxy.layer("block-cache").arm_demotion() is False
-
-
-# -- demotion determinism ---------------------------------------------------
-
-def _demote_world(seed):
-    """One demotion scenario in a private world."""
-    testbed, endpoint, image, cascade, session = make_demote_rig(seed)
-    client = session.client_proxy.layer("block-cache")
-    client.arm_demotion()
-    run(testbed, read_blocks(session, [0, 1, 2, 3])(testbed.env))
-    session.mount.drop_caches()
-    level_box = run(testbed, read_blocks(session, [0, 1])(testbed.env))
-    l2_layer = cascade.levels[0].proxy.layer("block-cache")
-    return (client.stats.demotions_out, l2_layer.stats.demotions_in,
-            l2_layer.stats.demotion_drops, testbed.env.now,
-            [d[:16] for d in level_box["value"][1]])
-
-
-def test_demotion_schedule_is_deterministic():
-    """The same demotion worlds produce bit-identical schedules on
-    every run."""
-    seeds = [31, 37, 41]
-    first = [_demote_world(seed) for seed in seeds]
-    assert [_demote_world(seed) for seed in seeds] == first
-    for demotions_out, demotions_in, drops, now, _ in first:
-        assert demotions_out >= 1
-        assert demotions_in + drops == demotions_out
-        assert now > 0
 
 
 # -- cooperative peer caching -----------------------------------------------
@@ -305,7 +189,7 @@ def test_concurrent_misses_coalesce_on_the_designated_fetcher():
     assert total_upstream == 1                   # one WAN fetch, not two
 
 
-# -- crash retirement and bounded demotion ----------------------------------
+# -- crash retirement -------------------------------------------------------
 
 def test_proxy_crash_retires_peer_advertisements():
     """A crashed proxy's blocks must vanish from the directory at crash
@@ -362,44 +246,3 @@ def test_crashed_fetcher_releases_pending_waiters():
     assert result["waited"] < directory.PENDING_TIMEOUT
     assert directory.retirements == 1
     assert directory.pending_timeouts == 0        # released, not timed out
-
-
-def test_blackholed_demote_is_abandoned_at_the_deadline():
-    """An in-flight DEMOTE swallowed by a dead next level is abandoned
-    at the bounded send deadline — counted, and never wedging the
-    eviction (or the read) that triggered it.  Replays identically."""
-    def world():
-        testbed, endpoint, image, cascade, session = make_demote_rig()
-        client = session.client_proxy.layer("block-cache")
-        assert client.arm_demotion()
-        l2 = cascade.levels[0]
-        injector = FaultInjector(testbed.env)
-        attach_stack(injector, "l2", l2.proxy)
-        injector.schedule(layer_outage(
-            FaultKind.BLACKHOLE_PROC, "l2/block-cache",
-            at=0.0, down_for=100.0, arg="DEMOTE"))
-        golden = image.disk_inode.data.read(2 * BS, BS)
-
-        def job(env):
-            f = yield env.process(session.mount.open(
-                "/images/golden/disk.vmdk"))
-            for b in (0, 1):
-                yield env.process(f.read(b * BS, BS))
-            yield env.process(l2.proxy.quiesce())
-            l2.proxy.invalidate_caches()
-            start = env.now
-            data = yield env.process(f.read(2 * BS, BS))  # evicts block 0
-            return start, env.now, data
-
-        box = run(testbed, job(testbed.env))
-        start, end, data = box["value"]
-        assert data == golden             # the triggering read completed
-        assert end - start < client.DEMOTE_DEADLINE + 1.0
-        assert client.stats.demotion_timeouts == 1
-        assert client.stats.demotions_out == 0
-        l2_layer = l2.proxy.layer("block-cache")
-        assert l2_layer.stats.procs_blackholed == 1
-        assert l2_layer.stats.demotions_in == 0
-        return injector.timeline, end - start
-
-    assert world() == world()             # fault replay is deterministic

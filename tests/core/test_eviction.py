@@ -1,14 +1,11 @@
-"""Eviction-policy strategy tests: deterministic victim-selection
-behaviour per policy, plus hypothesis properties (capacity invariants
-for every policy; LRU reproduces the historical inline victim choices
-bit-identically against a reference model)."""
+"""In-set eviction tests: deterministic LRU victim selection, plus
+hypothesis properties (capacity invariants; every eviction matches a
+per-set recency-ordered reference model)."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.blockcache import ProxyBlockCache
 from repro.core.config import ProxyCacheConfig
-from repro.core.eviction import POLICIES, LruInSet, make_policy
 from repro.nfs.protocol import FileHandle
 from repro.sim import Environment
 from repro.storage.localfs import LocalFileSystem
@@ -28,11 +25,10 @@ def run(env, gen):
     return box["value"]
 
 
-def one_set_cache(env, eviction, associativity=2):
+def one_set_cache(env, associativity=2):
     """A cache with exactly one set, so every block contends."""
     config = ProxyCacheConfig(capacity_bytes=associativity * BS, n_banks=1,
-                              associativity=associativity, block_size=BS,
-                              eviction=eviction)
+                              associativity=associativity, block_size=BS)
     return ProxyBlockCache(env, LocalFileSystem(env), config)
 
 
@@ -48,79 +44,16 @@ def cached(cache):
     return {block for (_, block) in cache._where}
 
 
-# -- policy registry -------------------------------------------------------
-
-def test_policy_registry_and_validation():
-    assert sorted(POLICIES) == ["2q", "lfu", "lru"]
-    assert isinstance(make_policy("lru"), LruInSet)
-    with pytest.raises(ValueError):
-        make_policy("clock")
-    with pytest.raises(ValueError):
-        ProxyCacheConfig(eviction="clock")
-
-
-def test_config_carries_policy_into_the_cache():
-    env = Environment()
-    for name in POLICIES:
-        assert one_set_cache(env, name).policy.name == name
-
-
 # -- deterministic victim selection ----------------------------------------
 
 def test_lru_evicts_least_recently_touched():
     env = Environment()
-    cache = one_set_cache(env, "lru")
+    cache = one_set_cache(env)
     insert(env, cache, 0)
     insert(env, cache, 1)
     assert lookup(env, cache, 0) is not None   # touch 0; 1 is now LRU
     insert(env, cache, 2)
     assert cached(cache) == {0, 2}
-
-
-def test_lfu_retains_the_frequently_hit_block():
-    env = Environment()
-    cache = one_set_cache(env, "lfu")
-    insert(env, cache, 0)
-    for _ in range(3):
-        assert lookup(env, cache, 0) is not None
-    insert(env, cache, 1)
-    insert(env, cache, 2)                       # victim: 1 (count 1) not 0
-    assert cached(cache) == {0, 2}
-    # Under pure LRU the same sequence evicts block 0 (oldest touch
-    # is irrelevant to LFU but decisive for LRU with 1 touched last).
-    env = Environment()
-    cache = one_set_cache(env, "lru")
-    insert(env, cache, 0)
-    for _ in range(3):
-        lookup(env, cache, 0)
-    insert(env, cache, 1)
-    insert(env, cache, 2)                       # victim: 0 (LRU) not 1
-    assert cached(cache) == {1, 2}
-
-
-def test_2q_scan_does_not_displace_the_protected_set():
-    env = Environment()
-    cache = one_set_cache(env, "2q", associativity=4)
-    insert(env, cache, 0)
-    insert(env, cache, 1)
-    assert lookup(env, cache, 0) is not None    # promote 0 and 1
-    assert lookup(env, cache, 1) is not None
-    insert(env, cache, 2)                       # one-shot scan blocks,
-    insert(env, cache, 3)                       # probationary
-    insert(env, cache, 4)                       # victim: probationary 2
-    assert {0, 1} <= cached(cache)
-    assert 2 not in cached(cache)
-
-
-def test_2q_falls_back_to_lru_when_all_protected():
-    env = Environment()
-    cache = one_set_cache(env, "2q")
-    insert(env, cache, 0)
-    insert(env, cache, 1)
-    lookup(env, cache, 0)
-    lookup(env, cache, 1)                       # both protected
-    insert(env, cache, 2)                       # LRU among protected: 0
-    assert cached(cache) == {1, 2}
 
 
 # -- hypothesis properties -------------------------------------------------
@@ -132,16 +65,14 @@ ops = st.lists(
     min_size=1, max_size=60)
 
 
-@pytest.mark.parametrize("eviction", sorted(POLICIES))
 @given(ops=ops)
 @settings(max_examples=25, deadline=None)
-def test_capacity_invariants_hold_for_every_policy(eviction, ops):
-    """No policy overfills the cache or a set, loses track of a frame,
-    or returns foreign data."""
+def test_capacity_invariants_hold(ops):
+    """The cache never overfills itself or a set, loses track of a
+    frame, or returns foreign data."""
     env = Environment()
     config = ProxyCacheConfig(capacity_bytes=16 * BS, n_banks=2,
-                              associativity=2, block_size=BS,
-                              eviction=eviction)
+                              associativity=2, block_size=BS)
     cache = ProxyBlockCache(env, LocalFileSystem(env), config)
     model = {}
     for op, file_index, block in ops:
@@ -166,15 +97,13 @@ def test_capacity_invariants_hold_for_every_policy(eviction, ops):
 @given(ops=ops)
 @settings(max_examples=40, deadline=None)
 def test_lru_victims_match_the_reference_model(ops):
-    """The extracted LruInSet policy reproduces the historical inline
-    ``min(range(base, base + a), key=lru.__getitem__)`` victim choices
-    bit-identically: a per-set recency-ordered reference model predicts
-    every eviction."""
+    """The inline ``min(range(base, base + a), key=lru.__getitem__)``
+    victim choice is least-recent-touch within the set: a per-set
+    recency-ordered reference model predicts every eviction."""
     env = Environment()
     a = 2
     config = ProxyCacheConfig(capacity_bytes=8 * BS, n_banks=2,
-                              associativity=a, block_size=BS,
-                              eviction="lru")
+                              associativity=a, block_size=BS)
     cache = ProxyBlockCache(env, LocalFileSystem(env), config)
     sets = {}        # (bank, set) -> [keys, least-recent first]
     for op, file_index, block in ops:

@@ -16,7 +16,7 @@ from repro.experiments.chaosbench import (
 def test_quick_sweep_holds_every_guarantee():
     report = run_chaosbench(quick=True)
     assert check_report(report) == []
-    assert report["n_cells"] >= 24
+    assert report["n_cells"] == 20
     for cell in report["cells"].values():
         assert cell["corrupted_bytes_served"] == 0
         assert cell["lost_writes"] == 0
@@ -36,7 +36,7 @@ def test_cell_matrix_is_seeded_and_deterministic():
     a = _cells(quick=True, seed=17)
     b = _cells(quick=True, seed=17)
     assert a == b
-    assert len(a) >= 24
+    assert len(a) == 20
     assert len({c["name"] for c in a}) == len(a)      # names are unique
     workloads = {c["workload"] for c in a}
     assert workloads == {"cold_read", "warm_peer", "warm_l2", "upload"}

@@ -50,7 +50,7 @@ class NfsRequest:
         n = self.__dict__.get("_wire_size")
         if n is None:
             n = RPC_OVERHEAD_BYTES
-            if self.proc is NfsProc.WRITE or self.proc is NfsProc.DEMOTE:
+            if self.proc is NfsProc.WRITE:
                 n += len(self.data)
             for s in (self.name, self.target, self.to_name):
                 if s:

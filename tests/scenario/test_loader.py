@@ -96,10 +96,16 @@ def test_harden_keys_checked_at_load(tmp_path):
 @pytest.mark.parametrize("sessions, message", [
     ({"readahead_depth": -1},
      "sessions.readahead_depth: readahead_depth must be >= 0"),
-    ({"eviction": "mru"},
-     "sessions.eviction: unknown eviction policy 'mru'"),
+    ({"eviction": "mru"}, "sessions.eviction: must be 'lru', got 'mru'"),
     ({"depth": 2, "level_cache_mb": [0]},
      "sessions.level_cache_mb: capacity too small"),
+    ({"eviction": "lfu"}, "sessions.eviction: 'lfu' was removed in PR 23"),
+    ({"eviction": "2q"}, "sessions.eviction: '2q' was removed in PR 23"),
+    ({"mode": "exclusive"},
+     "sessions.mode: 'exclusive' was removed in PR 23"),
+    ({"depth": 2, "level_cache_mb": [64, 32, 16]},
+     "sessions.level_cache_mb: lists 3 sizes but depth 2 has 1 "
+     "intermediate level"),
 ])
 def test_session_config_values_checked_at_load(tmp_path, capsys, sessions,
                                                message):
@@ -119,11 +125,11 @@ def test_session_config_values_checked_at_load(tmp_path, capsys, sessions,
 
 def test_session_spec_builds_the_configs_the_runner_uses():
     sessions = ScenarioSpec.from_dict({**_FLEET, "sessions": {
-        "depth": 3, "eviction": "lfu", "client_cache_mb": 8,
+        "depth": 3, "eviction": "lru", "client_cache_mb": 8,
         "level_cache_mb": [32], "readahead_depth": 4}}).sessions
     assert sessions.proxy_config().readahead_depth == 4
     client = sessions.client_cache_config()
-    assert (client.capacity_bytes, client.eviction) == (8 << 20, "lfu")
+    assert client.capacity_bytes == 8 << 20
     # The last level size repeats origin-ward.
     assert [c.capacity_bytes for c in sessions.level_cache_configs()] \
         == [32 << 20, 32 << 20]
@@ -134,24 +140,24 @@ def test_bench_params_checked_against_the_driver_at_load(tmp_path, capsys):
     its path, not as a TypeError traceback from ``run_*``."""
     from repro.cli import main
     doc = {"name": "t", "kind": "bench",
-           "bench": {"driver": "cascadebench", "params": {"dephts": [1]}}}
+           "bench": {"driver": "farmbench", "params": {"cels": ["4"]}}}
     path = tmp_path / "typo.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(SpecError, match=r"bench\.params\.dephts: unknown "
+    with pytest.raises(SpecError, match=r"bench\.params\.cels: unknown "
                                         r"key; expected a subset of "
-                                        r"\['depths', 'policies', "
-                                        r"'workloads'\]"):
+                                        r"\['baseline', 'cells', 'seed', "
+                                        r"'sessions'\]"):
         load_spec(str(path))
     for action in ("check", "run"):
         assert main(["scenario", action, str(path)]) == 2
-        assert "bench.params.dephts" in capsys.readouterr().err
+        assert "bench.params.cels" in capsys.readouterr().err
     # ... in a quick profile too.
     doc["bench"]["params"] = {}
-    doc["quick"] = {"bench": {"params": {"polcies": ["lru"]}}}
+    doc["quick"] = {"bench": {"params": {"sesions": 4}}}
     path.write_text(json.dumps(doc))
-    with pytest.raises(SpecError, match=r"bench\.params\.polcies"):
+    with pytest.raises(SpecError, match=r"bench\.params\.sesions"):
         load_spec(str(path))
-    for retired in ("fleetbench", "perf"):
+    for retired in ("fleetbench", "perf", "cascadebench", "coopbench"):
         doc = {"name": "t", "kind": "bench", "bench": {"driver": retired}}
         path.write_text(json.dumps(doc))
         with pytest.raises(SpecError, match="bench.driver: unknown bench "
@@ -192,17 +198,18 @@ def test_bench_param_names_follow_the_run_signatures():
     from repro.scenario.runner import bench_param_names
     assert bench_param_names("faultbench") == ["scenarios", "seed"]
     assert bench_param_names("chaosbench") == ["seed"]
-    assert bench_param_names("coopbench") == ["depths", "modes", "peers"]
     assert bench_param_names("farmbench") == [
         "baseline", "cells", "seed", "sessions"]
 
 
 def test_frozen_benchmark_spec_still_loads():
     """``bench/specs/fleet_day.yaml`` cannot change and spells
-    ``link_mode: exact``; the loader must keep accepting it."""
+    ``link_mode: exact`` and ``eviction: lru``; the loader must keep
+    accepting it, through the round trip ``bench/workloads.py`` makes."""
     pytest.importorskip("yaml")
     path = SCENARIO_DIR.parent / "bench" / "specs" / "fleet_day.yaml"
     assert "link_mode: exact" in path.read_text()
+    assert "eviction: lru" in path.read_text()
     spec = load_spec(str(path))
     assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 

@@ -181,6 +181,76 @@ def test_integrity_gate_checks_what_a_migration_resumed_from(monkeypatch):
     assert gates == {"zero_lost_writes": False, "integrity": False}, text
 
 
+# -- the converted smoke specs: green as shipped, red without the mechanism --
+
+def _gates(envelope):
+    return {(g["name"], g["params"].get("phase")): g["ok"]
+            for g in envelope["gates"]}
+
+
+def _without_replay(spec, **session_changes):
+    return dataclasses.replace(
+        spec, sessions=dataclasses.replace(spec.sessions, **session_changes),
+        gates=tuple(g for g in spec.gates if g.name != "replay_identical"))
+
+
+@pytest.mark.parametrize("name", ["cascade_smoke", "coop_smoke"])
+def test_converted_smoke_specs_pass_every_gate(name):
+    spec = load_spec(name)
+    assert spec.kind == "fleet"
+    envelope, text = run_spec(spec, quick=True)
+    assert envelope["ok"] is True, text
+    assert envelope["metrics"]["replay_identical"] is True
+    assert validate_report(envelope) == []
+
+
+def test_cascade_smoke_at_depth_1_fails_the_reclone_ceiling():
+    """No level above the client: the client-cold re-clone crosses the
+    WAN again, and the one gate that says so goes red."""
+    spec = _without_replay(load_spec("cascade_smoke").quicked(), depth=1)
+    envelope, text = run_spec(spec)
+    assert _gates(envelope) == {("integrity", None): True,
+                                ("wan_bytes_ceiling", "reclone"): False}, text
+
+
+def test_coop_smoke_without_peers_fails_both_peer_gates():
+    """Siloed clients fetch one image each: no peer hits, and the cold
+    storm moves one image per peer over the WAN."""
+    spec = _without_replay(load_spec("coop_smoke").quicked(),
+                           mode="inclusive")
+    envelope, text = run_spec(spec)
+    gates = _gates(envelope)
+    assert gates[("integrity", None)] is True
+    assert gates[("peer_hit_min", None)] is False, text
+    assert gates[("wan_bytes_ceiling", "cold_storm")] is False, text
+
+
+def test_declared_fault_targets_are_what_the_runner_attaches(monkeypatch):
+    """``ScenarioSpec.fault_targets`` is what load-time validation
+    trusts; it must name exactly the injector's bindings."""
+    from repro.sim.faults import FaultInjector
+    attached = []
+    schedule = FaultInjector.schedule
+
+    def recording(self, plan):
+        attached.append(sorted(self._targets))
+        return schedule(self, plan)
+
+    monkeypatch.setattr(FaultInjector, "schedule", recording)
+    for mode in ("inclusive", "cooperative"):
+        doc = {**MIGRATION_CELL,
+               "sessions": {**MIGRATION_CELL["sessions"], "mode": mode},
+               "phases": [{"name": "storm", "kind": "clone_storm",
+                           "image": "img"}],
+               "faults": [{"kind": "layer", "target": "l2/block-cache",
+                           "fault": "delay-proc", "arg": ["READ", 0.01]}]}
+        spec = ScenarioSpec.from_dict(doc)
+        run_spec(spec)
+        declared = spec.fault_targets()
+        assert attached.pop() == sorted(
+            name for family in declared.values() for name in family)
+
+
 def test_fleet_rollout_quick_reads_ahead_and_leaves_nothing_behind():
     """Cooperative peers, a shared level, a WAN flap and a fleet-wide
     invalidation — with every proxy running the default read path."""

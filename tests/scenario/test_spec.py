@@ -94,6 +94,44 @@ def test_validation_errors(doc, fragment):
         ScenarioSpec.from_dict(doc)
 
 
+_DEPTH_2 = {**MINIMAL_FLEET,
+            "topology": {**MINIMAL_FLEET["topology"], "peers": 2},
+            "sessions": {"depth": 2}}
+_FLAP = {"kind": "link_flap", "target": "wan", "at": 1.0, "down_for": 1.0}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**_DEPTH_2, "faults": [_FLAP, {"kind": "proxy_restart",
+                                     "target": "level:5", "down_for": 1.0}]},
+     r"scenario.faults\[1\].target: proxy_restart cannot strike 'level:5'"),
+    ({**_DEPTH_2, "faults": [{"kind": "proxy_restart", "target": "client:9",
+                              "down_for": 1.0}]},
+     r"scenario.faults\[0\].target: proxy_restart cannot strike 'client:9'"),
+    ({**_DEPTH_2, "faults": [{"kind": "layer", "target": "s7/block-cache",
+                              "fault": "corrupt-frame"}]},
+     r"scenario.faults\[0\].target: layer cannot strike 's7/block-cache'"),
+    # No peer directory in inclusive mode, so no peer-cache layer.
+    ({**_DEPTH_2, "faults": [{"kind": "layer", "target": "s0/peer-cache",
+                              "fault": "delay-proc"}]},
+     r"scenario.faults\[0\].target: layer cannot strike 's0/peer-cache'"),
+    ({**_DEPTH_2, "faults": [{**_FLAP, "target": "origin"}]},
+     r"scenario.faults\[0\].target: link_flap cannot strike 'origin'.*"
+     r"\['wan'\]"),
+    ({**_DEPTH_2, "faults": [{"kind": "layer", "target": "s0/block-cache",
+                              "fault": "nonsense"}]},
+     r"scenario.faults\[0\].fault: layer faults need one of .*'nonsense'"),
+    ({**_DEPTH_2, "sessions": {"depth": 2, "level_cache_mb": [64, 32, 16]}},
+     "scenario.sessions.level_cache_mb: lists 3 sizes but depth 2 has 1"),
+], ids=["level-past-depth", "client-past-peers", "layer-stack-past-peers",
+        "layer-role-not-built", "kind-target-mismatch", "layer-fault-kind",
+        "level-sizes-past-depth"])
+def test_fault_targets_and_level_sizes_checked_at_load(doc, message):
+    """Each died in ``_attach_faults`` (or was silently ignored) only
+    after the testbed and every image had been built."""
+    with pytest.raises(SpecError, match=message):
+        ScenarioSpec.from_dict(doc)
+
+
 def test_arrival_validation():
     with pytest.raises(SpecError, match="window_s"):
         ArrivalSpec.from_dict({"kind": "uniform"})

@@ -67,8 +67,6 @@ BENCH_CMDS = {
     # bench.driver -> (experiments module name, run_* function name)
     "faultbench": ("faultbench", "run_faultbench"),
     "chaosbench": ("chaosbench", "run_chaosbench"),
-    "cascadebench": ("cascadebench", "run_cascadebench"),
-    "coopbench": ("coopbench", "run_coopbench"),
     "farmbench": ("farmbench", "run_farmbench"),
 }
 
