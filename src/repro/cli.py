@@ -5,7 +5,7 @@ Commands
 ``bench <target>``
     Regenerate one of the paper's figures/tables and print its table.
     Targets: ``fig3`` ``fig4`` ``fig5`` ``fig6`` ``table1`` ``zero``
-    ``pipelined`` ``all``.
+    ``all``.
 ``scenario run/list/check``
     The declarative scenario engine (:mod:`repro.scenario`): ``run``
     executes one spec from ``scenarios/`` (or a path) end to end —
@@ -13,9 +13,7 @@ Commands
     ``BENCH_*.json`` envelope; ``--quick`` applies the spec's quick
     profile, ``--check`` turns failed gates into exit code 1 (the CI
     scenario-smoke matrix runs ``scenario run <spec> --quick
-    --check``).  This is the one way to run a bench driver (fault,
-    chaos, farm): a ``kind: bench`` spec names it and
-    ``seed`` + ``bench.params`` parameterise it (docs/scenarios.md).
+    --check``); sweeps are parameters of the spec (docs/scenarios.md).
     ``list`` prints the spec library; ``check`` validates a spec
     (including its quick profile) without running it.
 ``info``
@@ -24,9 +22,8 @@ Commands
     Assemble the archived benchmark tables under ``results/`` into one
     reproduction report (exit code 1 while sections are missing).
 
-One gate discipline throughout: failed gates (a bench driver's
-``check_report`` failures included) print to stderr and yield exit
-code 1; malformed arguments or specs yield exit code 2; a clean run
+One gate discipline throughout: failed gates print to stderr and yield
+exit code 1; malformed arguments or specs yield exit code 2; a clean run
 exits 0.
 
 The heavy lifting lives in :mod:`repro.experiments` and
@@ -129,13 +126,6 @@ def _bench_zero() -> str:
             f"paper: 60,452 of 65,750 ≈ 92%)")
 
 
-def _bench_pipelined() -> str:
-    from repro.experiments.pipelinedbench import (format_pipelined_io,
-                                                  run_flush_comparison,
-                                                  run_read_sweep)
-    return format_pipelined_io(run_read_sweep(), run_flush_comparison())
-
-
 BENCH_TARGETS: Dict[str, Callable[[], str]] = {
     "fig3": _bench_fig3,
     "fig4": _bench_fig4,
@@ -143,7 +133,6 @@ BENCH_TARGETS: Dict[str, Callable[[], str]] = {
     "fig6": _bench_fig6,
     "table1": _bench_table1,
     "zero": _bench_zero,
-    "pipelined": _bench_pipelined,
 }
 
 
@@ -181,8 +170,7 @@ def _cmd_scenario_list(args) -> int:
         return 2
     for spec in specs:
         quick = " [quick profile]" if spec.quick else ""
-        print(f"{spec.name:<16} {spec.kind:<6} "
-              f"{spec.description or spec.bench.driver}{quick}")
+        print(f"{spec.name:<16} {spec.kind:<6} {spec.description}{quick}")
     return 0
 
 
@@ -194,8 +182,7 @@ def _cmd_scenario_check(args) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    gates = [g.name for g in spec.gates] or (
-        ["check_report"] if spec.kind == "bench" else [])
+    gates = [g.name for g in spec.gates]
     print(f"{spec.name}: OK ({spec.kind}, "
           f"{len(spec.phases)} phase(s), {len(spec.faults)} fault(s), "
           f"gates: {', '.join(gates) or 'none'})")

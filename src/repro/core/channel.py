@@ -171,7 +171,13 @@ class CascadedFileChannel(FileChannel):
         def _resolve(fh: FileHandle) -> Inode:
             entry = parent.file_cache.entry(fh)
             if entry is None:
-                raise KeyError(f"{fh} missing from second-level cache")
+                # Only an upload finds it missing (``fetch`` makes sure
+                # first): the parent restarted and lost its copy, and a
+                # whole-file upload carries all of the content anyway.
+                held = file_cache.entry(fh)
+                if held is None:
+                    raise KeyError(f"{fh} missing from second-level cache")
+                entry = parent.file_cache.place(fh, held.inode.data)
             return entry.inode
 
         locator = RemoteFileLocator(
@@ -181,17 +187,25 @@ class CascadedFileChannel(FileChannel):
         self.parent = parent
 
     def fetch(self, fh: FileHandle) -> Generator:
-        """Process: ensure the parent holds the file, then pull over LAN."""
-        if fh not in self.parent.file_cache:
+        """Process: ensure the parent holds the file, then pull over LAN.
+
+        Re-checked after each parent fetch: a parent that restarts after
+        its install landed but before its fetch returned has lost it.
+        """
+        while fh not in self.parent.file_cache:
             yield from self.parent.fetch(fh)
         entry = yield from super().fetch(fh)
         return entry
 
     def upload(self, fh: FileHandle) -> Generator:
         """Process: write back into the parent's cached copy, dirty
-        from then on until the parent's own flush uploads it."""
-        compressed = yield from super().upload(fh)
-        held = self.parent.file_cache.entry(fh)
+        from then on until the parent's own flush uploads it.  A parent
+        that restarts mid-upload lost what it was sent: send it again."""
+        while True:
+            compressed = yield from super().upload(fh)
+            held = self.parent.file_cache.entry(fh)
+            if held is not None:
+                break
         held.size = held.inode.data.size
         held.dirty = True
         return compressed

@@ -118,6 +118,20 @@ class ProxyFileCache:
         also warms the host page cache, so an immediately following
         whole-file read (the VM resume) runs at memory speed.
         """
+        entry = self.place(fh, content)
+        # The uncompress step wrote the *whole* file (zeros included) on a
+        # real host: charge the full size to the write-behind pool and
+        # leave the fresh pages warm in the host page cache.
+        yield from self.storage.stage_bulk_write(
+            entry.inode, content.size,
+            warm_chunks=range(entry.inode.data.n_chunks()))
+        self.installs += 1
+        self._enforce_budget()
+        return entry
+
+    def place(self, fh: FileHandle, content: SparseFile) -> FileCacheEntry:
+        """Enter ``content`` as the cached copy of ``fh``, untimed: the
+        caller charges the disk write."""
         path = self._local_path(fh)
         if self.storage.fs.exists(path):
             self.storage.fs.unlink(path)
@@ -126,13 +140,6 @@ class ProxyFileCache:
         entry = FileCacheEntry(fh=fh, inode=inode, size=content.size)
         self._entries[fh] = entry
         self._touch(entry)
-        # The uncompress step wrote the *whole* file (zeros included) on a
-        # real host: charge the full size to the write-behind pool and
-        # leave the fresh pages warm in the host page cache.
-        yield from self.storage.stage_bulk_write(
-            inode, content.size, warm_chunks=range(inode.data.n_chunks()))
-        self.installs += 1
-        self._enforce_budget()
         return entry
 
     # -- data access ------------------------------------------------------------
@@ -187,3 +194,9 @@ class ProxyFileCache:
             raise RuntimeError("clear() with dirty file-cache entries")
         for fh in list(self._entries):
             self.evict(fh)
+
+    def crash(self) -> None:
+        """Process death: every entry goes, dirty ones included."""
+        for entry in self._entries.values():
+            entry.dirty = False
+        self.clear()

@@ -79,8 +79,8 @@ class ChecksumRegistry:
         """Persist digests as a JSON sidecar file inside ``fs``.
 
         Rows are ``[fsid, fileid, block, crc32, length]``; only keys of
-        the ``(FileHandle, block)`` shape are persistable (chaosbench
-        uses opaque keys for negative controls — those stay in-memory).
+        the ``(FileHandle, block)`` shape are persistable (opaque keys
+        stay in-memory).
         ``fileids`` restricts the slice to one image's files so sidecars
         beside different images don't carry each other's digests.
         """

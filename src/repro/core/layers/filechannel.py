@@ -173,7 +173,7 @@ class FileChannelLayer(ProxyLayer):
             gate.succeed()
         # Whole-file cache state (and any dirty entries) dies with the
         # process; the journal covers block-cache writes only.
-        self.file_cache.clear()
+        self.file_cache.crash()
 
     def quiesce(self) -> Generator:
         while self.fetching:

@@ -12,8 +12,7 @@ a uniform report/gate stage emitting one ``BENCH_*.json`` envelope.
 * :mod:`repro.scenario.arrivals` — seeded arrival processes (fixed
   stagger, uniform window, Poisson, diurnal curve);
 * :mod:`repro.scenario.gates` — the named-assertion vocabulary;
-* :mod:`repro.scenario.runner` — the native fleet runner plus the
-  adapters that run every legacy ``*bench`` driver through the same
+* :mod:`repro.scenario.runner` — the fleet runner and its report
   envelope;
 * :mod:`repro.scenario.schema` — the shared report JSON schema and the
   dependency-free validator the tier-1 suite checks archives with.
@@ -21,7 +20,6 @@ a uniform report/gate stage emitting one ``BENCH_*.json`` envelope.
 
 from repro.scenario.spec import (
     ArrivalSpec,
-    BenchSpec,
     FaultSpec,
     GateSpec,
     ImageSpec,
@@ -34,7 +32,6 @@ from repro.scenario.spec import (
 
 __all__ = [
     "ArrivalSpec",
-    "BenchSpec",
     "FaultSpec",
     "GateSpec",
     "ImageSpec",

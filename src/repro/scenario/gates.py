@@ -32,16 +32,13 @@ Vocabulary (params in braces):
 ``downtime_ceiling {phase, max_s}``
     The worst per-VM downtime in a migration wave stays under a
     ceiling.
-``check_report``
-    (bench scenarios) the wrapped driver's own ``check_report`` gates
-    all passed — ``metrics["check_failures"]`` is empty.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.scenario.spec import GateSpec, SpecError
+from repro.scenario.spec import SpecError
 
 __all__ = ["GATES", "evaluate_gates", "validate_gates"]
 
@@ -138,15 +135,6 @@ def _downtime_ceiling(metrics: dict, params: dict) -> Tuple[bool, str]:
                           f"{got:.2f}s vs ceiling {max_s:.2f}s")
 
 
-def _check_report(metrics: dict, params: dict) -> Tuple[bool, str]:
-    failures = metrics.get("check_failures")
-    if failures is None:
-        return False, "run recorded no check_report result"
-    if failures:
-        return False, "; ".join(str(f) for f in failures)
-    return True, "driver check_report passed"
-
-
 GATES = {
     "zero_lost_writes": _zero_lost_writes,
     "integrity": _integrity,
@@ -157,7 +145,6 @@ GATES = {
     "peer_hit_min": _peer_hit_min,
     "golden_signature": _golden_signature,
     "downtime_ceiling": _downtime_ceiling,
-    "check_report": _check_report,
 }
 
 _REQUIRED_PARAMS = {
@@ -192,9 +179,3 @@ def evaluate_gates(gates, metrics: dict) -> List[Dict]:
                      "detail": detail, "params": dict(gate.params)})
     return rows
 
-
-def default_gates_for(kind: str):
-    """Gates applied when a spec declares none."""
-    if kind == "bench":
-        return (GateSpec(name="check_report"),)
-    return ()

@@ -22,7 +22,7 @@ import json
 from pathlib import Path
 from typing import List
 
-from repro.scenario.gates import default_gates_for, validate_gates
+from repro.scenario.gates import validate_gates
 from repro.scenario.spec import ScenarioSpec, SpecError
 
 __all__ = ["SCENARIO_DIR", "list_specs", "load_spec"]
@@ -79,11 +79,9 @@ def load_spec(name_or_path: str) -> ScenarioSpec:
     spec = ScenarioSpec.from_dict(data, where=where)
     # Gate names and params are part of load-time validation: a typo'd
     # gate must fail `scenario check`, not the end of a long run.
-    validate_gates(tuple(spec.gates) or default_gates_for(spec.kind))
+    validate_gates(spec.gates)
     if spec.quick:
-        quick = spec.quicked()
-        validate_gates(tuple(quick.gates)
-                       or default_gates_for(quick.kind))
+        validate_gates(spec.quicked().gates)
     return spec
 
 

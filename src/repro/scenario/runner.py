@@ -1,47 +1,34 @@
 """Execute a :class:`~repro.scenario.spec.ScenarioSpec`.
 
-Two paths share one report envelope:
+The runner builds the testbed and cascade the spec declares, schedules
+each phase's per-peer work on seeded arrival offsets, composes the
+declared fault plans onto a single
+:class:`~repro.sim.faults.FaultInjector`, and closes with a durability
+probe (write through every session, flush every tier, diff the origin
+bytes).  The resulting ``metrics`` dict is pure simulation output — no
+wall-clock, no global-counter names — so a second run of the same spec
++ seed must reproduce it bit-identically (the ``replay_identical`` gate
+runs the whole scenario twice and compares).
 
-* **fleet** specs run natively: the runner builds the testbed and
-  cascade the spec declares, schedules each phase's per-peer work on
-  seeded arrival offsets, composes the declared fault plans onto a
-  single :class:`~repro.sim.faults.FaultInjector`, and closes with a
-  durability probe (write through every session, flush every tier,
-  diff the origin bytes).  The resulting ``metrics`` dict is pure
-  simulation output — no wall-clock, no global-counter names — so a
-  second run of the same spec + seed must reproduce it bit-identically
-  (the ``replay_identical`` gate runs the whole scenario twice and
-  compares).
-
-* **bench** specs delegate to a legacy ``repro.experiments`` driver
-  through :func:`run_bench_driver`; the driver's own ``check_report``
-  failures land in ``metrics["check_failures"]`` where the
-  ``check_report`` gate reads them.
-
-Either way the envelope is::
+The report envelope is::
 
     {"schema_version": 1, "benchmark": "scenario", "scenario": ...,
-     "kind": ..., "driver": ..., "quick": ..., "seed": ...,
+     "kind": "fleet", "driver": "fleet", "quick": ..., "seed": ...,
      "gates": [{name, ok, detail, params}], "ok": ..., "metrics": {...}}
 
-which is exactly the strict branch of ``bench_schema.json``.
+which is exactly what ``bench_schema.json`` admits.
 """
 
 from __future__ import annotations
 
-import importlib
-import inspect
-import json
 import random
 from typing import Dict, List, Tuple
 
 from repro.scenario.arrivals import arrival_offsets
-from repro.scenario.gates import default_gates_for, evaluate_gates, \
-    validate_gates
+from repro.scenario.gates import evaluate_gates, validate_gates
 from repro.scenario.spec import ImageSpec, ScenarioSpec, SpecError
 
-__all__ = ["bench_param_names", "load_baseline", "run_bench_driver",
-           "run_spec"]
+__all__ = ["run_spec"]
 
 MB = 1024 * 1024
 
@@ -427,85 +414,6 @@ def _peer_metrics(sessions) -> Dict:
 
 
 # --------------------------------------------------------------------------
-# Bench adapters
-# --------------------------------------------------------------------------
-
-def load_baseline(path: str) -> Dict:
-    """The earlier report a spec's ``bench.params.baseline`` names."""
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except FileNotFoundError:
-        raise SpecError(f"no such file {path!r}") from None
-    except ValueError as exc:
-        raise SpecError(f"{path!r} is not JSON ({exc})") from None
-
-
-def _parse_farm_cells(cells) -> List[Tuple[int, bool]]:
-    """Farm cells as ``"4"`` / ``"4+crash"`` strings (YAML-friendly)."""
-    parsed = []
-    for cell in cells:
-        if isinstance(cell, str):
-            body, _, tag = cell.partition("+")
-            parsed.append((int(body), tag == "crash"))
-        else:
-            servers, crash = cell
-            parsed.append((int(servers), bool(crash)))
-    return parsed
-
-
-#: The legacy drivers a bench spec may name: driver -> (its ``run_*``
-#: function in ``repro.experiments.<driver>``, the ``bench.params`` keys
-#: the adapter consumes itself on top of that function's keywords).
-_BENCH_DRIVERS = {
-    "faultbench": ("run_faultbench", ()),
-    "chaosbench": ("run_chaosbench", ()),
-    "farmbench": ("run_farmbench", ("baseline",)),
-}
-
-
-def _bench_driver(name: str):
-    """``(module, run function)`` of a driver."""
-    if name not in _BENCH_DRIVERS:
-        raise SpecError(f"unknown bench driver {name!r}; choose from "
-                        f"{sorted(_BENCH_DRIVERS)}")
-    mod = importlib.import_module(f"repro.experiments.{name}")
-    return mod, getattr(mod, _BENCH_DRIVERS[name][0])
-
-
-def bench_param_names(name: str) -> List[str]:
-    """Every key a spec's ``bench.params`` may carry for driver
-    ``name``: the driver's ``run_*`` keywords (bar ``quick``, which
-    comes from the run) plus the adapter's own."""
-    _, run = _bench_driver(name)
-    keywords = set(inspect.signature(run).parameters) - {"quick"}
-    return sorted(keywords | set(_BENCH_DRIVERS[name][1]))
-
-
-def run_bench_driver(name: str, params: Dict, quick: bool,
-                     seed: int = 0) -> Tuple[Dict, List[str], str]:
-    """Run a legacy bench driver; returns ``(report_dict, failures,
-    formatted_text)``.  ``params`` are the spec's ``bench.params``
-    (already quick-merged); a baseline path is loaded here, before the
-    run, so specs stay plain data.  A non-zero spec ``seed`` reaches
-    every driver that takes one, unless ``params`` names its own."""
-    mod, run = _bench_driver(name)
-    params = dict(params)
-    if seed and "seed" in inspect.signature(run).parameters:
-        params.setdefault("seed", seed)
-    if name == "farmbench":
-        baseline = params.pop("baseline", None)
-        base = load_baseline(baseline) if baseline else None
-        if "cells" in params:
-            params["cells"] = _parse_farm_cells(params["cells"])
-        report = run(quick=quick, **params)
-        return (report, mod.check_report(report, baseline=base),
-                mod.format_report(report))
-    report = run(quick=quick, **params)
-    return report, mod.check_report(report), mod.format_report(report)
-
-
-# --------------------------------------------------------------------------
 # Entry point
 # --------------------------------------------------------------------------
 
@@ -541,27 +449,20 @@ def run_spec(spec: ScenarioSpec, quick: bool = False) -> Tuple[Dict, str]:
     """
     if quick:
         spec = spec.quicked()
-    gates = tuple(spec.gates) or default_gates_for(spec.kind)
-    validate_gates(gates)
+    validate_gates(spec.gates)
 
-    if spec.kind == "bench":
-        report, failures, text = run_bench_driver(
-            spec.bench.driver, spec.bench.params, quick, spec.seed)
-        metrics = dict(report)
-        metrics["check_failures"] = list(failures)
-    else:
-        metrics = _run_fleet_once(spec)
-        if any(g.name == "replay_identical" for g in gates):
-            metrics["replay_identical"] = _run_fleet_once(spec) == metrics
-        text = _format_fleet(spec, metrics)
+    metrics = _run_fleet_once(spec)
+    if any(g.name == "replay_identical" for g in spec.gates):
+        metrics["replay_identical"] = _run_fleet_once(spec) == metrics
+    text = _format_fleet(spec, metrics)
 
-    gate_rows = evaluate_gates(gates, metrics)
+    gate_rows = evaluate_gates(spec.gates, metrics)
     envelope = {
         "schema_version": 1,
         "benchmark": "scenario",
         "scenario": spec.name,
         "kind": spec.kind,
-        "driver": spec.bench.driver or "fleet",
+        "driver": "fleet",
         "quick": bool(quick),
         "seed": spec.seed,
         "gates": gate_rows,

@@ -11,16 +11,10 @@ silently running a different experiment.
 explicit, defaults filled in.  ``from_dict(spec.to_dict()) == spec``
 holds for any spec, which is what the round-trip tests pin down.
 
-Two scenario kinds share the envelope:
-
-``fleet``
-    The native runner (:mod:`repro.scenario.runner`): topology +
-    sessions + phases + faults, gated by the named assertions in
-    :mod:`repro.scenario.gates`.
-``bench``
-    A legacy ``*bench`` driver (faultbench, chaosbench, farmbench) run
-    through the same report envelope; ``bench.driver`` names it and
-    ``bench.params`` forwards keyword arguments.
+There is one scenario kind, ``fleet``: the native runner
+(:mod:`repro.scenario.runner`) builds the topology + sessions + phases
++ faults a spec declares and gates the run with the named assertions in
+:mod:`repro.scenario.gates`.
 
 Every spec may carry a ``quick`` section: a partial document deep-merged
 over the spec when the run is invoked with ``--quick`` (dicts merge
@@ -40,7 +34,6 @@ from repro.sim.faults import LAYER_KINDS
 
 __all__ = [
     "ArrivalSpec",
-    "BenchSpec",
     "FaultSpec",
     "GateSpec",
     "ImageSpec",
@@ -52,7 +45,6 @@ __all__ = [
     "deep_merge",
 ]
 
-SCENARIO_KINDS = ("fleet", "bench")
 SESSION_MODES = ("inclusive", "cooperative")
 ARRIVAL_KINDS = ("fixed", "uniform", "poisson", "diurnal")
 MB = 1024 * 1024
@@ -454,23 +446,6 @@ class GateSpec:
         return {"name": self.name, "params": dict(self.params)}
 
 
-@dataclass(frozen=True)
-class BenchSpec:
-    """A legacy bench driver run through the scenario envelope."""
-
-    driver: str = ""
-    params: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, data, where: str = "bench") -> "BenchSpec":
-        spec = _build(cls, data, where)
-        _require_mapping(spec.params, f"{where}.params")
-        return spec
-
-    def to_dict(self) -> dict:
-        return {"driver": self.driver, "params": dict(self.params)}
-
-
 # --------------------------------------------------------------------------
 # The scenario
 # --------------------------------------------------------------------------
@@ -480,6 +455,8 @@ class ScenarioSpec:
     """A full declarative scenario document."""
 
     name: str
+    #: A validated constant, emitted by ``to_dict``: older specs spell
+    #: ``kind: fleet``.
     kind: str = "fleet"
     description: str = ""
     seed: int = 0
@@ -488,57 +465,39 @@ class ScenarioSpec:
     phases: Tuple[PhaseSpec, ...] = ()
     faults: Tuple[FaultSpec, ...] = ()
     gates: Tuple[GateSpec, ...] = ()
-    bench: BenchSpec = BenchSpec()
     quick: dict = field(default_factory=dict)
 
     # -- parsing -----------------------------------------------------------
     @classmethod
     def from_dict(cls, data, where: str = "scenario") -> "ScenarioSpec":
+        # Checked first: every such document also carries the removed
+        # ``bench:`` section, which would fail as an unknown key.
+        if _require_mapping(data, where).get("kind") == "bench":
+            raise SpecError(
+                f"{where}.kind: 'bench' was removed in PR 26 with its "
+                f"drivers; each guarantee has one home: faultbench -> "
+                f"scenarios/fault_smoke.yaml + tests/core/"
+                f"test_fault_recovery.py, chaosbench -> tests/experiments/"
+                f"test_chaosbench.py, farmbench -> tests/middleware/"
+                f"test_farm.py; 'fleet' is the only kind")
         spec = _build(cls, data, where, nested={
             "topology": (TopologySpec.from_dict, False),
             "sessions": (SessionSpec.from_dict, False),
             "phases": (PhaseSpec.from_dict, True),
             "faults": (FaultSpec.from_dict, True),
             "gates": (GateSpec.from_dict, True),
-            "bench": (BenchSpec.from_dict, False),
         })
         if not spec.name:
             raise SpecError(f"{where}: scenario needs a name")
-        if spec.kind not in SCENARIO_KINDS:
-            raise SpecError(f"{where}: kind must be one of "
-                            f"{list(SCENARIO_KINDS)}, got {spec.kind!r}")
+        if spec.kind != "fleet":
+            raise SpecError(f"{where}.kind: must be 'fleet', got "
+                            f"{spec.kind!r}")
         _require_mapping(spec.quick, f"{where}.quick")
         spec.validate(where)
         return spec
 
     def validate(self, where: str = "scenario") -> None:
         """Cross-field checks beyond per-section parsing."""
-        if self.kind == "bench":
-            if not self.bench.driver:
-                raise SpecError(f"{where}: bench scenarios need "
-                                "bench.driver")
-            if self.phases or self.faults:
-                raise SpecError(f"{where}: bench scenarios carry no "
-                                "phases/faults — the driver owns its "
-                                "workload")
-            from repro.scenario.runner import (bench_param_names,
-                                               load_baseline)
-            try:
-                known = bench_param_names(self.bench.driver)
-            except SpecError as exc:
-                raise SpecError(f"{where}.bench.driver: {exc}") from None
-            unknown = sorted(set(self.bench.params) - set(known))
-            if unknown:
-                raise SpecError(
-                    f"{where}.bench.params.{unknown[0]}: unknown key; "
-                    f"expected a subset of {known}")
-            if self.bench.params.get("baseline"):
-                try:
-                    load_baseline(self.bench.params["baseline"])
-                except SpecError as exc:
-                    raise SpecError(
-                        f"{where}.bench.params.baseline: {exc}") from None
-            return
         if not self.phases:
             raise SpecError(f"{where}: fleet scenarios need at least "
                             "one phase")
@@ -599,7 +558,6 @@ class ScenarioSpec:
             "phases": [p.to_dict() for p in self.phases],
             "faults": [f.to_dict() for f in self.faults],
             "gates": [g.to_dict() for g in self.gates],
-            "bench": self.bench.to_dict(),
             "quick": dict(self.quick),
         }
 
@@ -608,8 +566,7 @@ class ScenarioSpec:
         """The spec with its ``quick`` profile deep-merged in.
 
         Dicts merge recursively; lists and scalars replace.  A spec
-        without a quick section is its own quick profile (the driver's
-        ``quick`` flag still reaches bench drivers).
+        without a quick section is its own quick profile.
         """
         if not self.quick:
             return self

@@ -314,3 +314,114 @@ def test_seeded_schedules_over_a_shared_level_match_a_file_model():
         absorbed += level.layer("block-cache").stats.absorbed_writes
         merged += sum(g.block.stats.merged_write_rpcs for g in guests)
     assert absorbed > 50 and merged > 20      # not vacuous
+
+
+# -- a level that restarts while a whole file moves through it ------------------
+
+MEM = "/images/golden/mem.vmss"
+MARKER = b"checkpointed state" * 4
+
+
+def file_channel_rig():
+    """Client -> one level -> origin, the memory image on the file
+    channel at both hops."""
+    testbed, endpoint, image, cascade, session = make_rig(n_levels=1)
+    image.generate_metadata()
+    return testbed, image, cascade.top, session
+
+
+def first_data_block(image):
+    """A block the zero map does not answer: reading it pulls the file."""
+    data = image.memory_inode.data
+    return 8192 * next(i for i in range(data.n_chunks())
+                       if not data.chunk_is_zero(i))
+
+
+def read_then_write(session, image, before_write=None):
+    """Process: pull the memory image whole, overwrite a block of it,
+    and flush every tier."""
+    offset = first_data_block(image)
+
+    def gen(env):
+        f = yield env.process(session.mount.open(MEM))
+        yield env.process(f.read(offset, 8192))
+        if before_write is not None:
+            before_write()
+        yield env.process(f.write_sync(offset, MARKER))
+        yield env.process(session.flush())
+    return gen
+
+
+def origin_has_marker(image):
+    return image.memory_inode.data.read(first_data_block(image),
+                                        len(MARKER)) == MARKER
+
+
+def test_level_restart_between_install_and_fetch_return_refetches():
+    """The level's install lands, the level restarts, then its fetch
+    returns: the client must not resolve the entry the restart took."""
+    testbed, image, level, session = file_channel_rig()
+    cache = level.channel.file_cache
+    install = cache.install
+
+    def install_then_restart(fh, content):
+        cache.install = install                 # strike once
+        entry = yield from install(fh, content)
+        level.proxy.crash()
+        return entry
+
+    cache.install = install_then_restart
+    box = run(testbed, read_then_write(session, image)(testbed.env))
+    assert "value" in box
+    assert level.channel.fetches == 2
+    assert origin_has_marker(image)
+
+
+def test_level_restart_before_an_upload_takes_the_uploaded_copy():
+    """A level that lost its copy (clean or not) since the client
+    fetched it gets the uploaded whole file as its new copy."""
+    testbed, image, level, session = file_channel_rig()
+    box = run(testbed, read_then_write(session, image, level.proxy.crash)(
+        testbed.env))
+    assert "value" in box
+    assert level.channel.fetches == 1
+    assert origin_has_marker(image)
+
+
+def test_level_restart_mid_upload_sends_it_again():
+    testbed, image, level, session = file_channel_rig()
+    child = session.client_proxy.channel
+    stage = child._uncompress_stage
+
+    def uncompress_after_restart(host, size):
+        if host is level.host:                  # the level's gunzip
+            child._uncompress_stage = stage     # strike once
+            level.proxy.crash()
+        yield from stage(host, size)
+
+    child._uncompress_stage = uncompress_after_restart
+    box = run(testbed, read_then_write(session, image)(testbed.env))
+    assert "value" in box
+    assert child.uploads == 2
+    assert origin_has_marker(image)
+
+
+def test_level_restart_drops_dirty_whole_files():
+    """Without a journal for the file cache, an upload the level has
+    absorbed but not yet pushed dies with it."""
+    testbed, image, level, session = file_channel_rig()
+
+    offset = first_data_block(image)
+
+    def gen(env):
+        f = yield env.process(session.mount.open(MEM))
+        yield env.process(f.read(offset, 8192))
+        yield env.process(f.write_sync(offset, MARKER))
+        yield env.process(session.client_proxy.flush())
+        assert level.channel.file_cache.dirty_entries()
+        level.proxy.crash()
+        yield env.process(session.flush())
+
+    assert "value" in run(testbed, gen(testbed.env))
+    assert level.channel.file_cache.cached_files == 0
+    assert not origin_has_marker(image)

@@ -3,6 +3,7 @@ upstream down, the dirty high-water mark, the dirty-frame journal, and
 flush consistency across a server crash."""
 
 import hashlib
+import random
 from dataclasses import replace
 
 from repro.core.config import ProxyCacheConfig
@@ -184,6 +185,46 @@ def test_journal_records_removed_after_clean_writeback():
     recovered, _ = rig.run(job(rig.env))
     assert recovered == []                # flushed before the crash
     assert proxy.block_cache.journal_appends == 4
+
+
+# --------------------------------------------------------------------------
+# WAN flaps under a cold read
+# --------------------------------------------------------------------------
+
+def _read_through_wan_flaps():
+    """A cold 4 MB read while the WAN segment flaps twice (in-flight
+    messages park until repair); the hardened ladder's retry budget
+    outlasts each outage."""
+    rig = Rig(metadata=False)
+    fs = rig.endpoint.export.fs
+    payload = random.Random(11).randbytes(4 * 1024 * 1024)
+    fs.mkdir("/data")
+    fs.create("/data/blob")
+    fs.write("/data/blob", payload)
+    client = rig.session.harden_rpc(timeout=0.5, max_retries=10,
+                                    backoff=2.0, max_timeout=8.0)
+    injector = FaultInjector(rig.env)
+    injector.attach("wan", list(rig.testbed.wan_segment))
+    injector.schedule(FaultPlan.link_flap("wan", first_down=0.5,
+                                          down_for=2.0, flaps=2, period=4.0))
+
+    def job(env):
+        f = yield env.process(rig.mount.open("/data/blob"))
+        return (yield env.process(f.read_all()))
+
+    data, elapsed = rig.run(job(rig.env))
+    return (data == payload, client.stats.retransmissions, elapsed,
+            injector.timeline)
+
+
+def test_cold_read_rides_out_wan_flaps_and_replays():
+    intact, retransmissions, elapsed, timeline = _read_through_wan_flaps()
+    assert intact
+    assert retransmissions > 0            # the flaps really hit the read
+    assert [kind for _, kind, _ in timeline] == ["link-down", "link-up"] * 2
+    assert elapsed > timeline[-1][0]      # ...both of them
+    assert _read_through_wan_flaps() == (intact, retransmissions, elapsed,
+                                         timeline)
 
 
 # --------------------------------------------------------------------------

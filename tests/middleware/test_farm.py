@@ -258,3 +258,16 @@ def test_single_server_farm_serves_alone():
     assert farm.metadata.replication == 1
     assert all(s.closed for s in manager.sessions)
     assert farm.audit_acknowledged_writes()["lost_blocks"] == 0
+
+
+#: Storm speed-up floor of a 4-server farm over a single server.
+MIN_SPEEDUP = 1.1
+
+
+def test_four_servers_beat_one_by_the_speedup_floor():
+    """Sharding earns its keep: 16 staggered sessions finish the storm
+    at least ``MIN_SPEEDUP`` times faster on 4 servers than on 1 (8
+    sessions barely saturate one server)."""
+    _, _, alone = run_small_storm(n_servers=1, sessions=16)
+    _, _, sharded = run_small_storm(n_servers=4, sessions=16)
+    assert alone.now >= MIN_SPEEDUP * sharded.now, (alone.now, sharded.now)

@@ -7,17 +7,12 @@ import pytest
 from repro.scenario.loader import SCENARIO_DIR, list_specs, load_spec
 from repro.scenario.spec import ScenarioSpec, SpecError
 
-DOC = {
-    "name": "loader-t",
-    "kind": "bench",
-    "bench": {"driver": "faultbench", "params": {"scenarios": ["wan_blip"]}},
-}
-
-
 _FLEET = {"name": "t", "kind": "fleet",
           "topology": {"images": [{"name": "img", "memory_mb": 4}]},
           "phases": [{"name": "storm", "kind": "clone_storm",
                       "image": "img"}]}
+
+DOC = {**_FLEET, "name": "loader-t"}
 
 
 def test_load_json_spec(tmp_path):
@@ -25,7 +20,7 @@ def test_load_json_spec(tmp_path):
     path.write_text(json.dumps(DOC))
     spec = load_spec(str(path))
     assert spec.name == "loader-t"
-    assert spec.bench.driver == "faultbench"
+    assert spec.phases[0].kind == "clone_storm"
 
 
 def test_load_yaml_spec(tmp_path):
@@ -133,73 +128,6 @@ def test_session_spec_builds_the_configs_the_runner_uses():
     # The last level size repeats origin-ward.
     assert [c.capacity_bytes for c in sessions.level_cache_configs()] \
         == [32 << 20, 32 << 20]
-
-
-def test_bench_params_checked_against_the_driver_at_load(tmp_path, capsys):
-    """A typo'd ``bench.params`` key or driver fails in the loader with
-    its path, not as a TypeError traceback from ``run_*``."""
-    from repro.cli import main
-    doc = {"name": "t", "kind": "bench",
-           "bench": {"driver": "farmbench", "params": {"cels": ["4"]}}}
-    path = tmp_path / "typo.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SpecError, match=r"bench\.params\.cels: unknown "
-                                        r"key; expected a subset of "
-                                        r"\['baseline', 'cells', 'seed', "
-                                        r"'sessions'\]"):
-        load_spec(str(path))
-    for action in ("check", "run"):
-        assert main(["scenario", action, str(path)]) == 2
-        assert "bench.params.cels" in capsys.readouterr().err
-    # ... in a quick profile too.
-    doc["bench"]["params"] = {}
-    doc["quick"] = {"bench": {"params": {"sesions": 4}}}
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SpecError, match=r"bench\.params\.sesions"):
-        load_spec(str(path))
-    for retired in ("fleetbench", "perf", "cascadebench", "coopbench"):
-        doc = {"name": "t", "kind": "bench", "bench": {"driver": retired}}
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SpecError, match="bench.driver: unknown bench "
-                                            f"driver '{retired}'"):
-            load_spec(str(path))
-        assert main(["scenario", "check", str(path)]) == 2
-
-
-@pytest.mark.parametrize("content, message", [
-    (None, "bench.params.baseline: no such file"),
-    ("not json {", "bench.params.baseline: .* is not JSON"),
-], ids=["missing", "not-json"])
-def test_bench_baseline_checked_at_load(tmp_path, capsys, content, message):
-    """A baseline that cannot be read fails ``scenario check`` and
-    ``scenario run`` with its spec path before any storm runs — not as
-    a traceback after one — in the quick profile as well."""
-    from repro.cli import main
-    baseline = tmp_path / "nope.json"
-    if content is not None:
-        baseline.write_text(content)
-    farm = {"driver": "farmbench", "params": {"baseline": str(baseline)}}
-    docs = [{"name": "t", "kind": "bench", "bench": farm},
-            {"name": "t", "kind": "bench", "bench": {"driver": "farmbench"},
-             "quick": {"bench": {"params": farm["params"]}}}]
-    path = tmp_path / "farm.json"
-    for doc in docs:
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SpecError, match=message):
-            load_spec(str(path))
-        for action in ("check", "run"):
-            assert main(["scenario", action, str(path)]) == 2
-            assert "bench.params.baseline" in capsys.readouterr().err
-
-
-def test_bench_param_names_follow_the_run_signatures():
-    """The accepted keys are each driver's ``run_*`` keywords plus the
-    adapter's own — the keys the library specs and docs use."""
-    from repro.scenario.runner import bench_param_names
-    assert bench_param_names("faultbench") == ["scenarios", "seed"]
-    assert bench_param_names("chaosbench") == ["seed"]
-    assert bench_param_names("farmbench") == [
-        "baseline", "cells", "seed", "sessions"]
 
 
 def test_frozen_benchmark_spec_still_loads():

@@ -9,7 +9,7 @@ from repro.core.layers import (disable_stack_reports, enable_stack_reports,
 from repro.core.session import GvfsSession
 from repro.scenario.arrivals import arrival_offsets
 from repro.scenario.loader import load_spec
-from repro.scenario.runner import run_bench_driver, run_spec
+from repro.scenario.runner import run_spec
 from repro.scenario.schema import validate_report
 from repro.scenario.spec import ArrivalSpec, ScenarioSpec
 
@@ -78,22 +78,6 @@ def test_seed_perturbs_signature():
             != base["metrics"]["sim_signature"])
 
 
-def test_bench_kind_runs_driver_and_validates():
-    spec = ScenarioSpec.from_dict({
-        "name": "bench-t",
-        "kind": "bench",
-        "seed": 11,
-        "bench": {"driver": "faultbench",
-                  "params": {"scenarios": ["wan_blip"]}},
-    })
-    envelope, text = run_spec(spec, quick=True)
-    assert envelope["ok"] is True
-    assert envelope["driver"] == "faultbench"
-    assert envelope["gates"][0]["name"] == "check_report"
-    assert validate_report(envelope) == []
-    assert "wan_blip" in text
-
-
 def test_failing_gate_flips_ok():
     doc = dict(TINY_FLEET)
     doc["gates"] = [{"name": "makespan_ceiling",
@@ -102,17 +86,6 @@ def test_failing_gate_flips_ok():
     assert envelope["ok"] is False
     assert envelope["gates"][0]["ok"] is False
     assert "[FAIL]" in text
-
-
-def test_unknown_bench_driver_raises():
-    with pytest.raises(ValueError, match="bench.driver: unknown bench "
-                                         "driver 'nope'"):
-        ScenarioSpec.from_dict({
-            "name": "bad", "kind": "bench",
-            "bench": {"driver": "nope"},
-        })
-    with pytest.raises(ValueError, match="nope"):
-        run_bench_driver("nope", {}, quick=True)
 
 
 # --- arrival processes -------------------------------------------------
@@ -194,7 +167,8 @@ def _without_replay(spec, **session_changes):
         gates=tuple(g for g in spec.gates if g.name != "replay_identical"))
 
 
-@pytest.mark.parametrize("name", ["cascade_smoke", "coop_smoke"])
+@pytest.mark.parametrize("name", ["cascade_smoke", "coop_smoke",
+                                  "fault_smoke"])
 def test_converted_smoke_specs_pass_every_gate(name):
     spec = load_spec(name)
     assert spec.kind == "fleet"
@@ -223,6 +197,37 @@ def test_coop_smoke_without_peers_fails_both_peer_gates():
     assert gates[("integrity", None)] is True
     assert gates[("peer_hit_min", None)] is False, text
     assert gates[("wan_bytes_ceiling", "cold_storm")] is False, text
+
+
+def _restart_level_at(at, keep_client_restart=True):
+    """fault_smoke with its level restart moved to ``at`` seconds."""
+    spec = load_spec("fault_smoke")
+    faults = [dataclasses.replace(f, at=at) if f.target == "level:2" else f
+              for f in spec.faults
+              if keep_client_restart or f.target != "client:0"]
+    return dataclasses.replace(
+        spec, faults=tuple(faults),
+        gates=tuple(g for g in spec.gates if g.name != "replay_identical"))
+
+
+def test_fault_smoke_with_the_level_restart_at_40s_fails_integrity():
+    """Fleet proxies run without the dirty-frame journal: restarted at
+    40 s, the level still holds the wave's absorbed writes and loses
+    them, and the migrated memory no longer matches its source."""
+    envelope, text = run_spec(_restart_level_at(40.0))
+    assert _gates(envelope) == {("zero_lost_writes", None): True,
+                                ("integrity", None): False}, text
+
+
+def test_level_restart_mid_whole_file_fetch_completes():
+    """At 43 s the level restarts between its install of a migrated
+    memory image and the end of its fetch; the client's fetch used to
+    resolve the lost entry and raise KeyError."""
+    envelope, text = run_spec(_restart_level_at(
+        43.0, keep_client_restart=False))
+    timeline = envelope["metrics"]["fault_timeline"]
+    assert [43.0, "proxy-crash", "level:2"] in timeline, text
+    assert _gates(envelope)[("zero_lost_writes", None)] is True, text
 
 
 def test_declared_fault_targets_are_what_the_runner_attaches(monkeypatch):

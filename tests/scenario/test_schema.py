@@ -70,20 +70,6 @@ def test_invalid_scenario_envelopes_rejected(mutate, why):
         assert_valid_report(doc)
 
 
-def test_legacy_reports_cannot_claim_scenario_shape():
-    # A legacy-looking doc may not squat on benchmark="scenario" to
-    # skip the strict envelope requirements.
-    doc = {"benchmark": "scenario", "created_unix": 1}
-    assert validate_report(doc) != []
-
-
-def test_legacy_branch_accepts_bench_and_benchmark_keys():
-    assert validate_report({"benchmark": "pr6", "anything": 1}) == []
-    assert validate_report({"bench": "pr2", "samples": []}) == []
-    # No discriminator at all -> rejected.
-    assert validate_report({"samples": []}) != []
-
-
 def test_schema_loads_and_is_cached():
     assert bench_schema() is bench_schema()
-    assert bench_schema()["oneOf"]
+    assert bench_schema()["properties"]["kind"] == {"const": "fleet"}

@@ -19,20 +19,13 @@ MINIMAL_FLEET = {
     "phases": [{"name": "storm", "kind": "clone_storm", "image": "img"}],
 }
 
-MINIMAL_BENCH = {
-    "name": "b",
-    "kind": "bench",
-    "bench": {"driver": "faultbench", "params": {"scenarios": ["wan_blip"]}},
-}
-
-
 def test_round_trip_is_identity():
-    for doc in (MINIMAL_FLEET, MINIMAL_BENCH):
-        spec = ScenarioSpec.from_dict(doc)
-        normalized = spec.to_dict()
-        again = ScenarioSpec.from_dict(normalized)
-        assert again == spec
-        assert again.to_dict() == normalized
+    spec = ScenarioSpec.from_dict(MINIMAL_FLEET)
+    normalized = spec.to_dict()
+    again = ScenarioSpec.from_dict(normalized)
+    assert again == spec
+    assert again.to_dict() == normalized
+    assert normalized["kind"] == "fleet"
 
 
 def test_normalized_form_is_fully_explicit():
@@ -71,7 +64,9 @@ def test_unknown_keys_rejected_at_every_level(mutate, fragment):
         {"name": "x", "kind": "clone_storm", "image": "img"},
         {"name": "x", "kind": "clone_storm", "image": "img"}]},
      "duplicate"),
-    ({**MINIMAL_BENCH, "bench": {"driver": ""}}, "driver"),
+    ({**MINIMAL_FLEET, "kind": "bench",
+      "bench": {"driver": "faultbench", "params": {}}},
+     "scenario.kind: 'bench' was removed in PR 26"),
     ({**MINIMAL_FLEET,
       "faults": [{"kind": "link_flap", "target": "wan", "at": 1.0}]},
      "down_for"),

@@ -24,7 +24,7 @@ def test_parser_requires_command():
 
 
 def test_parser_exposes_exactly_four_commands():
-    """``scenario run`` is the one way to run a bench driver: no
+    """``scenario run`` is the one way to run a scenario: no
     per-driver subcommand may come back beside it."""
     import argparse
     subparsers = next(action for action in build_parser()._actions
@@ -40,22 +40,6 @@ def test_info_command_prints_calibration(capsys):
     assert "gzip" in out
 
 
-def _bench_spec(tmp_path, driver, **params):
-    import json
-    path = tmp_path / f"{driver}.json"
-    path.write_text(json.dumps({"name": f"cli-{driver}", "kind": "bench",
-                                "bench": {"driver": driver,
-                                          "params": params}}))
-    return str(path)
-
-
-def test_faultbench_rejects_unknown_scenario(capsys, tmp_path):
-    spec = _bench_spec(tmp_path, "faultbench", scenarios=["nope"])
-    assert main(["scenario", "check", spec]) == 0    # a value, not a key
-    assert main(["scenario", "run", spec, "--quick"]) == 2
-    assert "unknown scenario" in capsys.readouterr().err
-
-
 def test_bench_zero_runs_and_reports(capsys):
     assert main(["bench", "zero"]) == 0
     out = capsys.readouterr().out
@@ -63,44 +47,11 @@ def test_bench_zero_runs_and_reports(capsys):
     assert "92" in out
 
 
-BENCH_CMDS = {
-    # bench.driver -> (experiments module name, run_* function name)
-    "faultbench": ("faultbench", "run_faultbench"),
-    "chaosbench": ("chaosbench", "run_chaosbench"),
-    "farmbench": ("farmbench", "run_farmbench"),
-}
-
-
-@pytest.mark.parametrize("cmd", sorted(BENCH_CMDS))
-@pytest.mark.parametrize("failures, expected", [([], 0), (["boom"], 1)])
-def test_bench_subcommands_share_gate_exit_codes(cmd, failures, expected,
-                                                 monkeypatch, capsys,
-                                                 tmp_path):
-    """Every bench driver, run the one way there is (``scenario run`` of
-    a ``kind: bench`` spec), turns check_report failures into exit 1
-    (and a clean report into exit 0) through the same code path."""
-    import importlib
-    mod_name, run_name = BENCH_CMDS[cmd]
-    mod = importlib.import_module(f"repro.experiments.{mod_name}")
-    monkeypatch.setattr(mod, run_name,
-                        lambda *a, **k: {"fake": True})
-    monkeypatch.setattr(mod, "format_report", lambda report: "fake table")
-    monkeypatch.setattr(mod, "check_report",
-                        lambda report, baseline=None: list(failures))
-    assert main(["scenario", "run", _bench_spec(tmp_path, cmd), "--quick",
-                 "--check"]) == expected
-    captured = capsys.readouterr()
-    assert "fake table" in captured.out
-    if failures:
-        assert "boom" in captured.err and "gates failed" in captured.err
-    else:
-        assert captured.err == ""
-
-
 def test_scenario_list_shows_library(capsys):
     assert main(["scenario", "list"]) == 0
     out = capsys.readouterr().out
-    for name in ("fault_smoke", "fleet_rollout", "farm_smoke"):
+    for name in ("cascade_smoke", "coop_smoke", "fault_smoke",
+                 "fleet_rollout"):
         assert name in out
 
 
