@@ -473,14 +473,15 @@ class ProxyBlockCache:
 
     def read_many(self, keys: List[BlockKey]) -> Generator:
         """Process: fetch several cached blocks for upstream write-back,
-        one bank-file read per physically contiguous frame run.
+        one charged bank-file read per physically contiguous frame run.
 
         A short (partial) frame ends its run — the same rule as
         :meth:`dirty_runs` — and the merged read's extent is trimmed to
         the last frame's payload, so a span read never pulls bytes past
         the data it actually hands back.
 
-        Returns the blocks' bytes in ``keys`` order.  Raises
+        Returns, in ``keys`` order, each frame's stored object (no join,
+        no slicing back: a whole block is the object inserted).  Raises
         :class:`KeyError` if any key is not cached.
         """
         frames_at: List[Tuple[object, int, int]] = []   # (inode, offset, len)
@@ -504,18 +505,11 @@ class ProxyBlockCache:
                    and frames_at[j - 1][2] == bs):
                 j += 1
             span_bytes = (j - 1 - i) * bs + frames_at[j - 1][2]
-            span = yield from self.storage.timed_read_inode(
-                inode, offset, span_bytes)
-            if j == i + 1:
-                # Single frame: the read is already exactly the payload.
-                out.append(span if len(span) == frames_at[i][2]
-                           else span[:frames_at[i][2]])
-            else:
-                view = memoryview(span)
-                for k in range(i, j):
-                    length = frames_at[k][2]
-                    start = (k - i) * bs
-                    out.append(bytes(view[start:start + length]))
+            yield from self.storage.timed_scan_inode(inode, offset,
+                                                     span_bytes)
+            inode.atime = self.env.now
+            for _, frame_offset, length in frames_at[i:j]:
+                out.append(inode.data.read(frame_offset, length))
             i = j
         self.writebacks += len(keys)
         return out

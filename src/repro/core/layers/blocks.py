@@ -26,6 +26,7 @@ from repro.nfs.protocol import (FileHandle, NfsProc, NfsReply, NfsRequest,
                                 NfsStatus)
 from repro.nfs.rpc import RpcTimeout
 from repro.sim import AllOf
+from repro.storage.vfs import BlockRun
 
 __all__ = ["BlockCacheLayer"]
 
@@ -266,27 +267,36 @@ class BlockCacheLayer(ProxyLayer):
 
     def merge_into_cache(self, key, within: int, data: bytes,
                          dirty: bool = False) -> Generator:
-        """Process: read-modify-write ``data`` into the cached block."""
+        """Process: read-modify-write ``data`` into the cached block.
+
+        A piece covering the whole frame is stored as the caller's own
+        immutable object; a partial one builds a new block, so no other
+        holder of the old bytes sees the change.
+        """
         fh, idx = key
         bs = self.stack.block_size()
         existing = yield from self.block_cache.lookup(key)
         if existing is not None:
-            base = bytearray(existing.data)
             dirty = dirty or existing.dirty
-        elif 0 < within or len(data) < bs:
-            # Partial block not yet cached: fetch it so the cache holds a
-            # complete frame for later reads/write-back (read-modify-write).
-            reply = yield from self.stack.upstream.call(NfsRequest(
-                NfsProc.READ, fh=fh, offset=idx * bs, count=bs,
-                credentials=self.config.identity or (0, 0)))
-            base = bytearray(reply.data if reply.ok else b"")
+        if within == 0 and len(data) == bs and type(data) is bytes:
+            block = data
         else:
-            base = bytearray()
-        if len(base) < within + len(data):
-            base.extend(bytes(within + len(data) - len(base)))
-        base[within:within + len(data)] = data
-        victim = yield from self.block_cache.insert(key, bytes(base),
-                                                    dirty=dirty)
+            if existing is not None:
+                base = bytearray(existing.data)
+            elif 0 < within or len(data) < bs:
+                # Partial block not yet cached: fetch it so the cache
+                # holds a complete frame for later reads/write-back.
+                reply = yield from self.stack.upstream.call(NfsRequest(
+                    NfsProc.READ, fh=fh, offset=idx * bs, count=bs,
+                    credentials=self.config.identity or (0, 0)))
+                base = bytearray(reply.data if reply.ok else b"")
+            else:
+                base = bytearray()
+            if len(base) < within + len(data):
+                base.extend(bytes(within + len(data) - len(base)))
+            base[within:within + len(data)] = data
+            block = bytes(base)
+        victim = yield from self.block_cache.insert(key, block, dirty=dirty)
         if victim is not None:
             yield from self.dispose_victim(victim)
 
@@ -326,10 +336,12 @@ class BlockCacheLayer(ProxyLayer):
                 end += 1
             sub, remaining = live[:end], live[end:]
             datas = yield from self.block_cache.read_many(sub)
+            # The frames' own objects go upstream: one alone, or joined
+            # into a run that still carries them.
             reply = yield from self.stack.upstream.call(NfsRequest(
                 NfsProc.WRITE, fh=fh, offset=sub[0][1] * bs,
-                data=b"".join(datas), stable=False,
-                credentials=self.config.identity or (0, 0)))
+                data=datas[0] if len(datas) == 1 else BlockRun.join(datas),
+                stable=False, credentials=self.config.identity or (0, 0)))
             reply.raise_for_status(
                 f"write-back {fh} blocks {sub[0][1]}..{sub[-1][1]}")
             for key in sub:

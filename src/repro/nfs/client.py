@@ -637,11 +637,16 @@ class NfsFile:
             if existing is None and (within != 0 or take != bs) \
                     and idx * bs < self.size:
                 existing = yield from self._fetch_block(idx)
-            base = bytearray(existing or b"")
-            if len(base) < within + take:
-                base.extend(bytes(within + take - len(base)))
-            base[within:within + take] = view[:take]
-            block = bytes(base)
+            if take == bs == len(data):
+                # One whole block: sent and cached as the caller's own
+                # immutable object, as ``write`` stages it.
+                block = view.obj
+            else:
+                base = bytearray(existing or b"")
+                if len(base) < within + take:
+                    base.extend(bytes(within + take - len(base)))
+                base[within:within + take] = view[:take]
+                block = bytes(base)
             reply = yield from self.mount.rpc.call(NfsRequest(
                 NfsProc.WRITE, fh=self.fh, offset=idx * bs,
                 data=block, stable=True))

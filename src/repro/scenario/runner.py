@@ -198,11 +198,17 @@ def _run_fleet_once(spec: ScenarioSpec) -> Dict:
         yield AllOf(env, [env.process(one(i)) for i in range(n)])
 
     def check_clones(phase, image) -> bool:
-        origin = fs.read(image.memory_path)
-        return all(
-            testbed.compute[i].local.fs.read(
-                f"/clones/{phase.name}-p{i}/{VmImage.MEMORY_NAME}")
-            == origin
+        # Size first, then chunk by chunk: no whole-image copies.
+        origin = fs.lookup(image.memory_path).data
+
+        def same(copy) -> bool:
+            return copy.size == origin.size and all(
+                copy.read(k * CHUNK_SIZE, CHUNK_SIZE)
+                == origin.read(k * CHUNK_SIZE, CHUNK_SIZE)
+                for k in range(origin.n_chunks()))
+
+        return all(same(testbed.compute[i].local.fs.lookup(
+            f"/clones/{phase.name}-p{i}/{VmImage.MEMORY_NAME}").data)
             for i in range(n))
 
     def clone_storm(phase, extra=None):

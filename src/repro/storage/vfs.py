@@ -18,6 +18,7 @@ import itertools
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 __all__ = [
+    "BlockRun",
     "CHUNK_SIZE",
     "ContentSource",
     "FileSystem",
@@ -56,6 +57,21 @@ class ContentSource:
         """True when chunk ``index`` is all zero bytes."""
         data = self.chunk(index)
         return data.count(0) == len(data)
+
+
+class BlockRun(bytes):
+    """Adjacent blocks sent as one WRITE: the joined bytes, which also
+    keep the blocks themselves in ``.blocks``.  :meth:`SparseFile.write`
+    stores a run block by block, so an aligned whole chunk is kept by
+    reference instead of sliced back out of the join; every other
+    consumer sees plain ``bytes`` (a slice of a run is plain ``bytes``).
+    """
+
+    @classmethod
+    def join(cls, blocks) -> "BlockRun":
+        run = cls(b"".join(blocks))
+        run.blocks = tuple(blocks)
+        return run
 
 
 class SparseFile:
@@ -149,6 +165,11 @@ class SparseFile:
             end = offset + CHUNK_SIZE
             if end > self.size:
                 self.size = end
+            return
+        if type(data) is BlockRun:
+            for block in data.blocks:
+                self.write(offset, block)
+                offset += len(block)
             return
         pos = offset
         remaining = memoryview(bytes(data))

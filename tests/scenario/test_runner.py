@@ -12,6 +12,8 @@ from repro.scenario.loader import load_spec
 from repro.scenario.runner import run_spec
 from repro.scenario.schema import validate_report
 from repro.scenario.spec import ArrivalSpec, ScenarioSpec
+from repro.vm.cloning import CloneManager
+from repro.vm.image import VmImage
 
 TINY_FLEET = {
     "name": "tiny",
@@ -121,6 +123,25 @@ def test_windowed_arrivals_stay_in_window():
         a = _arrival(kind=kind, window_s=30.0)
         offs = arrival_offsets(a, 16, seed=1, key="k")
         assert all(0.0 <= o <= 30.0 for o in offs)
+
+
+def test_integrity_gate_goes_red_on_one_differing_chunk(monkeypatch):
+    """The clone check compares size, then chunk by chunk: one byte of
+    the last chunk of one clone's local copy is enough."""
+    copy = CloneManager._copy_memory_state
+
+    def garbling(self, image_dir, clone_dir):
+        yield from copy(self, image_dir, clone_dir)
+        data = self.local.lfs.fs.lookup(
+            f"{clone_dir}/{VmImage.MEMORY_NAME}").data
+        last = data.size - 1
+        data.write(last, bytes([data.read(last, 1)[0] ^ 0xFF]))
+
+    monkeypatch.setattr(CloneManager, "_copy_memory_state", garbling)
+    envelope, text = run_spec(ScenarioSpec.from_dict(TINY_FLEET), quick=True)
+    gates = {g["name"]: g["ok"] for g in envelope["gates"]}
+    assert gates == {"zero_lost_writes": True, "integrity": False,
+                     "makespan_ceiling": True}, text
 
 
 # -- the composed stack: migrations checked, readahead where it now runs --------
