@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 from repro.core.filecache import FileCacheEntry, ProxyFileCache
-from repro.net.compress import GZIP, CompressionModel
+from repro.net.compress import GZIP
 from repro.net.ssh import ScpTransfer
 from repro.net.topology import Host
 from repro.nfs.protocol import FileHandle
@@ -56,14 +56,13 @@ class FileChannel:
 
     def __init__(self, env: Environment, locator: RemoteFileLocator,
                  scp: ScpTransfer, file_cache: ProxyFileCache,
-                 compression: CompressionModel = GZIP,
                  upload_scp: Optional[ScpTransfer] = None):
         self.env = env
         self.locator = locator
         self.scp = scp
         self.upload_scp = upload_scp or scp
         self.file_cache = file_cache
-        self.compression = compression
+        self.compression = GZIP
         # Statistics
         self.fetches = 0
         self.uploads = 0
@@ -165,9 +164,9 @@ class CascadedFileChannel(FileChannel):
     """
 
     def __init__(self, env: Environment, parent: FileChannel,
-                 lan_host: Host, client_host: Host,
-                 scp: ScpTransfer, file_cache: ProxyFileCache,
-                 compression: CompressionModel = GZIP):
+                 client_host: Host, scp: ScpTransfer,
+                 file_cache: ProxyFileCache,
+                 upload_scp: Optional[ScpTransfer] = None):
         def _resolve(fh: FileHandle) -> Inode:
             entry = parent.file_cache.entry(fh)
             if entry is None:
@@ -181,9 +180,10 @@ class CascadedFileChannel(FileChannel):
             return entry.inode
 
         locator = RemoteFileLocator(
-            resolve=_resolve, server_host=lan_host,
+            resolve=_resolve, server_host=parent.locator.client_host,
             server_fs=parent.file_cache.storage, client_host=client_host)
-        super().__init__(env, locator, scp, file_cache, compression)
+        super().__init__(env, locator, scp, file_cache,
+                         upload_scp=upload_scp)
         self.parent = parent
 
     def fetch(self, fh: FileHandle) -> Generator:

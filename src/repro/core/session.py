@@ -24,14 +24,12 @@ on one testbed can run different readahead or write-back settings
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, replace
 from typing import Generator, List, Optional, Sequence, Union
 
 from repro.core.blockcache import ProxyBlockCache
 from repro.core.channel import CascadedFileChannel, FileChannel, RemoteFileLocator
 from repro.core.config import ProxyCacheConfig, ProxyConfig
-from repro.core.consistency import MiddlewareConsistency
 from repro.core.filecache import ProxyFileCache
 from repro.core.layers.checksum import ChecksumLayer
 from repro.core.proxy import GvfsProxy
@@ -46,11 +44,7 @@ from repro.storage.localfs import LocalFileSystem
 from repro.storage.vfs import FsError, Inode
 
 __all__ = ["CascadeLevel", "CascadeLevelSpec", "GvfsSession", "LocalFile",
-           "LocalMount", "ProxyCascade", "Scenario", "ServerEndpoint",
-           "build_cascade", "build_caching_proxy",
-           "direct_file_channel"]
-
-_session_counter = itertools.count(1)
+           "LocalMount", "Scenario", "ServerEndpoint", "build_cascade"]
 
 
 class Scenario(enum.Enum):
@@ -181,6 +175,7 @@ class ServerEndpoint:
                  logical_identity=(1001, 1001), integrity=None):
         self.env = env
         self.host = host
+        self.integrity = integrity
         self.export = host.local
         self.server = NfsServer(env, self.export, fsid=fsid)
         loop = LoopbackTransport(env)
@@ -209,137 +204,109 @@ class ServerEndpoint:
 
 
 # --------------------------------------------------------------------------
-# Caching-proxy assembly (shared by client sessions and cache levels)
+# Caching hops: the client proxy and every cascade level
 # --------------------------------------------------------------------------
 
-def build_caching_proxy(env: Environment, upstream: RpcClient, *, name: str,
-                        cache_config: ProxyCacheConfig, block_cache,
-                        channel, metadata: bool = True,
-                        proxy_config: ProxyConfig = ProxyConfig(),
-                        peer_member=None, integrity=None,
-                        origin_selector=None,
-                        channel_selector=None) -> GvfsProxy:
-    """One caching GVFS proxy: the standard layer stack (attr patching,
-    zero-map meta-data, file channel, block cache + readahead, fault
-    guard, upstream RPC) over ``upstream``.
+@dataclass(frozen=True)
+class CascadeLevel:
+    """One caching hop.  A GVFS proxy is both an NFS server and an NFS
+    client (§3.1), so a cascade level is the same caching proxy a
+    client runs; the hop below uses :attr:`proxy` as its upstream
+    handler and :attr:`channel` as its file channel's parent."""
 
-    Every cache level in a cascade — the client proxy, a second-level
-    LAN cache, an N-th level — is this same composition; only the
-    upstream RPC client (the next hop) and the cache objects differ.
-    ``proxy_config`` is the policy template (readahead, write-back
-    coalescing, ...); its ``name``, ``cache`` and ``metadata`` are
-    filled in here.  ``peer_member`` (a ``PeerCacheDirectory.join``
-    handle) inserts the cooperative peer-cache lookup below the fault
-    guard.  ``integrity`` (a ``ChecksumRegistry`` shared with a
-    record-mode endpoint) inserts a verify-mode checksum layer above
-    the caches, so every full-block read is checked end to end before
-    it reaches the client.
+    name: str
+    host: Host
+    proxy: GvfsProxy
+    channel: FileChannel
+    block_cache: ProxyBlockCache
+
+
+def _build_hop(testbed: Testbed, endpoint: ServerEndpoint, host: Host,
+               name: str, proxy_name: str, *,
+               above: Optional[CascadeLevel] = None, origin=None,
+               caching: bool = True,
+               cache_config: Optional[ProxyCacheConfig] = None,
+               shared_block_cache: Optional[ProxyBlockCache] = None,
+               metadata: bool = True,
+               proxy_config: ProxyConfig = ProxyConfig(),
+               peer_directory=None, integrity=None
+               ) -> Union[CascadeLevel, RpcClient]:
+    """Build one caching proxy on ``host`` over the next hop: ``above``
+    (a cascade level), else the ``origin`` farm, else ``endpoint``'s
+    proxy.  The hop crosses the WAN only to reach the WAN image server.
+    Without ``caching`` (the LAN and WAN scenarios) it stops at the
+    transport and returns the :class:`RpcClient` a kernel client mounts
+    through.  ``integrity`` puts a verify-mode checksum layer on top.
     """
+    env = testbed.env
+    if origin is not None:
+        # The farm client owns one tunnel pair per replica; there is no
+        # single upstream route.
+        upstream = origin.upstream_client(name, host)
+    else:
+        next_host = above.host if above is not None else endpoint.host
+        via_wan = next_host is testbed.wan_server
+        route_out = testbed.route(host, next_host, via_wan)
+        route_back = testbed.route(next_host, host, via_wan)
+        upstream = RpcClient(
+            env, above.proxy if above is not None else endpoint.proxy,
+            SshTunnel(env, route_out, name=f"{name}.out"),
+            SshTunnel(env, route_back, name=f"{name}.back"),
+            name=f"{name}.rpc")
+    if not caching:
+        return upstream
+
+    block_cache = (shared_block_cache if shared_block_cache is not None
+                   else ProxyBlockCache(env, host.local,
+                                        cache_config or ProxyCacheConfig(),
+                                        name=f"{name}.blocks"))
+    file_cache = ProxyFileCache(env, host.local, name=f"{name}.files")
+    channel_selector = None
+    if origin is not None:
+        channel_selector = origin.session_channels(file_cache, host, name)
+        channel = channel_selector.primary
+    else:
+        scp = ScpTransfer(env, route_back, name=f"{name}.scp")
+        upload_scp = ScpTransfer(env, route_out, name=f"{name}.scp-up")
+        if above is not None:
+            channel = CascadedFileChannel(env, above.channel, host, scp,
+                                          file_cache, upload_scp=upload_scp)
+        else:
+            locator = RemoteFileLocator(resolve=endpoint.resolve,
+                                        server_host=endpoint.host,
+                                        server_fs=endpoint.export,
+                                        client_host=host)
+            channel = FileChannel(env, locator, scp, file_cache,
+                                  upload_scp=upload_scp)
+    peer_member = (peer_directory.join(name, host, block_cache)
+                   if peer_directory is not None else None)
     checksum = (ChecksumLayer(integrity, verify=True)
                 if integrity is not None else None)
-    return GvfsProxy(env, upstream,
-                     replace(proxy_config, name=name, cache=cache_config,
-                             metadata=metadata),
-                     block_cache=block_cache, channel=channel,
-                     peer_member=peer_member, checksum=checksum,
-                     origin_selector=origin_selector,
-                     channel_selector=channel_selector)
-
-
-def direct_file_channel(env: Environment, endpoint: ServerEndpoint,
-                        client_host: Host, file_cache: ProxyFileCache,
-                        scp: ScpTransfer,
-                        upload_scp: Optional[ScpTransfer] = None
-                        ) -> FileChannel:
-    """A file channel fetching straight from the image server."""
-    locator = RemoteFileLocator(resolve=endpoint.resolve,
-                                server_host=endpoint.host,
-                                server_fs=endpoint.export,
-                                client_host=client_host)
-    return FileChannel(env, locator, scp, file_cache, upload_scp=upload_scp)
+    proxy = GvfsProxy(env, upstream,
+                      replace(proxy_config, name=proxy_name,
+                              cache=block_cache.config, metadata=metadata),
+                      block_cache=block_cache, channel=channel,
+                      peer_member=peer_member, checksum=checksum,
+                      origin_selector=(upstream if origin is not None
+                                       else None),
+                      channel_selector=channel_selector)
+    return CascadeLevel(name=name, host=host, proxy=proxy, channel=channel,
+                        block_cache=block_cache)
 
 
 # --------------------------------------------------------------------------
 # Cache cascades: intermediate caching-proxy levels between client and origin
 # --------------------------------------------------------------------------
 
-class CascadeLevel:
-    """One intermediate caching proxy in an N-level cache cascade.
-
-    Cascading is stack composition: every level is the *same* layer
-    stack as a client proxy (:func:`build_caching_proxy`), pointed
-    either at the next level up the cascade (``above``) or straight at
-    the image server's proxy.  Client sessions (or lower levels) stack
-    on top by using :attr:`proxy` as their upstream handler.
-
-    ``link`` names the network the upstream hop crosses (``"lan"`` or
-    ``"wan"``); by default it is inferred from the upstream host (WAN
-    for the WAN image server, campus Ethernet otherwise).
-    """
-
-    def __init__(self, testbed: Testbed, endpoint: ServerEndpoint,
-                 host: Host,
-                 cache_config: Optional[ProxyCacheConfig] = None,
-                 name: str = "cache-level",
-                 above: Optional["CascadeLevel"] = None,
-                 link: Optional[str] = None,
-                 proxy_config: ProxyConfig = ProxyConfig()):
-        env = testbed.env
-        self.env = env
-        self.testbed = testbed
-        self.endpoint = endpoint
-        self.host = host
-        self.above = above
-        self.name = name
-        cache_config = cache_config or ProxyCacheConfig()
-        self.cache_config = cache_config
-        upstream_host = above.host if above is not None else endpoint.host
-        if link is None:
-            link = "wan" if upstream_host is testbed.wan_server else "lan"
-        if link not in ("lan", "wan"):
-            raise ValueError(f"link must be 'lan' or 'wan', got {link!r}")
-        self.link = link
-        via_wan = link == "wan"
-        tunnel_out = SshTunnel(env, testbed.route(host, upstream_host,
-                                                  via_wan),
-                               name=f"{name}.out")
-        tunnel_back = SshTunnel(env, testbed.route(upstream_host, host,
-                                                   via_wan),
-                                name=f"{name}.back")
-        upstream_handler = (above.proxy if above is not None
-                            else endpoint.proxy)
-        upstream = RpcClient(env, upstream_handler, tunnel_out, tunnel_back,
-                             name=f"{name}.rpc")
-        self.block_cache = ProxyBlockCache(env, self.host.local, cache_config,
-                                           name=f"{name}.blocks")
-        file_cache = ProxyFileCache(env, self.host.local,
-                                    name=f"{name}.files")
-        scp = ScpTransfer(env, testbed.route(upstream_host, host, via_wan),
-                          name=f"{name}.scp")
-        if above is not None:
-            self.channel = CascadedFileChannel(env, above.channel,
-                                               above.host, host, scp,
-                                               file_cache)
-        else:
-            self.channel = direct_file_channel(env, endpoint, self.host,
-                                               file_cache, scp)
-        self.proxy = build_caching_proxy(env, upstream, name=name,
-                                         cache_config=cache_config,
-                                         block_cache=self.block_cache,
-                                         channel=self.channel,
-                                         proxy_config=proxy_config)
-
-
 @dataclass(frozen=True)
 class CascadeLevelSpec:
     """Declarative description of one cascade level for
     :func:`build_cascade`.
 
-    ``cache_config`` carries the level's block-cache geometry; ``link``
-    the network of the hop toward the next level (``"lan"``/``"wan"``,
-    default inferred from the upstream host); ``host`` pins the level
-    to an existing testbed host (default: the LAN image server for the
-    origin-adjacent level, a freshly attached LAN host otherwise).
+    ``cache_config`` carries the level's block-cache geometry; ``host``
+    pins the level to an existing testbed host (default: the LAN image
+    server for the origin-adjacent level, a freshly attached LAN host
+    otherwise).
 
     ``profile`` calibrates the level's *access link* when the cascade
     provisions a fresh host for it: a :data:`repro.net.topology
@@ -353,67 +320,31 @@ class CascadeLevelSpec:
     """
 
     cache_config: Optional[ProxyCacheConfig] = None
-    link: Optional[str] = None
     host: Optional[Host] = None
     name: Optional[str] = None
     profile: Optional[Union[str, NetworkConditions]] = None
     proxy_config: Optional[ProxyConfig] = None
 
 
-class ProxyCascade:
-    """An assembled cascade: the intermediate levels between client
-    sessions and the image server, ordered client-ward first.
-
-    ``levels[0]`` (:attr:`top`) is what sessions attach to via
-    ``GvfsSession.build(..., via=cascade)``; ``levels[-1]`` talks to
-    the server endpoint.  The *cascade depth* counts the client proxy
-    too: ``depth == len(levels) + 1`` (a depth-1 cascade has no
-    intermediate levels and is a plain caching client proxy).
-    """
-
-    def __init__(self, levels: List[CascadeLevel]):
-        self.levels = list(levels)
-
-    @property
-    def top(self) -> Optional[CascadeLevel]:
-        return self.levels[0] if self.levels else None
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) + 1
-
-    def stacks(self) -> List[GvfsProxy]:
-        """The levels' proxy stacks, client-ward first."""
-        return [level.proxy for level in self.levels]
-
-    def reset(self) -> None:
-        """Zero every level's counters (the client proxy, built per
-        session, resets itself via ``ProxyStack.reset``)."""
-        for level in self.levels:
-            level.proxy.reset(deep=False)
-
-    def stats_snapshots(self) -> List[dict]:
-        """Per-level counter snapshots, client-ward first."""
-        return [level.proxy.stats_snapshot() for level in self.levels]
-
-
 def build_cascade(testbed: Testbed, endpoint: ServerEndpoint,
                   levels: Sequence[Union[CascadeLevelSpec, ProxyCacheConfig]],
                   name: str = "cascade",
-                  proxy_config: ProxyConfig = ProxyConfig()) -> ProxyCascade:
+                  proxy_config: ProxyConfig = ProxyConfig()
+                  ) -> List[CascadeLevel]:
     """Assemble an arbitrary-depth proxy-cache cascade (§3.2.3
     generalized): compute node → rack cache → … → site cache → origin.
 
     ``levels`` lists the *intermediate* cache levels, ordered
     client-ward → origin-ward; each entry is a :class:`CascadeLevelSpec`
-    (or a bare :class:`ProxyCacheConfig` as shorthand).  An empty list
-    yields a depth-1 cascade — sessions then run a plain caching client
-    proxy.  The origin-adjacent level defaults to the LAN image server
-    host reaching the origin across the WAN (§3.2.3's second-level
-    proxy cache, "setup on a LAN server ... to further exploit the
-    locality"); additional client-ward levels get their own
-    LAN-attached hosts.  ``proxy_config`` is the policy template of
-    every level that does not carry its own.
+    (or a bare :class:`ProxyCacheConfig` as shorthand).  The levels are
+    returned in that order; sessions attach with ``via=levels[0]`` (an
+    empty list builds none: a plain caching client proxy).  The
+    origin-adjacent level defaults to the LAN image server host reaching
+    the origin across the WAN (§3.2.3's second-level proxy cache, "setup
+    on a LAN server ... to further exploit the locality"); additional
+    client-ward levels get their own LAN-attached hosts.
+    ``proxy_config`` is the policy template of every level that does
+    not carry its own.
     """
     specs = [spec if isinstance(spec, CascadeLevelSpec)
              else CascadeLevelSpec(cache_config=spec) for spec in levels]
@@ -436,14 +367,13 @@ def build_cascade(testbed: Testbed, endpoint: ServerEndpoint,
             else:
                 host = testbed.add_host(f"{name}-l{level_no}",
                                         conditions=conditions)
-        above = CascadeLevel(testbed, endpoint, host=host,
-                             cache_config=spec.cache_config,
-                             name=spec.name or f"{name}-l{level_no}",
-                             above=above, link=spec.link,
-                             proxy_config=spec.proxy_config or proxy_config)
+        level_name = spec.name or f"{name}-l{level_no}"
+        above = _build_hop(testbed, endpoint, host, level_name, level_name,
+                           above=above, cache_config=spec.cache_config,
+                           proxy_config=spec.proxy_config or proxy_config)
         built.append(above)
     built.reverse()
-    return ProxyCascade(built)
+    return built
 
 
 # --------------------------------------------------------------------------
@@ -460,8 +390,6 @@ class GvfsSession:
     compute_host: Host
     endpoint: Optional[ServerEndpoint] = None
     client_proxy: Optional[GvfsProxy] = None
-    consistency: Optional[MiddlewareConsistency] = None
-    nfs_client: Optional[NfsClient] = None
 
     # -- middleware operations ------------------------------------------------
     def flush(self) -> Generator:
@@ -529,47 +457,43 @@ class GvfsSession:
               cache_config: Optional[ProxyCacheConfig] = None,
               mount_options: Optional[MountOptions] = None,
               metadata: bool = True,
-              via: Optional[Union[CascadeLevel, ProxyCascade]] = None,
+              via: Optional[CascadeLevel] = None,
               shared_block_cache: Optional[ProxyBlockCache] = None,
               peer_directory=None,
-              file_cache_capacity: Optional[int] = None,
-              integrity=None,
               origin=None,
               proxy_config: ProxyConfig = ProxyConfig()
               ) -> "GvfsSession":
         """Wire a session for ``scenario`` on compute node ``compute_index``.
 
-        ``endpoint`` names the image server side (defaults to the WAN
-        server for WAN scenarios, the LAN server for LAN).  ``via``
-        interposes a cache cascade: a :class:`CascadeLevel` or a whole
-        :class:`ProxyCascade` (whose top level is used; an empty
-        cascade means no intermediate levels).  ``cache_config``
-        overrides the client cache geometry for WAN_CACHED (defaults to §4.1's
-        512 banks / 16-way / 8 GB).  ``shared_block_cache`` lets several
-        sessions on one host share a read-only cache of golden-image
-        blocks (§3.2.1); the proxy then forwards writes upstream.
+        ``endpoint`` names the image server side.  ``via``
+        interposes a cache cascade: the client-ward level
+        :func:`build_cascade` returned (``None``: no intermediate
+        levels).  ``cache_config`` overrides the client cache geometry
+        for WAN_CACHED (defaults to §4.1's 512 banks / 16-way / 8 GB).
+        ``shared_block_cache`` lets several sessions on one host share
+        a read-only cache of golden-image blocks (§3.2.1); the proxy
+        then forwards writes upstream.
 
         ``peer_directory`` (a :meth:`Testbed.peer_directory`) registers
         this session's block cache with the site's cooperative peer
         directory so LAN peers answer each other's misses before they
         escalate over the WAN.
 
-        ``integrity`` (a ``ChecksumRegistry``, WAN_CACHED only) inserts
-        a verify-mode checksum layer at the top of the client proxy;
-        pair it with an endpoint built with the same registry so there
-        are origin-recorded checksums to verify against.
+        An endpoint that records checksums (built with a
+        ``ChecksumRegistry``) gives a WAN_CACHED client proxy a
+        verify-mode checksum layer at its top, checking every
+        client-bound full block against the origin's record.
 
         ``origin`` replaces the single upstream with a replicated
         origin provider (duck-typed; canonically
         ``repro.middleware.farm.ImageFarm``): anything exposing
-        ``endpoint`` (root-handle source), ``integrity`` (shared
-        checksum registry), ``upstream_client(name, compute_host)``
-        (an RpcClient-compatible origin selector fanning requests
-        across replicas) and ``session_channels(file_cache,
-        compute_host, name)`` (a file-channel selector).  ``origin``
-        and ``via`` are mutually exclusive — a farm is already its own
-        data plane.  With ``origin=None`` the wiring below is
-        bit-identical to the single-origin path.
+        ``endpoint`` (root-handle source, recording with the farm's
+        shared checksum registry), ``upstream_client(name,
+        compute_host)`` (an RpcClient-compatible origin selector
+        fanning requests across replicas) and ``session_channels(
+        file_cache, compute_host, name)`` (a file-channel selector).
+        ``origin`` and ``via`` are mutually exclusive — a farm is
+        already its own data plane.
 
         ``proxy_config`` is the client proxy's policy template
         (WAN_CACHED only): readahead depth, write coalescing and
@@ -577,109 +501,43 @@ class GvfsSession:
         ``metadata`` fields are overwritten by the session's own.
         """
         env = testbed.env
-        n = next(_session_counter)
+        n = next(testbed.session_numbers)
         compute = testbed.compute[compute_index]
-        if isinstance(via, ProxyCascade):
-            via = via.top
         if origin is not None:
             if via is not None:
                 raise ValueError("origin farm and cascade 'via' are "
                                  "mutually exclusive")
             endpoint = origin.endpoint
-            if integrity is None:
-                integrity = origin.integrity
 
         if scenario is Scenario.LOCAL:
             return cls(env=env, scenario=scenario,
                        mount=LocalMount(compute.local), compute_host=compute)
 
         if endpoint is None:
-            host = (testbed.lan_server if scenario is Scenario.LAN
-                    else testbed.wan_server)
-            endpoint = ServerEndpoint(env, host)
+            raise ValueError(f"a {scenario.value} session needs an "
+                             "endpoint or an origin")
 
-        # Data channel routes for this session: follow the physical
-        # location of the next hop (a cascade cache level or the image
-        # server itself), so an endpoint on the LAN server is reached
-        # over LAN links even in a WAN-named scenario (e.g. a user-data
-        # server co-located on the LAN).
-        route_out = route_back = None
-        if origin is not None:
-            # The farm client owns one tunnel pair per replica; there
-            # is no single upstream route.
-            upstream = origin.upstream_client(f"s{n}", compute)
-        elif via is not None:
-            route_out = testbed.route(compute, via.host)
-            route_back = testbed.route(via.host, compute)
-            upstream_handler = via.proxy
-        elif endpoint.host is testbed.wan_server:
-            route_out = testbed.wan_route(compute_index)
-            route_back = testbed.wan_route_back(compute_index)
-            upstream_handler = endpoint.proxy
-        else:
-            route_out = testbed.lan_route(compute_index)
-            route_back = testbed.lan_route_back(compute_index)
-            upstream_handler = endpoint.proxy
-
-        if origin is None:
-            tunnel_out = SshTunnel(env, route_out, name=f"s{n}.out")
-            tunnel_back = SshTunnel(env, route_back, name=f"s{n}.back")
-            upstream = RpcClient(env, upstream_handler, tunnel_out,
-                                 tunnel_back, name=f"s{n}.rpc")
-
-        client_proxy = None
-        if scenario is Scenario.WAN_CACHED:
-            if shared_block_cache is not None:
-                cache_config = shared_block_cache.config
-                block_cache = shared_block_cache
-            else:
-                cache_config = cache_config or ProxyCacheConfig()
-                block_cache = ProxyBlockCache(env, compute.local,
-                                              cache_config,
-                                              name=f"s{n}.blocks")
-            file_cache = ProxyFileCache(env, compute.local,
-                                        name=f"s{n}.files",
-                                        capacity_bytes=file_cache_capacity)
-            channel_selector = None
-            if origin is not None:
-                channel_selector = origin.session_channels(
-                    file_cache, compute, f"s{n}")
-                channel = channel_selector.primary
-            elif via is not None:
-                scp = ScpTransfer(env, route_back, name=f"s{n}.scp")
-                channel = CascadedFileChannel(
-                    env, via.channel, via.host, compute, scp, file_cache)
-            else:
-                scp = ScpTransfer(env, route_back, name=f"s{n}.scp")
-                upload_scp = ScpTransfer(env, route_out, name=f"s{n}.scp-up")
-                channel = direct_file_channel(env, endpoint, compute,
-                                              file_cache, scp,
-                                              upload_scp=upload_scp)
-            peer_member = None
-            if peer_directory is not None:
-                peer_member = peer_directory.join(f"s{n}", compute,
-                                                  block_cache)
-            client_proxy = build_caching_proxy(
-                env, upstream, name=f"s{n}.client-proxy",
-                cache_config=cache_config, block_cache=block_cache,
-                channel=channel, metadata=metadata,
-                proxy_config=proxy_config,
-                peer_member=peer_member, integrity=integrity,
-                origin_selector=(upstream if origin is not None else None),
-                channel_selector=channel_selector)
+        hop = _build_hop(testbed, endpoint, compute, f"s{n}",
+                         f"s{n}.client-proxy", above=via, origin=origin,
+                         caching=scenario is Scenario.WAN_CACHED,
+                         cache_config=cache_config,
+                         shared_block_cache=shared_block_cache,
+                         metadata=metadata, proxy_config=proxy_config,
+                         peer_directory=peer_directory,
+                         integrity=endpoint.integrity)
+        if isinstance(hop, CascadeLevel):
+            client_proxy = hop.proxy
             loop = LoopbackTransport(env)
             mount_rpc = RpcClient(env, client_proxy, loop, loop,
                                   name=f"s{n}.mount")
         else:
             # LAN / WAN without client caching: the kernel client talks
             # through the tunnel straight to the server-side proxy.
-            mount_rpc = upstream
+            client_proxy, mount_rpc = None, hop
 
         nfs_client = NfsClient(env, name=f"s{n}.client")
         mount = nfs_client.mount("/gvfs", mount_rpc, endpoint.root_fh,
                                  mount_options or MountOptions())
         return cls(env=env, scenario=scenario, mount=mount,
                    compute_host=compute, endpoint=endpoint,
-                   client_proxy=client_proxy,
-                   consistency=MiddlewareConsistency(env),
-                   nfs_client=nfs_client)
+                   client_proxy=client_proxy)

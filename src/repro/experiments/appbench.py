@@ -77,9 +77,9 @@ def run_application_benchmark(scenario: Scenario,
     state (Figure 5's cold/warm pair is ``runs=2``).  ``cold_between``
     instead cold-restarts the *client* (kernel caches, guest page
     cache, client proxy caches) before every run — intermediate cascade
-    levels interposed with ``via`` (a ``CascadeLevel`` or
-    ``ProxyCascade``) stay warm, which is how the cascade experiments
-    measure per-level locality.  ``endpoint`` reuses a caller-built
+    levels interposed with ``via`` (the client-ward ``CascadeLevel``
+    ``build_cascade`` returned) stay warm, which is how the cascade
+    experiments measure per-level locality.  ``endpoint`` reuses a caller-built
     image-server side (required when ``via`` points at a cascade built
     against it).  ``proxy_config`` is the client proxy's policy
     template (see ``GvfsSession.build``).

@@ -147,7 +147,7 @@ def run_cloning_benchmark(scenario: CloneScenario,
 
     second_level = None
     if scenario is CloneScenario.WAN_S3:
-        second_level = build_cascade(testbed, endpoint, [ProxyCacheConfig()])
+        [second_level] = build_cascade(testbed, endpoint, [ProxyCacheConfig()])
 
     def make_rig(compute_index: int):
         session = GvfsSession.build(testbed, Scenario.WAN_CACHED,

@@ -112,8 +112,7 @@ class VmSessionManager:
         index = (self._pick_compute() if compute_index is None
                  else compute_index)
         gvfs = GvfsSession.build(self.testbed, self.scenario,
-                                 endpoint=None if self.origin else
-                                 self.endpoint,
+                                 endpoint=self.endpoint,
                                  compute_index=index, origin=self.origin)
         compute = self.testbed.compute[index]
         monitor = VmMonitor(self.env, compute)

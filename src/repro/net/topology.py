@@ -16,6 +16,7 @@ windows) and shared by *every* experiment — no per-figure tuning.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -433,6 +434,9 @@ class Testbed:
         # Cooperative peer-cache directories, one per site, created on
         # first use (see :meth:`peer_directory`).
         self._peer_directories: Dict[str, PeerCacheDirectory] = {}
+        # The ``s{n}`` of session names: per testbed, so a rig's names
+        # do not depend on what else the process built.
+        self.session_numbers = itertools.count(1)
 
     # -- host construction --------------------------------------------------
     def add_host(self, name: str, cpus: int = 2, cpu_speed: float = 1.6,
@@ -495,9 +499,6 @@ class Testbed:
         """A route between any two attached hosts.  ``via_wan`` inserts
         the shared Abilene segment (cache-cascade hops between LAN hosts
         stay on campus Ethernet)."""
-        return self._route(src, dst, via_wan)
-
-    def _route(self, src: Host, dst: Host, via_wan: bool) -> Route:
         src_up, _ = self._access[src.name]
         _, dst_down = self._access[dst.name]
         hops = [src_up]
@@ -508,28 +509,13 @@ class Testbed:
         hops.append(dst_down)
         return Route(hops, name=f"{src.name}->{dst.name}")
 
-    def lan_route(self, compute_index: int = 0) -> Route:
-        """Compute node → LAN image server."""
-        return self._route(self.compute[compute_index], self.lan_server, False)
-
-    def lan_route_back(self, compute_index: int = 0) -> Route:
-        """LAN image server → compute node."""
-        return self._route(self.lan_server, self.compute[compute_index], False)
-
     def wan_route(self, compute_index: int = 0) -> Route:
         """Compute node → WAN image server (across Abilene)."""
-        return self._route(self.compute[compute_index], self.wan_server, True)
+        return self.route(self.compute[compute_index], self.wan_server, True)
 
     def wan_route_back(self, compute_index: int = 0) -> Route:
         """WAN image server → compute node."""
-        return self._route(self.wan_server, self.compute[compute_index], True)
-
-    def lan_server_route(self) -> Route:
-        """LAN image server → WAN image server (2nd-level cache fills)."""
-        return self._route(self.lan_server, self.wan_server, True)
-
-    def lan_server_route_back(self) -> Route:
-        return self._route(self.wan_server, self.lan_server, True)
+        return self.route(self.wan_server, self.compute[compute_index], True)
 
 
 def make_paper_testbed(env: Optional[Environment] = None,

@@ -6,9 +6,9 @@ declared fault plans onto a single
 :class:`~repro.sim.faults.FaultInjector`, and closes with a durability
 probe (write through every session, flush every tier, diff the origin
 bytes).  The resulting ``metrics`` dict is pure simulation output — no
-wall-clock, no global-counter names — so a second run of the same spec
-+ seed must reproduce it bit-identically (the ``replay_identical`` gate
-runs the whole scenario twice and compares).
+wall-clock — so a second run of the same spec + seed must reproduce it
+bit-identically (the ``replay_identical`` gate runs the whole scenario
+twice and compares).
 
 The report envelope is::
 
@@ -62,7 +62,7 @@ def _harden_everything(spec: ScenarioSpec, sessions, cascade) -> None:
     knobs.update(spec.sessions.harden or {})
     for session in sessions:
         session.harden_rpc(**knobs)
-    for level in cascade.levels:
+    for level in cascade:
         upstream = level.proxy.upstream
         for key in ("timeout", "max_retries", "backoff", "max_timeout"):
             if key in knobs:
@@ -82,7 +82,7 @@ def _attach_faults(spec: ScenarioSpec, env, testbed, endpoint, sessions,
     for i, session in enumerate(sessions):
         injector.attach(f"client:{i}", session.client_proxy)
         attach_stack(injector, f"s{i}", session.client_proxy)
-    for k, level in enumerate(cascade.levels, start=2):
+    for k, level in enumerate(cascade, start=2):
         injector.attach(f"level:{k}", level.proxy)
         attach_stack(injector, f"l{k}", level.proxy)
 
@@ -153,7 +153,8 @@ def _run_fleet_once(spec: ScenarioSpec) -> Dict:
                  if spec.sessions.mode == "cooperative" else None)
     sessions = [GvfsSession.build(
         testbed, Scenario.WAN_CACHED, endpoint=endpoint,
-        compute_index=i, cache_config=client_cfg, via=cascade,
+        compute_index=i, cache_config=client_cfg,
+        via=cascade[0] if cascade else None,
         peer_directory=directory, proxy_config=proxy_cfg)
         for i in range(n)]
 
@@ -273,12 +274,12 @@ def _run_fleet_once(spec: ScenarioSpec) -> Dict:
         observers), then a storm on the new version."""
         for session in sessions:
             yield env.process(session.cold_caches())
-        for level in cascade.levels:
+        for level in cascade:
             # (Drained by the sessions' flushes; fetches may linger.)
             yield env.process(level.proxy.quiesce())
             level.proxy.invalidate_caches()
         yield from clone_storm(
-            phase, extra={"invalidated_levels": len(cascade.levels) + 1})
+            phase, extra={"invalidated_levels": len(cascade) + 1})
 
     def migration_wave(phase):
         """Every peer boots a VM from server-side state, then migrates
@@ -384,10 +385,8 @@ def _run_fleet_once(spec: ScenarioSpec) -> Dict:
 
 
 def _cascade_rows(session, cascade) -> List[Dict]:
-    """Per-level block-cache stats, client first — name-free so the
-    rows are replay-stable (session names use a process-global
-    counter)."""
-    stacks = [session.client_proxy] + [lvl.proxy for lvl in cascade.levels]
+    """Per-level block-cache stats, client first, keyed by tier."""
+    stacks = [session.client_proxy] + [lvl.proxy for lvl in cascade]
     rows = []
     for tier, stack in enumerate(stacks, start=1):
         counters = stack.stats_snapshot().get("block-cache", {})

@@ -2,6 +2,7 @@
 a seeded image server and session builders per scenario."""
 
 from repro.core.blockcache import ProxyBlockCache
+from repro.core.channel import FileChannel, RemoteFileLocator
 from repro.core.config import CachePolicy, ProxyCacheConfig, ProxyConfig
 from repro.core.filecache import ProxyFileCache
 from repro.core.layers import (
@@ -19,7 +20,6 @@ from repro.core.session import (
     Scenario,
     ServerEndpoint,
     build_cascade,
-    direct_file_channel,
 )
 from repro.net.ssh import ScpTransfer, SshTunnel
 from repro.net.topology import Testbed
@@ -49,20 +49,24 @@ class ComposedSecondLevel:
         self.testbed = testbed
         self.endpoint = endpoint
         self.host = testbed.lan_server
-        tunnel_out = SshTunnel(env, testbed.lan_server_route(),
-                               name=f"{name}.out")
-        tunnel_back = SshTunnel(env, testbed.lan_server_route_back(),
-                                name=f"{name}.back")
-        upstream = RpcClient(env, endpoint.proxy, tunnel_out, tunnel_back,
+        up = testbed.route(self.host, endpoint.host, via_wan=True)
+        down = testbed.route(endpoint.host, self.host, via_wan=True)
+        upstream = RpcClient(env, endpoint.proxy,
+                             SshTunnel(env, up, name=f"{name}.out"),
+                             SshTunnel(env, down, name=f"{name}.back"),
                              name=f"{name}.rpc")
         self.block_cache = ProxyBlockCache(env, self.host.local, cache_config,
                                            name=f"{name}.blocks")
         file_cache = ProxyFileCache(env, self.host.local,
                                     name=f"{name}.files")
-        scp = ScpTransfer(env, testbed.lan_server_route_back(),
-                          name=f"{name}.scp")
-        self.channel = direct_file_channel(env, endpoint, self.host,
-                                           file_cache, scp)
+        scp = ScpTransfer(env, down, name=f"{name}.scp")
+        upload_scp = ScpTransfer(env, up, name=f"{name}.scp-up")
+        locator = RemoteFileLocator(resolve=endpoint.resolve,
+                                    server_host=endpoint.host,
+                                    server_fs=endpoint.export,
+                                    client_host=self.host)
+        self.channel = FileChannel(env, locator, scp, file_cache,
+                                   upload_scp=upload_scp)
         self.proxy = ProxyStack(
             env, upstream,
             ProxyConfig(name=name, cache=cache_config, metadata=True),
@@ -84,7 +88,7 @@ class Rig:
         self.endpoint = ServerEndpoint(self.env, self.testbed.wan_server)
         self.second_level = (build_cascade(self.testbed, self.endpoint,
                                            [SMALL_CACHE],
-                                           proxy_config=proxy_config).top
+                                           proxy_config=proxy_config)[0]
                              if via_second_level else None)
         self.image = VmImage.create(
             self.endpoint.export.fs, "/images/golden",

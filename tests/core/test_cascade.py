@@ -37,7 +37,7 @@ def make_rig(n_levels=2):
     cascade = build_cascade(testbed, endpoint, [SMALL_CACHE] * n_levels)
     session = GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                 endpoint=endpoint, cache_config=SMALL_CACHE,
-                                via=cascade)
+                                via=cascade[0])
     return testbed, endpoint, image, cascade, session
 
 
@@ -64,7 +64,7 @@ def restart(testbed, session, cascade, tiers):
     """Cold-restart the client plus the first ``tiers - 1`` levels."""
     def gen(env):
         yield env.process(session.cold_caches())
-        for level in cascade.levels[:tiers - 1]:
+        for level in cascade[:tiers - 1]:
             yield env.process(level.proxy.quiesce())
             level.proxy.invalidate_caches()
     run(testbed, gen(testbed.env))
@@ -75,7 +75,7 @@ def test_reads_fill_every_cascade_level():
     box = run(testbed, read_block(session, 0)(testbed.env))
     assert box["value"] == image.disk_inode.data.read(0, 8192)
     assert session.client_proxy.block_cache.cached_blocks >= 1
-    for level in cascade.levels:
+    for level in cascade:
         assert level.block_cache.cached_blocks >= 1
 
 
@@ -84,7 +84,7 @@ def test_tier_restart_is_served_by_the_next_level():
     j+1 — no deeper level (or the origin) sees the READ again."""
     testbed, endpoint, image, cascade, session = make_rig()
     run(testbed, read_block(session, 0)(testbed.env))
-    l2, l3 = cascade.levels
+    l2, l3 = cascade
 
     restart(testbed, session, cascade, tiers=1)
     hits_before = l2.proxy.layer("block-cache").stats.block_cache_hits
@@ -105,8 +105,8 @@ def test_cascade_stacks_discovered_through_rpc_handlers():
     testbed, endpoint, image, cascade, session = make_rig()
     stacks = session.client_proxy.cascade_stacks()
     # client + two cache levels + the server-side forwarding proxy.
-    assert stacks == [session.client_proxy, cascade.levels[0].proxy,
-                      cascade.levels[1].proxy, endpoint.proxy]
+    assert stacks == [session.client_proxy, cascade[0].proxy,
+                      cascade[1].proxy, endpoint.proxy]
 
 
 def test_deep_reset_covers_every_level():
@@ -129,7 +129,7 @@ def test_shallow_reset_leaves_upstream_levels_alone():
     run(testbed, read_block(session, 0)(testbed.env))
     session.client_proxy.reset(deep=False)
     assert session.client_proxy.front_stats.requests == 0
-    assert cascade.levels[0].proxy.front_stats.requests > 0
+    assert cascade[0].proxy.front_stats.requests > 0
 
 
 def test_deep_snapshot_nests_the_whole_cascade():
@@ -140,8 +140,8 @@ def test_deep_snapshot_nests_the_whole_cascade():
     while "upstream" in snap:
         names.append(snap["upstream"]["name"])
         snap = snap["upstream"]["layers"]
-    assert names == [cascade.levels[0].proxy.config.name,
-                     cascade.levels[1].proxy.config.name,
+    assert names == [cascade[0].proxy.config.name,
+                     cascade[1].proxy.config.name,
                      endpoint.proxy.config.name]
     # The default (shallow) snapshot shape is unchanged.
     assert "upstream" not in session.client_proxy.stats_snapshot()
@@ -161,26 +161,13 @@ def test_cascade_report_covers_every_level():
     assert "hit_ratio=" in report
 
 
-def test_cascade_reset_and_snapshots_api():
-    testbed, endpoint, image, cascade, session = make_rig()
-    run(testbed, read_block(session, 0)(testbed.env))
-    assert cascade.depth == 3
-    assert cascade.top is cascade.levels[0]
-    assert len(cascade.stats_snapshots()) == 2
-    cascade.reset()
-    gauges = {"capacity_frames", "cached_blocks"}
-    assert all(v == 0 for snap in cascade.stats_snapshots()
-               for counters in snap.values()
-               for key, v in counters.items() if key not in gauges)
-
-
 def test_cascade_levels_get_their_own_hosts():
     testbed, endpoint, image, cascade, session = make_rig()
     # The origin-adjacent level sits on the LAN image server; the
     # client-ward level gets a freshly attached host.
-    assert cascade.levels[1].host is testbed.lan_server
-    assert cascade.levels[0].host is not testbed.lan_server
-    assert cascade.levels[0].host.name == "cascade-l2"
+    assert cascade[1].host is testbed.lan_server
+    assert cascade[0].host is not testbed.lan_server
+    assert cascade[0].host.name == "cascade-l2"
 
 
 def test_add_host_rejects_duplicate_names():
@@ -196,7 +183,7 @@ def shared_level_rig(policy=CachePolicy.WRITE_BACK):
     """Two sessions (no meta-data: all block-wise) on one cache level."""
     rig = Rig(metadata=False, n_compute=2)
     level_cache = dataclasses.replace(SMALL_CACHE, policy=policy)
-    level = build_cascade(rig.testbed, rig.endpoint, [level_cache]).top
+    level = build_cascade(rig.testbed, rig.endpoint, [level_cache])[0]
     sessions = [GvfsSession.build(rig.testbed, Scenario.WAN_CACHED,
                                   endpoint=rig.endpoint, compute_index=i,
                                   cache_config=SMALL_CACHE, metadata=False,
@@ -327,7 +314,7 @@ def file_channel_rig():
     channel at both hops."""
     testbed, endpoint, image, cascade, session = make_rig(n_levels=1)
     image.generate_metadata()
-    return testbed, image, cascade.top, session
+    return testbed, image, cascade[0], session
 
 
 def first_data_block(image):
@@ -425,3 +412,36 @@ def test_level_restart_drops_dirty_whole_files():
     assert "value" in run(testbed, gen(testbed.env))
     assert level.channel.file_cache.cached_files == 0
     assert not origin_has_marker(image)
+
+
+def test_cascaded_uploads_take_the_outbound_route():
+    """A whole-file upload travels toward the hop it writes to: the
+    client's crosses its uplink to the level, the level's flush crosses
+    Abilene origin-ward — neither rides the download links."""
+    testbed, image, level, session = file_channel_rig()
+    compute, origin = testbed.compute[0], testbed.wan_server
+    moved = []
+
+    def watch(channel, out, back):
+        upload = channel.upload
+
+        def watched(fh):
+            links = out.links + back.links
+            before = [link.bytes_sent for link in links]
+            compressed = yield from upload(fh)
+            delta = [link.bytes_sent - b for link, b in zip(links, before)]
+            moved.append((compressed, delta[:len(out.links)],
+                          delta[len(out.links):]))
+            return compressed
+        channel.upload = watched
+
+    watch(session.client_proxy.channel, testbed.route(compute, level.host),
+          testbed.route(level.host, compute))
+    watch(level.channel, testbed.route(level.host, origin, True),
+          testbed.route(origin, level.host, True))
+    assert "value" in run(testbed, read_then_write(session, image)(
+        testbed.env))
+    assert len(moved) == 2                      # the client's, the level's
+    for compressed, out, back in moved:
+        assert min(out) >= compressed > max(back)
+    assert origin_has_marker(image)

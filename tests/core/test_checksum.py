@@ -11,7 +11,8 @@ from repro.core.session import (
     ServerEndpoint,
     build_cascade,
 )
-from repro.net.topology import Testbed
+from repro.middleware.farm import ImageFarm
+from repro.net.topology import Testbed, make_paper_testbed
 from repro.nfs.protocol import FileHandle, NfsProc, NfsRequest, NfsStatus
 from repro.sim import Environment
 from repro.vm.image import VmConfig, VmImage
@@ -38,14 +39,30 @@ def make_rig(levels=(), client_cache=SMALL_CACHE, n_compute=1,
     sessions = [GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                   endpoint=endpoint, compute_index=i,
                                   cache_config=client_cache, metadata=False,
-                                  via=cascade, peer_directory=directory,
-                                  integrity=registry,
+                                  via=cascade[0] if cascade else None,
+                                  peer_directory=directory,
                                   proxy_config=proxy_config)
                 for i in range(n_compute)]
     return SimpleNamespace(testbed=testbed, env=testbed.env,
                            registry=registry, endpoint=endpoint, image=image,
                            cascade=cascade, directory=directory,
                            sessions=sessions, session=sessions[0])
+
+
+def test_verify_layer_follows_the_endpoint():
+    """A caching session verifies when its endpoint records checksums
+    and only then; a farm session verifies against the farm's registry."""
+    recording = make_rig(integrity=True)
+    layer = recording.session.client_proxy.layer("checksum")
+    assert layer.verify and layer.registry is recording.registry
+    plain = make_rig(integrity=False)
+    assert plain.session.client_proxy.layer("checksum") is None
+
+    testbed = make_paper_testbed(n_compute=1)
+    farm = ImageFarm(testbed, n_servers=2)
+    session = GvfsSession.build(testbed, Scenario.WAN_CACHED, origin=farm)
+    layer = session.client_proxy.layer("checksum")
+    assert layer.verify and layer.registry is farm.integrity
 
 
 def fh_for(rig, path=PATH):
@@ -173,7 +190,7 @@ def test_exhausted_repairs_return_clean_io_error():
     client gets a clean IO error — never the garbled data."""
     rig = make_rig(levels=[SMALL_CACHE])
     client = rig.session.client_proxy
-    l2 = rig.cascade.levels[0].proxy
+    l2 = rig.cascade[0].proxy
     fh = fh_for(rig)
 
     def job(env):

@@ -36,7 +36,7 @@ def make_cascade_rig(seed=11, proxy_config=NO_READAHEAD):
                             proxy_config=proxy_config)
     session = GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                 endpoint=endpoint, cache_config=TINY_CACHE,
-                                metadata=False, via=cascade,
+                                metadata=False, via=cascade[0],
                                 proxy_config=proxy_config)
     return testbed, endpoint, image, cascade, session
 

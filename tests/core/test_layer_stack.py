@@ -36,7 +36,7 @@ PATH = "/images/golden/disk.vmdk"
 # --------------------------------------------------------------------------
 
 def _built_second_level(testbed, endpoint, cache_config):
-    return build_cascade(testbed, endpoint, [cache_config]).top
+    return build_cascade(testbed, endpoint, [cache_config])[0]
 
 
 def _two_level_universe(second_level_cls):

@@ -21,7 +21,7 @@ def make_rig(n_compute=2):
     image = VmImage.create(endpoint.export.fs, "/images/golden",
                            VmConfig(name="golden", memory_mb=2, disk_gb=0.01,
                                     seed=47))
-    second = build_cascade(testbed, endpoint, [SMALL_CACHE]).top
+    second = build_cascade(testbed, endpoint, [SMALL_CACHE])[0]
     sessions = [GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                   endpoint=endpoint, compute_index=i,
                                   cache_config=SMALL_CACHE, via=second)
@@ -136,7 +136,7 @@ def test_depth2_cascade_matches_second_level_cache_goldens():
 
     def cascaded(testbed, endpoint):
         cascade = build_cascade(testbed, endpoint, [SMALL_CACHE])
-        return cascade, cascade.levels
+        return cascade[0], cascade
 
     ref_trace, ref_snaps = _read_sequence(classic)
     new_trace, new_snaps = _read_sequence(cascaded)
@@ -152,8 +152,8 @@ def test_depth1_cascade_is_a_plain_caching_proxy():
 
     def empty_cascade(testbed, endpoint):
         cascade = build_cascade(testbed, endpoint, [])
-        assert cascade.depth == 1 and cascade.top is None
-        return cascade, cascade.levels
+        assert cascade == []
+        return None, cascade
 
     ref_trace, ref_snaps = _read_sequence(plain)
     new_trace, new_snaps = _read_sequence(empty_cascade)

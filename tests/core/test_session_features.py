@@ -245,14 +245,14 @@ def test_neighbouring_sessions_keep_their_own_proxy_config():
     depths = (0, 8)
     sessions = [GvfsSession.build(
         testbed, Scenario.WAN_CACHED, endpoint=endpoint, compute_index=i,
-        cache_config=SMALL_CACHE, metadata=False, via=cascade,
+        cache_config=SMALL_CACHE, metadata=False, via=cascade[0],
         proxy_config=ProxyConfig(readahead_depth=depth))
         for i, depth in enumerate(depths)]
 
     assert [s.client_proxy.config.readahead_depth
             for s in sessions] == [0, 8]
-    assert [stack.config.readahead_depth
-            for stack in cascade.stacks()] == [3, 5]
+    assert [level.proxy.config.readahead_depth
+            for level in cascade] == [3, 5]
     # The builder still owns the fields that describe *this* proxy.
     assert sessions[0].client_proxy.config.cache is SMALL_CACHE
     assert sessions[0].client_proxy.config.metadata is False
@@ -272,3 +272,33 @@ def test_neighbouring_sessions_keep_their_own_proxy_config():
     testbed.env.run()
     assert sessions[0].client_proxy.layer("readahead").stats.prefetch_issued == 0
     assert sessions[1].client_proxy.layer("readahead").stats.prefetch_issued > 0
+
+
+def test_session_names_are_numbered_per_testbed():
+    """The same rig built twice in one process names its proxies,
+    tunnels and caches identically: the ``s{n}`` count is the
+    testbed's, not the process's."""
+    def names():
+        out = []
+        for session in Rig(n_compute=2).sessions:
+            proxy = session.client_proxy
+            rpc = proxy.upstream
+            out += [proxy.config.name, rpc.name, rpc.out.name,
+                    rpc.back.name, proxy.block_cache.name,
+                    proxy.channel.file_cache.name, proxy.channel.scp.name,
+                    session.mount.rpc.name]
+        return out
+
+    first = names()
+    assert first == names()
+    assert first[0] == "s1.client-proxy"
+
+
+def test_networked_session_needs_an_endpoint_or_an_origin():
+    from repro.net.topology import Testbed
+    from repro.sim import Environment
+
+    testbed = Testbed(Environment())
+    with pytest.raises(ValueError, match="endpoint or an origin"):
+        GvfsSession.build(testbed, Scenario.WAN)
+    assert GvfsSession.build(testbed, Scenario.LOCAL).client_proxy is None

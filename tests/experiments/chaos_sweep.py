@@ -273,13 +273,11 @@ class _Rig:
         self.s0 = GvfsSession.build(
             self.testbed, Scenario.WAN_CACHED, endpoint=self.endpoint,
             compute_index=0, cache_config=TINY_CACHE, metadata=False,
-            via=self.cascade, peer_directory=peers,
-            integrity=self.registry)
+            via=self.cascade[0], peer_directory=peers)
         self.s1 = GvfsSession.build(
             self.testbed, Scenario.WAN_CACHED, endpoint=self.endpoint,
             compute_index=1, cache_config=BIG_CACHE, metadata=False,
-            via=self.cascade, peer_directory=peers,
-            integrity=self.registry)
+            via=self.cascade[0], peer_directory=peers)
         for session in (self.s0, self.s1):
             session.harden_rpc(timeout=0.5, max_retries=10, backoff=2.0,
                                max_timeout=8.0)
@@ -287,7 +285,7 @@ class _Rig:
         self.injector = FaultInjector(env)
         self.stacks = {"c0": self.s0.client_proxy,
                        "c1": self.s1.client_proxy,
-                       "l2": self.cascade.levels[0].proxy,
+                       "l2": self.cascade[0].proxy,
                        "origin": self.endpoint.proxy}
         for name, stack in self.stacks.items():
             attach_stack(self.injector, name, stack)
@@ -358,7 +356,7 @@ def _run_cascade_cell(workload: str, cell: Optional[Dict], seed: int,
         if _fire(env, injector, cell, "pre_push"):
             yield env.timeout(0.002)
         yield env.process(rig.s0.client_proxy.flush())
-        for level in rig.cascade.levels:
+        for level in rig.cascade:
             yield env.process(level.proxy.flush())
         box["bad"] = bad
         box["elapsed"] = env.now
@@ -391,7 +389,7 @@ def _run_upload_cell(cell: Optional[Dict], seed: int,
 
     session = GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                 endpoint=endpoint, cache_config=BIG_CACHE,
-                                metadata=True, integrity=registry)
+                                metadata=True)
     session.harden_rpc(timeout=0.5, max_retries=10, backoff=2.0,
                        max_timeout=8.0)
     injector = FaultInjector(env)

@@ -38,7 +38,7 @@ def test_host_multi_cpu_runs_parallel():
 
 def test_testbed_routes_have_expected_latency():
     tb = make_paper_testbed()
-    lan = tb.lan_route()
+    lan = tb.route(tb.compute[0], tb.lan_server)
     wan = tb.wan_route()
     assert lan.latency == pytest.approx(2 * LAN_2003.latency)
     assert wan.latency == pytest.approx(2 * LAN_2003.latency + WAN_2003.latency)
@@ -68,9 +68,9 @@ def test_testbed_routes_back_use_reverse_direction():
 
 def test_lan_server_to_wan_server_route():
     tb = make_paper_testbed()
-    r = tb.lan_server_route()
+    r = tb.route(tb.lan_server, tb.wan_server, via_wan=True)
     assert r.links[1] is tb.wan_segment[0]
-    back = tb.lan_server_route_back()
+    back = tb.route(tb.wan_server, tb.lan_server, via_wan=True)
     assert back.links[1] is tb.wan_segment[1]
 
 

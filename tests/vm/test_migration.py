@@ -169,7 +169,8 @@ def test_destination_memory_is_what_the_source_suspended(depth, mode,
     directory = testbed.peer_directory() if mode == "cooperative" else None
     sessions = [GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                   endpoint=endpoint, compute_index=i,
-                                  cache_config=SMALL_CACHE, via=cascade,
+                                  cache_config=SMALL_CACHE,
+                                  via=cascade[0] if cascade else None,
                                   peer_directory=directory,
                                   metadata=metadata)
                 for i in range(n)]
