@@ -27,26 +27,24 @@ class FileChannelStats:
     stalled_uploads: int = 0    # uploads parked on a stall fault
     dropped_uploads: int = 0    # uploads lost to a drop fault (entry stays
                                 # dirty, so a later flush retries it)
-    replicated_uploads: int = 0  # extra per-replica uploads via a selector
 
 
 class FileChannelLayer(ProxyLayer):
     """Serve whole files through the file-based data channel.
 
-    With a *channel selector* attached, each whole-file fetch is routed
-    to a live origin replica (``fetch_channel(fh)``) and each flush
-    upload is replicated to every live replica (``upload_channels(fh)``)
-    — the farm's whole-file counterpart of the terminal layer's origin
-    selector.  Without one, the single baked-in channel is used.
+    ``channel`` is anything with ``fetch(fh)``, ``upload(fh)``,
+    ``file_cache`` and ``reset_stats()``: a
+    :class:`~repro.core.channel.FileChannel` to one server or cache
+    level, or a replicated farm's channel, which picks the replica
+    behind those same calls.
     """
 
     ROLE = "file-channel"
     Stats = FileChannelStats
 
-    def __init__(self, channel, selector=None):
+    def __init__(self, channel):
         super().__init__()
         self.channel = channel
-        self.selector = selector
         # fh -> in-progress channel fetch gate (concurrent READs wait).
         self.fetching: Dict[FileHandle, object] = {}
         # Fault-injection state: a gate parking flush uploads, and a
@@ -84,10 +82,7 @@ class FileChannelLayer(ProxyLayer):
         gate = self.env.event()
         self.fetching[fh] = gate
         try:
-            channel = self.channel
-            if self.selector is not None:
-                channel = self.selector.fetch_channel(fh)
-            yield from channel.fetch(fh)
+            yield from self.channel.fetch(fh)
             self.stats.channel_fetches += 1
         finally:
             if self.fetching.get(fh) is gate:
@@ -155,13 +150,7 @@ class FileChannelLayer(ProxyLayer):
                 self._drop_uploads -= 1
                 self.stats.dropped_uploads += 1
                 continue
-            if self.selector is not None:
-                channels = self.selector.upload_channels(entry.fh)
-                for channel in channels:
-                    yield from channel.upload(entry.fh)
-                self.stats.replicated_uploads += max(len(channels) - 1, 0)
-            else:
-                yield from self.channel.upload(entry.fh)
+            yield from self.channel.upload(entry.fh)
 
     def crash(self) -> None:
         for gate in self.fetching.values():

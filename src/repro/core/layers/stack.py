@@ -53,9 +53,7 @@ class FrontDoorStats:
 
 
 def standard_layers(block_cache=None, channel=None,
-                    peer_member=None, checksum=None,
-                    origin_selector=None,
-                    channel_selector=None) -> List[ProxyLayer]:
+                    peer_member=None, checksum=None) -> List[ProxyLayer]:
     """The canonical GVFS composition: attr patching and meta-data on
     top, optional end-to-end checksum recording/verification, optional
     file-channel and block-cache/readahead caching in the middle, the
@@ -74,14 +72,14 @@ def standard_layers(block_cache=None, channel=None,
     if checksum is not None:
         layers.append(checksum)
     if channel is not None:
-        layers.append(FileChannelLayer(channel, selector=channel_selector))
+        layers.append(FileChannelLayer(channel))
     if block_cache is not None:
         layers.append(BlockCacheLayer(block_cache))
         layers.append(ReadaheadLayer())
     layers.append(DegradedModeLayer())
     if peer_member is not None:
         layers.append(PeerCacheLayer(peer_member))
-    layers.append(UpstreamRpcLayer(selector=origin_selector))
+    layers.append(UpstreamRpcLayer())
     return layers
 
 

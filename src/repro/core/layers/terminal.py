@@ -27,28 +27,20 @@ class UpstreamRpcStats:
     procs_blackholed: int = 0   # requests parked by a blackhole fault
     procs_delayed: int = 0      # requests slowed by a delay fault
     procs_duplicated: int = 0   # requests sent twice by a dup fault
-    origin_selected: int = 0    # requests resolved by an origin selector
 
 
 class UpstreamRpcLayer(ProxyLayer):
     """Issue requests upstream like an NFS client.
 
-    With an *origin selector* attached, each request is resolved to one
-    (or, for replicated writes, several) origin replicas by the
-    selector's ``dispatch`` instead of the single baked-in upstream —
-    the seam the image-server farm plugs into.  Without one, the path
-    is exactly the single-upstream call it has always been.
+    Every request goes out through ``stack.upstream.call`` — whatever
+    sits upstream: a tunnelled :class:`~repro.nfs.rpc.RpcClient` to the
+    next proxy, or a replicated farm's client, which picks replicas
+    behind that same call.
     """
 
     ROLE = "upstream-rpc"
     Stats = UpstreamRpcStats
     FAULT_PROCS = True
-
-    def __init__(self, selector=None):
-        super().__init__()
-        #: Optional origin selector: anything with ``dispatch(request)``
-        #: (a generator yielding sim events and returning an NfsReply).
-        self.selector = selector
 
     def handle(self, request) -> Generator:
         if self.proc_faults is not None:
@@ -58,13 +50,7 @@ class UpstreamRpcLayer(ProxyLayer):
                 # discarded — the caller sees only the second, like a
                 # retransmitted RPC whose original also landed.
                 self.stats.forwarded += 1
-                yield from self._forward(request)
+                yield from self.stack.upstream.call(request)
         self.stats.forwarded += 1
-        reply = yield from self._forward(request)
+        reply = yield from self.stack.upstream.call(request)
         return reply
-
-    def _forward(self, request) -> Generator:
-        if self.selector is not None:
-            self.stats.origin_selected += 1
-            return (yield from self.selector.dispatch(request))
-        return (yield from self.stack.upstream.call(request))

@@ -50,14 +50,11 @@ class GvfsProxy(ProxyStack):
                  config: ProxyConfig = ProxyConfig(),
                  block_cache: Optional[ProxyBlockCache] = None,
                  channel: Optional[FileChannel] = None,
-                 peer_member=None, checksum=None,
-                 origin_selector=None, channel_selector=None):
+                 peer_member=None, checksum=None):
         if config.cache is not None and block_cache is None:
             raise ValueError("config requests a cache but none was attached")
         super().__init__(env, upstream, config,
                          standard_layers(block_cache=block_cache,
                                          channel=channel,
                                          peer_member=peer_member,
-                                         checksum=checksum,
-                                         origin_selector=origin_selector,
-                                         channel_selector=channel_selector))
+                                         checksum=checksum))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Generator, List, Optional, Sequence, Union
+from typing import Callable, Generator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.blockcache import ProxyBlockCache
 from repro.core.channel import CascadedFileChannel, FileChannel, RemoteFileLocator
@@ -44,7 +44,8 @@ from repro.storage.localfs import LocalFileSystem
 from repro.storage.vfs import FsError, Inode
 
 __all__ = ["CascadeLevel", "CascadeLevelSpec", "GvfsSession", "LocalFile",
-           "LocalMount", "Scenario", "ServerEndpoint", "build_cascade"]
+           "LocalMount", "Scenario", "ServerEndpoint", "build_cascade",
+           "connect_hop"]
 
 
 class Scenario(enum.Enum):
@@ -221,6 +222,48 @@ class CascadeLevel:
     block_cache: ProxyBlockCache
 
 
+def connect_hop(testbed: Testbed, host: Host,
+                upstream: Union[ServerEndpoint, CascadeLevel], name: str
+                ) -> Tuple[RpcClient, Callable[[ProxyFileCache], FileChannel]]:
+    """Wire ``host`` to its next hop ``upstream``: ``upstream.host`` is
+    the far end and ``upstream.proxy`` the handler, and ``upstream`` is
+    an image server's endpoint or a cascade level (a level's
+    ``channel`` is the parent of this hop's file channel).  The hop
+    crosses the WAN only to reach the WAN image server.
+
+    Returns the hop's :class:`RpcClient` (a tunnel pair over the
+    outbound and back routes) and a function that builds the hop's file
+    channel into a file cache: SCP down the back route, SCP up the
+    outbound route, reading the endpoint's files or the level's file
+    cache.  The channel comes later because the file cache it fills is
+    built after the RPC client.
+    """
+    env = testbed.env
+    via_wan = upstream.host is testbed.wan_server
+    route_out = testbed.route(host, upstream.host, via_wan)
+    route_back = testbed.route(upstream.host, host, via_wan)
+    rpc = RpcClient(env, upstream.proxy,
+                    SshTunnel(env, route_out, name=f"{name}.out"),
+                    SshTunnel(env, route_back, name=f"{name}.back"),
+                    name=f"{name}.rpc")
+
+    def file_channel(file_cache: ProxyFileCache) -> FileChannel:
+        scp = ScpTransfer(env, route_back, name=f"{name}.scp")
+        upload_scp = ScpTransfer(env, route_out, name=f"{name}.scp-up")
+        parent = getattr(upstream, "channel", None)
+        if parent is not None:
+            return CascadedFileChannel(env, parent, host, scp, file_cache,
+                                       upload_scp=upload_scp)
+        locator = RemoteFileLocator(resolve=upstream.resolve,
+                                    server_host=upstream.host,
+                                    server_fs=upstream.export,
+                                    client_host=host)
+        return FileChannel(env, locator, scp, file_cache,
+                           upload_scp=upload_scp)
+
+    return rpc, file_channel
+
+
 def _build_hop(testbed: Testbed, endpoint: ServerEndpoint, host: Host,
                name: str, proxy_name: str, *,
                above: Optional[CascadeLevel] = None, origin=None,
@@ -232,27 +275,15 @@ def _build_hop(testbed: Testbed, endpoint: ServerEndpoint, host: Host,
                peer_directory=None, integrity=None
                ) -> Union[CascadeLevel, RpcClient]:
     """Build one caching proxy on ``host`` over the next hop: ``above``
-    (a cascade level), else the ``origin`` farm, else ``endpoint``'s
-    proxy.  The hop crosses the WAN only to reach the WAN image server.
+    (a cascade level), else the ``origin`` farm, else ``endpoint``.
     Without ``caching`` (the LAN and WAN scenarios) it stops at the
-    transport and returns the :class:`RpcClient` a kernel client mounts
+    transport and returns the RPC client a kernel client mounts
     through.  ``integrity`` puts a verify-mode checksum layer on top.
     """
     env = testbed.env
-    if origin is not None:
-        # The farm client owns one tunnel pair per replica; there is no
-        # single upstream route.
-        upstream = origin.upstream_client(name, host)
-    else:
-        next_host = above.host if above is not None else endpoint.host
-        via_wan = next_host is testbed.wan_server
-        route_out = testbed.route(host, next_host, via_wan)
-        route_back = testbed.route(next_host, host, via_wan)
-        upstream = RpcClient(
-            env, above.proxy if above is not None else endpoint.proxy,
-            SshTunnel(env, route_out, name=f"{name}.out"),
-            SshTunnel(env, route_back, name=f"{name}.back"),
-            name=f"{name}.rpc")
+    upstream, file_channel = (
+        origin.connect_hop(host, name) if origin is not None
+        else connect_hop(testbed, host, above or endpoint, name))
     if not caching:
         return upstream
 
@@ -260,24 +291,8 @@ def _build_hop(testbed: Testbed, endpoint: ServerEndpoint, host: Host,
                    else ProxyBlockCache(env, host.local,
                                         cache_config or ProxyCacheConfig(),
                                         name=f"{name}.blocks"))
-    file_cache = ProxyFileCache(env, host.local, name=f"{name}.files")
-    channel_selector = None
-    if origin is not None:
-        channel_selector = origin.session_channels(file_cache, host, name)
-        channel = channel_selector.primary
-    else:
-        scp = ScpTransfer(env, route_back, name=f"{name}.scp")
-        upload_scp = ScpTransfer(env, route_out, name=f"{name}.scp-up")
-        if above is not None:
-            channel = CascadedFileChannel(env, above.channel, host, scp,
-                                          file_cache, upload_scp=upload_scp)
-        else:
-            locator = RemoteFileLocator(resolve=endpoint.resolve,
-                                        server_host=endpoint.host,
-                                        server_fs=endpoint.export,
-                                        client_host=host)
-            channel = FileChannel(env, locator, scp, file_cache,
-                                  upload_scp=upload_scp)
+    channel = file_channel(
+        ProxyFileCache(env, host.local, name=f"{name}.files"))
     peer_member = (peer_directory.join(name, host, block_cache)
                    if peer_directory is not None else None)
     checksum = (ChecksumLayer(integrity, verify=True)
@@ -286,10 +301,7 @@ def _build_hop(testbed: Testbed, endpoint: ServerEndpoint, host: Host,
                       replace(proxy_config, name=proxy_name,
                               cache=block_cache.config, metadata=metadata),
                       block_cache=block_cache, channel=channel,
-                      peer_member=peer_member, checksum=checksum,
-                      origin_selector=(upstream if origin is not None
-                                       else None),
-                      channel_selector=channel_selector)
+                      peer_member=peer_member, checksum=checksum)
     return CascadeLevel(name=name, host=host, proxy=proxy, channel=channel,
                         block_cache=block_cache)
 
@@ -417,10 +429,17 @@ class GvfsSession:
         proxy's upstream (or, with no proxy, the mount itself) to the
         retransmission ladder, optionally with a circuit breaker (which
         also arms the proxy's degraded mode) and a dirty high-water
-        mark.  Returns the hardened :class:`RpcClient`.
+        mark.  Returns the hardened :class:`RpcClient`.  A farm
+        session has no one client to harden (its upstream fans out to
+        one client per replica, and fails over by itself) and raises
+        :class:`ValueError`.
         """
         client = (self.client_proxy.upstream if self.client_proxy is not None
                   else self.mount.rpc)
+        if not isinstance(client, RpcClient):
+            raise ValueError("harden_rpc: a farm session's upstream fails "
+                             "over across replicas; there is no single "
+                             "RPC client to harden")
         client.timeout = timeout
         client.max_retries = max_retries
         client.backoff = backoff
@@ -488,10 +507,10 @@ class GvfsSession:
         origin provider (duck-typed; canonically
         ``repro.middleware.farm.ImageFarm``): anything exposing
         ``endpoint`` (root-handle source, recording with the farm's
-        shared checksum registry), ``upstream_client(name,
-        compute_host)`` (an RpcClient-compatible origin selector
-        fanning requests across replicas) and ``session_channels(
-        file_cache, compute_host, name)`` (a file-channel selector).
+        shared checksum registry) and ``connect_hop(compute_host,
+        name)``, which returns what :func:`connect_hop` returns — an
+        upstream client with ``call(request)`` and a file-channel
+        builder — both fanning out across the replicas behind them.
         ``origin`` and ``via`` are mutually exclusive — a farm is
         already its own data plane.
 

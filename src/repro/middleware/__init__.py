@@ -11,7 +11,7 @@ signals together (:mod:`~repro.middleware.sessions`).
 """
 
 from repro.middleware.accounts import AccountManager, LogicalAccount
-from repro.middleware.farm import (DataServerNode, FarmChannelSelector,
+from repro.middleware.farm import (DataServerNode, FarmFileChannel,
                                    FarmOriginClient, ImageFarm,
                                    MetadataService)
 from repro.middleware.imageserver import ImageCatalog, ImageRequirements
@@ -21,7 +21,7 @@ from repro.middleware.scheduler import Task, TaskResult, TaskScheduler
 __all__ = [
     "AccountManager",
     "DataServerNode",
-    "FarmChannelSelector",
+    "FarmFileChannel",
     "FarmOriginClient",
     "ImageCatalog",
     "ImageFarm",

@@ -18,15 +18,20 @@ module refactors that origin tier into a *farm* in the H(M)DFS style:
   golden images onto every replica (digests persisted beside each
   image via ``ChecksumRegistry.save``), re-replicates lost ranges when
   a server crashes, and audits acknowledged writes after a run.
-- :class:`FarmOriginClient` — the client-side origin selector that
-  plugs into the ``UpstreamRpcLayer`` seam (it *is* the session's
-  upstream RPC client): reads resolve to a replica owning the block
-  and fail over on crash; writes fan out to every live owner and are
-  acknowledged when at least one replica has them; namespace
+- :class:`FarmOriginClient` — a session's upstream RPC client, the
+  same object a proxy's terminal layer and block-cache write-backs
+  call for any other origin: reads resolve to a replica owning the
+  block and fail over on crash; writes fan out to every live owner
+  and are acknowledged when at least one replica has them; namespace
   mutations serialize through the primary and mirror to the rest.
-- :class:`FarmChannelSelector` — the whole-file counterpart for the
-  ``FileChannelLayer`` seam: fetches route to a live replica, flush
-  uploads replicate to all of them.
+- :class:`FarmFileChannel` — a session's file channel, used like any
+  other: fetches come from a live replica and fail over, flush uploads
+  land on all of them.
+
+:meth:`ImageFarm.connect_hop` hands a session both, wired per replica
+by the same :func:`~repro.core.session.connect_hop` that wires every
+other proxy's next hop; nothing in the proxy's layers knows it is
+talking to a farm.
 
 Failure handling follows PR 8's peer-retirement pattern rather than
 retransmission timers: when a data server crashes
@@ -45,19 +50,19 @@ from __future__ import annotations
 import itertools
 import zlib
 from collections import defaultdict
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from types import SimpleNamespace
+from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
-from repro.core.channel import FileChannel, RemoteFileLocator
+from repro.core.channel import FileChannel
 from repro.core.layers.checksum import ChecksumRegistry
-from repro.core.session import ServerEndpoint
+from repro.core.session import ServerEndpoint, connect_hop
 from repro.middleware.imageserver import ImageCatalog
-from repro.net.ssh import ScpTransfer, SshTunnel
 from repro.nfs.protocol import FileHandle, NfsProc
 from repro.nfs.rpc import RpcClient, RpcTimeout
 from repro.sim import AllOf, FifoResource, Interrupt
 from repro.storage.vfs import FsError
 
-__all__ = ["DataServerNode", "FarmChannelSelector", "FarmOriginClient",
+__all__ = ["DataServerNode", "FarmFileChannel", "FarmOriginClient",
            "ImageFarm", "MetadataService"]
 
 #: Mutations of the namespace (not block data): serialized through the
@@ -305,12 +310,88 @@ class DataServerNode:
         return f"<DataServerNode {self.name} {state}>"
 
 
-class FarmOriginClient:
-    """Per-session origin selector and upstream RPC client.
+def _rotated(nodes: List[DataServerNode], rot: int) -> List[DataServerNode]:
+    if len(nodes) > 1:
+        rot %= len(nodes)
+        return nodes[rot:] + nodes[:rot]
+    return nodes
 
-    One instance serves one GVFS session: it owns an SSH tunnel pair
-    and an :class:`RpcClient` per data server, and routes each request
-    by procedure:
+
+class _ReplicaFailover:
+    """The failover loop a session's farm client and farm channel share.
+
+    Each attempt on a replica runs as an interruptible process
+    registered per data server.  Failover is timer-free: :meth:`_abandon`
+    (called by the farm at the crash instant) interrupts the attempts
+    bound for the dead server, so their callers move to the next
+    replica immediately instead of waiting out a retransmission ladder.
+    """
+
+    #: Suffix of an attempt's process name.
+    ATTEMPT = "attempt"
+
+    def __init__(self, farm: "ImageFarm", name: str):
+        self.farm = farm
+        self.env = farm.env
+        self.name = name
+        # In-flight attempts per node, in insertion order (a dict, not
+        # a set): abandon() must replay identically run after run.
+        self._inflight: Dict[str, Dict] = defaultdict(dict)
+        self.failovers = 0
+
+    def _attempt(self, node: DataServerNode, work: Generator) -> Generator:
+        """Run ``work`` against ``node`` as a process the farm can
+        interrupt the instant ``node`` crashes."""
+        proc = self.env.process(work,
+                                name=f"{self.name}.{node.name}.{self.ATTEMPT}")
+        self._inflight[node.name][proc] = None
+        try:
+            result = yield proc
+        finally:
+            self._inflight[node.name].pop(proc, None)
+        return result
+
+    def _failover(self, targets: List[DataServerNode],
+                  work: Callable[[DataServerNode], Generator],
+                  what: str) -> Generator:
+        """Try ``work(node)`` on each live target in order; returns
+        ``(node, result)`` of the first that completes.  Every replica
+        given up on, and a success anywhere but the first target, count
+        one failover."""
+        last_error: Optional[Exception] = None
+        for i, node in enumerate(targets):
+            if not node.alive:
+                continue
+            try:
+                result = yield from self._attempt(node, work(node))
+            except (Interrupt, RpcTimeout) as error:
+                last_error = error
+                self.failovers += 1
+                continue
+            if i > 0:
+                self.failovers += 1
+            return node, result
+        raise last_error or RpcTimeout(
+            f"{self.name}: no live replica for {what}")
+
+    def _abandon(self, node: DataServerNode) -> int:
+        """Interrupt every in-flight attempt bound for a crashed node
+        (the awaiting callers fail over now); returns how many."""
+        aborted = 0
+        for proc in list(self._inflight[node.name]):
+            if proc.is_alive:
+                proc.interrupt("data server crashed")
+                aborted += 1
+        self._inflight[node.name].clear()
+        return aborted
+
+
+class FarmOriginClient(_ReplicaFailover):
+    """One session's upstream RPC client across the farm.
+
+    It connects the session to every data server (one
+    :func:`~repro.core.session.connect_hop` per replica) and routes
+    each ``call`` by procedure:
 
     - **READ** → the live owners of the block's range, rotated per
       session (load spread), tried in order with failover;
@@ -325,91 +406,35 @@ class FarmOriginClient:
     - everything else (LOOKUP, GETATTR, READDIR, …) → any live server
       (the namespace is fully replicated), rotated, with failover.
 
-    Failover is timer-free: in-flight attempts are registered per
-    server, and :meth:`abandon` (called by the farm at the crash
-    instant) interrupts them so the caller moves to the next replica
-    immediately instead of waiting out a retransmission ladder.
-
-    The object is duck-type compatible with :class:`RpcClient` where
-    the stack needs it: ``call(request)`` for the terminal layer and
-    block-cache write-backs, and the ``timeout``/``max_retries``/
-    ``backoff``/``max_timeout``/``breaker`` knobs (fanned out to every
-    replica client) for ``GvfsSession.harden_rpc``.
+    The per-replica RPC clients keep their defaults (no retransmission
+    timer): a crashed replica is abandoned, not timed out.
     """
 
     def __init__(self, farm: "ImageFarm", name: str, compute_host):
-        self.farm = farm
-        self.env = farm.env
+        super().__init__(farm, name)
         self.metadata = farm.metadata
-        self.name = name
-        self.compute_host = compute_host
         self.rotation = farm.next_rotation()
         self._clients: Dict[str, RpcClient] = {}
+        self._channel_builders: Dict[str, Callable] = {}
         for node in farm.data_servers:
-            out = SshTunnel(self.env,
-                            farm.testbed.route(compute_host, node.host),
-                            name=f"{name}.{node.name}.out")
-            back = SshTunnel(self.env,
-                             farm.testbed.route(node.host, compute_host),
-                             name=f"{name}.{node.name}.back")
-            self._clients[node.name] = RpcClient(
-                self.env, node.endpoint.proxy, out, back,
-                name=f"{name}.{node.name}.rpc")
-        # In-flight attempts per node, in insertion order (a dict, not
-        # a set): abandon() must replay identically run after run.
-        self._inflight: Dict[str, Dict] = defaultdict(dict)
+            rpc, build = connect_hop(farm.testbed, compute_host,
+                                     node.endpoint, f"{name}.{node.name}")
+            self._clients[node.name] = rpc
+            self._channel_builders[node.name] = build
         # Counters.
-        self.failovers = 0
         self.aborted_attempts = 0
         self.degraded_reads = 0
         self.replicated_writes = 0
         self.acked_writes = 0
         self.failed_writes = 0
 
-    # -- RpcClient-compatible knob surface (harden_rpc fans out) -------------
-    def _fan_knob(self, knob: str, value) -> None:
-        for client in self._clients.values():
-            setattr(client, knob, value)
-
-    @property
-    def timeout(self):
-        return next(iter(self._clients.values())).timeout
-
-    @timeout.setter
-    def timeout(self, value):
-        self._fan_knob("timeout", value)
-
-    @property
-    def max_retries(self):
-        return next(iter(self._clients.values())).max_retries
-
-    @max_retries.setter
-    def max_retries(self, value):
-        self._fan_knob("max_retries", value)
-
-    @property
-    def backoff(self):
-        return next(iter(self._clients.values())).backoff
-
-    @backoff.setter
-    def backoff(self, value):
-        self._fan_knob("backoff", value)
-
-    @property
-    def max_timeout(self):
-        return next(iter(self._clients.values())).max_timeout
-
-    @max_timeout.setter
-    def max_timeout(self, value):
-        self._fan_knob("max_timeout", value)
-
-    @property
-    def breaker(self):
-        return next(iter(self._clients.values())).breaker
-
-    @breaker.setter
-    def breaker(self, value):
-        self._fan_knob("breaker", value)
+    def file_channel(self, file_cache) -> "FarmFileChannel":
+        """The session's file channel: one per replica over this
+        client's hops, all filling ``file_cache``."""
+        channel = FarmFileChannel(self.farm, self.name, file_cache,
+                                  self._channel_builders)
+        self.farm.channels.append(channel)
+        return channel
 
     # -- dispatch ------------------------------------------------------------
     def call(self, request) -> Generator:
@@ -430,20 +455,11 @@ class FarmOriginClient:
             # order is skipped by the failover loop, which counts the
             # skip — the fast-path failover the namenode's retraction
             # buys us (no timeout, just a live replica one slot over).
-            targets = self._rotated(list(self.metadata.servers),
-                                    self.rotation)
+            targets = _rotated(list(self.metadata.servers), self.rotation)
         node, reply = yield from self._failover_call(request, targets)
         return reply
 
     # -- target selection ----------------------------------------------------
-    @staticmethod
-    def _rotated(nodes: List[DataServerNode],
-                 rot: int) -> List[DataServerNode]:
-        if len(nodes) > 1:
-            rot %= len(nodes)
-            return nodes[rot:] + nodes[:rot]
-        return nodes
-
     def _read_targets(self, request) -> List[DataServerNode]:
         block = request.offset // self.metadata.block_size
         rng = block // self.metadata.range_blocks
@@ -456,55 +472,25 @@ class FarmOriginClient:
             self.degraded_reads += 1
         # Rotate by session and range so concurrent cloners spread
         # across both replicas of a hot range instead of mobbing one.
-        return self._rotated(owners, self.rotation + rng)
+        return _rotated(owners, self.rotation + rng)
 
     # -- failover machinery --------------------------------------------------
-    def _attempt(self, node: DataServerNode, request) -> Generator:
-        """Process-wrapped single-replica call, registered so the farm
-        can interrupt it the instant ``node`` crashes."""
-        proc = self.env.process(
-            self._clients[node.name].call(request),
-            name=f"{self.name}.{node.name}.attempt")
-        self._inflight[node.name][proc] = None
-        try:
-            reply = yield proc
-        finally:
-            self._inflight[node.name].pop(proc, None)
-        return reply
-
     def _failover_call(self, request,
                        targets: List[DataServerNode]) -> Generator:
-        last_error: Optional[Exception] = None
-        for i, node in enumerate(targets):
-            if not node.alive:
-                continue
-            try:
-                reply = yield from self._attempt(node, request)
-            except (Interrupt, RpcTimeout) as error:
-                last_error = error
-                self.failovers += 1
-                continue
-            if i > 0:
-                self.failovers += 1
-            return node, reply
-        raise last_error or RpcTimeout(
-            f"{self.name}: no live replica for {request.proc.name}")
+        return (yield from self._failover(
+            targets, lambda node: self._clients[node.name].call(request),
+            request.proc.name))
 
     def abandon(self, node: DataServerNode) -> None:
-        """Interrupt every in-flight attempt bound for a crashed node;
-        the awaiting callers fail over to a surviving replica now."""
-        for proc in list(self._inflight[node.name]):
-            if proc.is_alive:
-                proc.interrupt("data server crashed")
-                self.aborted_attempts += 1
-        self._inflight[node.name].clear()
+        self.aborted_attempts += self._abandon(node)
 
     def _settled(self, node: DataServerNode, request,
                  results: List) -> Generator:
         """Fan-out arm: never fails (AllOf would abandon its siblings),
         it records ``(node, reply-or-None)`` instead."""
         try:
-            reply = yield from self._attempt(node, request)
+            reply = yield from self._attempt(
+                node, self._clients[node.name].call(request))
         except (Interrupt, RpcTimeout):
             results.append((node, None))
             return
@@ -588,58 +574,53 @@ class FarmOriginClient:
                 "failed_writes": self.failed_writes}
 
 
-class FarmChannelSelector:
-    """Per-session whole-file channel selection across the farm.
+class FarmFileChannel(_ReplicaFailover):
+    """One session's file channel across the farm.
 
-    The ``FileChannelLayer`` seam: ``fetch_channel`` returns a
-    failover facade — a fetch runs against a live replica's file
-    channel (rotated per session) as an interruptible process, and
-    when the farm crashes that replica mid-transfer the attempt is
-    abandoned and retried from the next live replica (an interrupted
-    fetch installs nothing, so the retry restarts cleanly).
-    ``upload_channels`` returns one channel per live replica so a
-    flushed whole-file write lands everywhere.  All channels share the
-    session's one file cache, so a fetch through any replica installs
-    into the same cache entry.
+    It holds one :class:`~repro.core.channel.FileChannel` per replica,
+    all filling the session's one file cache, and is used like one:
+
+    - ``fetch(fh)`` runs against a live replica (rotated per session)
+      and fails over: when the farm crashes that replica mid-transfer
+      the attempt is abandoned and restarted from the next live one
+      (an interrupted fetch installs nothing, so the retry is clean);
+    - ``upload(fh)`` writes the cached file back to every live replica
+      in turn, so a flushed whole-file write lands everywhere.
+
+    Its counters add up what every replica's channel carried.
     """
 
-    def __init__(self, farm: "ImageFarm", file_cache, compute_host,
-                 name: str):
-        self.farm = farm
-        self.env = farm.env
-        self.name = name
-        self.rotation = farm.next_channel_rotation()
-        self._channels: Dict[str, FileChannel] = {}
-        self._inflight: Dict[str, Dict] = defaultdict(dict)
-        self.failovers = 0
-        self.aborted_fetches = 0
-        for node in farm.data_servers:
-            locator = RemoteFileLocator(resolve=node.endpoint.resolve,
-                                        server_host=node.host,
-                                        server_fs=node.endpoint.export,
-                                        client_host=compute_host)
-            scp = ScpTransfer(farm.env,
-                              farm.testbed.route(node.host, compute_host),
-                              name=f"{name}.{node.name}.scp")
-            upload = ScpTransfer(farm.env,
-                                 farm.testbed.route(compute_host, node.host),
-                                 name=f"{name}.{node.name}.scp-up")
-            self._channels[node.name] = FileChannel(
-                farm.env, locator, scp, file_cache, upload_scp=upload)
+    ATTEMPT = "fetch"
 
-    def _alive(self) -> List[DataServerNode]:
-        return self.farm.metadata.alive_servers()
+    def __init__(self, farm: "ImageFarm", name: str, file_cache,
+                 builders: Dict[str, Callable]):
+        super().__init__(farm, name)
+        self.rotation = farm.next_channel_rotation()
+        self.file_cache = file_cache
+        self._channels: Dict[str, FileChannel] = {
+            node_name: build(file_cache)
+            for node_name, build in builders.items()}
+        self.aborted_fetches = 0
+
+    def _total(self, counter: str) -> int:
+        return sum(getattr(channel, counter)
+                   for channel in self._channels.values())
+
+    fetches = property(lambda self: self._total("fetches"))
+    uploads = property(lambda self: self._total("uploads"))
+    bytes_on_wire = property(lambda self: self._total("bytes_on_wire"))
+    bytes_logical = property(lambda self: self._total("bytes_logical"))
 
     @property
-    def primary(self) -> FileChannel:
-        """The default channel slot (``ProxyStack.channel`` et al.)."""
-        nodes = self._alive() or self.farm.data_servers
-        return self._channels[nodes[0].name]
+    def scp(self) -> SimpleNamespace:
+        """Download-SCP totals over every replica."""
+        return SimpleNamespace(bytes_transferred=sum(
+            channel.scp.bytes_transferred
+            for channel in self._channels.values()))
 
-    def fetch_channel(self, fh) -> "FarmChannelSelector":
-        # The selector itself is the channel facade: its ``fetch``
-        # below runs the replica selection + failover loop.
-        return self
+    def reset_stats(self) -> None:
+        for channel in self._channels.values():
+            channel.reset_stats()
 
     def fetch(self, fh) -> Generator:
         # Rotate over the *full* pool so a session whose preferred
@@ -647,43 +628,17 @@ class FarmChannelSelector:
         # one (the fast path: the namenode's retraction spares us the
         # timeout, but it is still a fetch served despite a dead
         # replica, and counts as one).
-        nodes = self.farm.data_servers
-        if not self._alive():
-            raise RpcTimeout(f"{self.name}: no live replica for file fetch")
-        rot = self.rotation % len(nodes)
-        order = nodes[rot:] + nodes[:rot]
-        last_error: Optional[Exception] = None
-        for i, node in enumerate(order):
-            if not node.alive:
-                continue
-            proc = self.env.process(self._channels[node.name].fetch(fh),
-                                    name=f"{self.name}.{node.name}.fetch")
-            self._inflight[node.name][proc] = None
-            try:
-                entry = yield proc
-            except (Interrupt, RpcTimeout) as error:
-                last_error = error
-                self.failovers += 1
-                continue
-            finally:
-                self._inflight[node.name].pop(proc, None)
-            if i > 0:
-                self.failovers += 1
-            return entry
-        raise last_error or RpcTimeout(
-            f"{self.name}: every replica failed the file fetch")
+        node, entry = yield from self._failover(
+            _rotated(self.farm.data_servers, self.rotation),
+            lambda node: self._channels[node.name].fetch(fh), "file fetch")
+        return entry
+
+    def upload(self, fh) -> Generator:
+        for node in self.farm.metadata.alive_servers():
+            yield from self._channels[node.name].upload(fh)
 
     def abandon(self, node: DataServerNode) -> None:
-        """Interrupt in-flight fetches from a crashed replica; their
-        callers restart the transfer from a surviving one."""
-        for proc in list(self._inflight[node.name]):
-            if proc.is_alive:
-                proc.interrupt("data server crashed")
-                self.aborted_fetches += 1
-        self._inflight[node.name].clear()
-
-    def upload_channels(self, fh) -> List[FileChannel]:
-        return [self._channels[node.name] for node in self._alive()]
+        self.aborted_fetches += self._abandon(node)
 
 
 class ImageFarm:
@@ -721,7 +676,7 @@ class ImageFarm:
             if not node.fs.exists(self.catalog.root):
                 node.fs.mkdir(self.catalog.root, parents=True)
         self.clients: List[FarmOriginClient] = []
-        self.channel_selectors: List[FarmChannelSelector] = []
+        self.channels: List[FarmFileChannel] = []
         # Separate rotation sequences for RPC clients and file channels:
         # interleaved allocation from one counter would stride sessions
         # across only every other replica (e.g. servers {0, 2} of 4).
@@ -743,16 +698,15 @@ class ImageFarm:
         on every replica, so the first server's endpoint serves."""
         return self.data_servers[0].endpoint
 
-    def upstream_client(self, name: str, compute_host) -> FarmOriginClient:
+    def connect_hop(self, compute_host, name: str
+                    ) -> Tuple[FarmOriginClient,
+                               Callable[..., FarmFileChannel]]:
+        """A session's next hop into the farm, shaped like
+        :func:`~repro.core.session.connect_hop`: its upstream RPC
+        client and a builder for its file channel."""
         client = FarmOriginClient(self, name, compute_host)
         self.clients.append(client)
-        return client
-
-    def session_channels(self, file_cache, compute_host,
-                         name: str) -> FarmChannelSelector:
-        selector = FarmChannelSelector(self, file_cache, compute_host, name)
-        self.channel_selectors.append(selector)
-        return selector
+        return client, client.file_channel
 
     def next_rotation(self) -> int:
         return next(self._client_rotation)
@@ -847,8 +801,8 @@ class ImageFarm:
         lost = self.metadata.retire_server(node)
         for client in self.clients:
             client.abandon(node)
-        for selector in self.channel_selectors:
-            selector.abandon(node)
+        for channel in self.channels:
+            channel.abandon(node)
         if lost and self.metadata.alive_servers():
             self._recovery_procs.append(self.env.process(
                 self._rereplicate(node, lost),
@@ -983,9 +937,9 @@ class ImageFarm:
         for client in self.clients:
             for key, value in client.stats_snapshot().items():
                 totals[key] += value
-        for selector in self.channel_selectors:
-            totals["channel_failovers"] += selector.failovers
-            totals["aborted_fetches"] += selector.aborted_fetches
+        for channel in self.channels:
+            totals["channel_failovers"] += channel.failovers
+            totals["aborted_fetches"] += channel.aborted_fetches
         return totals
 
     def farm_snapshot(self) -> Dict:
