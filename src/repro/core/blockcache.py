@@ -21,7 +21,7 @@ write-back before reuse.
 Crash recovery: with ``config.journal`` enabled, every dirty placement
 appends a record to a persistent journal file alongside the bank files
 (``/{name}/journal``).  Frame *data* always survives a proxy crash (it
-lives in the bank files on disk); what dies is the in-memory tag arrays
+lives in the bank files on disk); what dies is the in-memory frame tags
 saying which frame holds which block.  The journal is exactly that tag
 information for dirty frames, so a restarted proxy can rebuild its
 dirty set and replay the flush instead of losing VM disk writes.
@@ -58,23 +58,33 @@ __all__ = ["CachedBlock", "ProxyBlockCache"]
 BlockKey = Tuple[FileHandle, int]
 
 
-class _Bank:
-    """One cache bank: the bank file's inode plus array-backed frame
-    tags (struct-of-arrays — a bank touch reads one list slot instead
-    of chasing a per-frame object).
+class _Frame:
+    """Tag of one occupied frame: the block it holds, the payload
+    length, whether it is dirty, and its last-touch tick."""
 
-    ``keys[i]``/``lengths[i]``/``dirty[i]``/``lru[i]`` describe frame
-    ``i``; a free frame has ``keys[i] is None``.
+    __slots__ = ("key", "length", "dirty", "lru")
+
+    def __init__(self, key: BlockKey, length: int, dirty: bool, lru: int):
+        self.key = key
+        self.length = length
+        self.dirty = dirty
+        self.lru = lru
+
+
+class _Bank:
+    """One cache bank: the bank file's inode plus the tags of its
+    occupied frames, by frame index.
+
+    A free frame has no entry, so a bank's host memory follows what it
+    holds, not its configured frame count (2,048 at the paper's
+    geometry).
     """
 
-    __slots__ = ("inode", "keys", "lengths", "dirty", "lru")
+    __slots__ = ("inode", "frames")
 
-    def __init__(self, inode: Inode, n_frames: int):
+    def __init__(self, inode: Inode):
         self.inode = inode
-        self.keys: List[Optional[BlockKey]] = [None] * n_frames
-        self.lengths: List[int] = [0] * n_frames
-        self.dirty: List[bool] = [False] * n_frames
-        self.lru: List[int] = [0] * n_frames
+        self.frames: Dict[int, _Frame] = {}
 
 
 @dataclass(frozen=True)
@@ -97,8 +107,15 @@ class ProxyBlockCache:
         self.config = config
         self.name = name
         self.read_only = read_only
+        # Geometry, read once: the config's properties derive it on
+        # every access, and every probe needs it.
+        self._block_size = config.block_size
+        self._associativity = config.associativity
+        self._sets_per_bank = config.sets_per_bank
+        self._n_banks = config.n_banks
         self._tick = 0
-        # bank index -> _Bank (inode + frame tag arrays); created on demand.
+        # bank index -> _Bank (inode + occupied frame tags); created on
+        # demand.
         self._banks: Dict[int, _Bank] = {}
         # Reverse map for O(1) lookup: key -> (bank, frame index).
         self._where: Dict[BlockKey, Tuple[int, int]] = {}
@@ -149,14 +166,14 @@ class ProxyBlockCache:
     def _index(self, key: BlockKey) -> Tuple[int, int]:
         """(bank, set) for a key; consecutive blocks -> consecutive sets."""
         fh, block = key
-        sets = self.config.sets_per_bank
+        sets = self._sets_per_bank
         group = block // sets                       # which run of blocks
         memo_key = (fh.fsid, fh.fileid, group)
         bank = self._bank_memo.get(memo_key)
         if bank is None:
             # Stable across processes (Python's str hash is randomized).
             digest = zlib.crc32(f"{fh.fsid}:{fh.fileid}:{group}".encode())
-            bank = digest % self.config.n_banks
+            bank = digest % self._n_banks
             self._bank_memo[memo_key] = bank
         return bank, block % sets
 
@@ -166,7 +183,7 @@ class ProxyBlockCache:
             # "Cache banks are created on the local disk by the proxy on
             # demand."
             inode = self.storage.fs.create(f"{self._root()}/bank{bank_index:04d}")
-            bank = _Bank(inode, self.config.frames_per_bank)
+            bank = _Bank(inode)
             self._banks[bank_index] = bank
         return bank
 
@@ -181,17 +198,17 @@ class ProxyBlockCache:
         hash design intends, and multi-block helpers can merge a run
         into a single bank-file I/O.
         """
-        a = self.config.associativity
-        set_index, way = divmod(frame_index, a)
-        return (way * self.config.sets_per_bank + set_index) \
-            * self.config.block_size
+        set_index, way = divmod(frame_index, self._associativity)
+        return (way * self._sets_per_bank + set_index) * self._block_size
 
     # -- operations ------------------------------------------------------------------
     def lookup(self, key: BlockKey) -> Generator:
         """Process: probe the cache; returns :class:`CachedBlock` or None.
 
         A hit is charged the bank-file read (usually free via the host
-        page cache, a disk access when the frame is cold on disk).
+        page cache, a disk access when the frame is cold on disk).  A
+        frame reused or dropped during that read is a miss: its bytes
+        are no longer ``key``'s.
         """
         where = self._where.get(key)
         if where is None:
@@ -199,16 +216,19 @@ class ProxyBlockCache:
             return None
         bank_index, frame_index = where
         bank = self._banks[bank_index]
+        frames = bank.frames
         self._tick += 1
-        bank.lru[frame_index] = self._tick
+        frames[frame_index].lru = self._tick
         data = yield from self.storage.timed_read_inode(
-            bank.inode, self._frame_offset(frame_index),
-            self.config.block_size)
+            bank.inode, self._frame_offset(frame_index), self._block_size)
+        tag = frames.get(frame_index)
+        if tag is None or tag.key != key:
+            self.misses += 1
+            return None
         self.hits += 1
-        length = bank.lengths[frame_index]
-        if length != len(data):
-            data = data[:length]
-        return CachedBlock(key, data, bank.dirty[frame_index])
+        if tag.length != len(data):
+            data = data[:tag.length]
+        return CachedBlock(key, data, tag.dirty)
 
     def _place(self, key: BlockKey, data: bytes, dirty: bool) -> Generator:
         """Process: tag a frame for ``key`` without writing the bank file.
@@ -224,56 +244,60 @@ class ProxyBlockCache:
         if self.read_only and dirty:
             raise PermissionError(f"{self.name}: dirty insert into shared "
                                   "read-only cache")
-        if len(data) > self.config.block_size:
+        if len(data) > self._block_size:
             raise ValueError(f"block larger than frame: {len(data)}")
         bank_index, set_index = self._index(key)
         bank = self._bank(bank_index)
-        keys = bank.keys
+        frames = bank.frames
         victim: Optional[CachedBlock] = None
 
         existing = self._where.get(key)
         if existing is not None and existing[0] == bank_index:
             frame_index = existing[1]
-            if bank.dirty[frame_index] and not dirty:
+            if frames[frame_index].dirty and not dirty:
                 return None
         else:
             # Choose a frame in the set: free first, else the least
             # recently touched (lowest frame index on ties).
-            a = self.config.associativity
+            a = self._associativity
             base = set_index * a
             frame_index = None
             for i in range(base, base + a):
-                if keys[i] is None:
+                if i not in frames:
                     frame_index = i
                     break
             if frame_index is None:
                 frame_index = min(range(base, base + a),
-                                  key=bank.lru.__getitem__)
+                                  key=lambda i: frames[i].lru)
                 self.evictions += 1
-                if bank.dirty[frame_index]:
+                if frames[frame_index].dirty:
                     old_data = yield from self.storage.timed_read_inode(
                         bank.inode, self._frame_offset(frame_index),
-                        self.config.block_size)
-                    if keys[frame_index] is not None:
-                        victim = CachedBlock(
-                            keys[frame_index],
-                            old_data[:bank.lengths[frame_index]], True)
+                        self._block_size)
+                    tag = frames.get(frame_index)
+                    if tag is not None:
+                        victim = CachedBlock(tag.key,
+                                             old_data[:tag.length], True)
                 # The tag may already be gone if the cache was flushed
                 # while this placement waited on the victim read, so
                 # re-read it rather than trusting a pre-wait snapshot.
-                old_key = keys[frame_index]
-                if old_key is not None:
-                    self._where.pop(old_key, None)
+                tag = frames.get(frame_index)
+                if tag is not None:
+                    self._where.pop(tag.key, None)
                     if self.observers:
-                        self._notify_retracted(old_key)
+                        self._notify_retracted(tag.key)
 
         self._tick += 1
-        was_dirty = keys[frame_index] is not None and bank.dirty[frame_index]
-        self.dirty_frames += (dirty - was_dirty)
-        keys[frame_index] = key
-        bank.lengths[frame_index] = len(data)
-        bank.dirty[frame_index] = dirty
-        bank.lru[frame_index] = self._tick
+        tag = frames.get(frame_index)
+        if tag is None:
+            frames[frame_index] = _Frame(key, len(data), dirty, self._tick)
+        else:
+            self.dirty_frames -= tag.dirty
+            tag.key = key
+            tag.length = len(data)
+            tag.dirty = dirty
+            tag.lru = self._tick
+        self.dirty_frames += dirty
         self._where[key] = (bank_index, frame_index)
         self.insertions += 1
         if self.journal_enabled:
@@ -341,7 +365,7 @@ class ProxyBlockCache:
         # object's address: a window that crosses a bank group must
         # issue its writes in the same order in every process.)
         writes.sort(key=lambda w: w[:2])
-        bs = self.config.block_size
+        bs = self._block_size
         n = len(writes)
         i = 0
         while i < n:
@@ -401,18 +425,17 @@ class ProxyBlockCache:
             return None
         bank_index, frame_index = where
         bank = self._banks[bank_index]
-        if bank.dirty[frame_index]:
+        if bank.frames[frame_index].dirty:
             return None
         data = yield from self.storage.timed_read_inode(
-            bank.inode, self._frame_offset(frame_index),
-            self.config.block_size)
+            bank.inode, self._frame_offset(frame_index), self._block_size)
         # Re-validate after the disk wait: a concurrent placement may
         # have reused the frame, making the bytes just read stale.
-        if bank.keys[frame_index] != key or bank.dirty[frame_index]:
+        tag = bank.frames.get(frame_index)
+        if tag is None or tag.key != key or tag.dirty:
             return None
         self.peer_reads += 1
-        length = bank.lengths[frame_index]
-        return data if length == len(data) else data[:length]
+        return data if tag.length == len(data) else data[:tag.length]
 
     def corrupt_frame(self, key: BlockKey) -> bool:
         """Garble a cached frame's on-disk bytes, leaving its tag valid.
@@ -430,7 +453,7 @@ class ProxyBlockCache:
             return False
         bank_index, frame_index = where
         bank = self._banks[bank_index]
-        length = bank.lengths[frame_index]
+        length = bank.frames[frame_index].length
         if length == 0:
             return False
         offset = self._frame_offset(frame_index)
@@ -451,12 +474,10 @@ class ProxyBlockCache:
         if where is None:
             return False
         bank_index, frame_index = where
-        bank = self._banks[bank_index]
-        if bank.dirty[frame_index]:
+        frames = self._banks[bank_index].frames
+        if frames[frame_index].dirty:
             return False
-        bank.keys[frame_index] = None
-        bank.lengths[frame_index] = 0
-        bank.lru[frame_index] = 0
+        del frames[frame_index]
         del self._where[key]
         if self.observers:
             self._notify_retracted(key)
@@ -467,7 +488,7 @@ class ProxyBlockCache:
         seeds a peer-cache directory when a warm cache joins."""
         banks = self._banks
         out = [key for key, (b, f) in self._where.items()
-               if not banks[b].dirty[f]]
+               if not banks[b].frames[f].dirty]
         out.sort(key=lambda k: (k[0].fsid, k[0].fileid, k[1]))
         return out
 
@@ -492,8 +513,8 @@ class ProxyBlockCache:
             bank_index, frame_index = where
             bank = self._banks[bank_index]
             frames_at.append((bank.inode, self._frame_offset(frame_index),
-                              bank.lengths[frame_index]))
-        bs = self.config.block_size
+                              bank.frames[frame_index].length))
+        bs = self._block_size
         n = len(frames_at)
         out: List[bytes] = []
         i = 0
@@ -559,11 +580,7 @@ class ProxyBlockCache:
         them costs refetches, never data.
         """
         for bank in self._banks.values():
-            n = len(bank.keys)
-            bank.keys[:] = [None] * n
-            bank.dirty[:] = [False] * n
-            bank.lengths[:] = [0] * n
-            bank.lru[:] = [0] * n
+            bank.frames.clear()
         self._where.clear()
         self.dirty_frames = 0
         self._journal_live.clear()
@@ -604,15 +621,12 @@ class ProxyBlockCache:
             bank = self._bank(bank_index)
             data = yield from self.storage.timed_read_inode(
                 bank.inode, self._frame_offset(frame_index),
-                self.config.block_size)
+                self._block_size)
             data = data[:length]
             if len(data) != length or zlib.crc32(data) != crc:
                 continue
             self._tick += 1
-            bank.keys[frame_index] = key
-            bank.lengths[frame_index] = length
-            bank.dirty[frame_index] = True
-            bank.lru[frame_index] = self._tick
+            bank.frames[frame_index] = _Frame(key, length, True, self._tick)
             self._where[key] = (bank_index, frame_index)
             self._journal_live[key] = (bank_index, frame_index, length, crc)
             recovered.append(key)
@@ -627,9 +641,9 @@ class ProxyBlockCache:
         where = self._where.get(key)
         if where is None:
             return
-        bank = self._banks[where[0]]
-        if bank.dirty[where[1]]:
-            bank.dirty[where[1]] = False
+        tag = self._banks[where[0]].frames[where[1]]
+        if tag.dirty:
+            tag.dirty = False
             self.dirty_frames -= 1
             if self.observers:
                 self._notify_published(key)
@@ -643,7 +657,7 @@ class ProxyBlockCache:
         for key, (bank_index, frame_index) in self._where.items():
             if fh is not None and key[0] != fh:
                 continue
-            if banks[bank_index].dirty[frame_index]:
+            if banks[bank_index].frames[frame_index].dirty:
                 out.append(key)
         out.sort(key=lambda k: (k[0].fsid, k[0].fileid, k[1]))
         return out
@@ -658,7 +672,7 @@ class ProxyBlockCache:
         it would write stale padding — so runs also break after any
         frame whose payload is not a full block.
         """
-        bs = self.config.block_size
+        bs = self._block_size
         per_run = max(max_run_bytes // bs, 1)
         runs: List[List[BlockKey]] = []
         run: List[BlockKey] = []
@@ -666,7 +680,7 @@ class ProxyBlockCache:
             if run:
                 prev = run[-1]
                 where = self._where[prev]
-                prev_len = self._banks[where[0]].lengths[where[1]]
+                prev_len = self._banks[where[0]].frames[where[1]].length
                 if (key[0] != prev[0] or key[1] != prev[1] + 1
                         or prev_len != bs or len(run) >= per_run):
                     runs.append(run)
@@ -680,7 +694,7 @@ class ProxyBlockCache:
         where = self._where.get(key)
         if where is None:
             return False
-        return self._banks[where[0]].dirty[where[1]]
+        return self._banks[where[0]].frames[where[1]].dirty
 
     def __contains__(self, key: BlockKey) -> bool:
         return key in self._where
@@ -693,22 +707,19 @@ class ProxyBlockCache:
         bank_index, frame_index = where
         bank = self._banks[bank_index]
         data = yield from self.storage.timed_read_inode(
-            bank.inode, self._frame_offset(frame_index),
-            self.config.block_size)
+            bank.inode, self._frame_offset(frame_index), self._block_size)
         self.writebacks += 1
-        length = bank.lengths[frame_index]
+        tag = bank.frames.get(frame_index)
+        length = tag.length if tag is not None else 0
         return data if length == len(data) else data[:length]
 
     def flush_tags(self) -> None:
         """Drop every frame (cold-cache setup).  Dirty data is lost —
         callers flush upstream first, as the experiments do."""
         for bank in self._banks.values():
-            n = len(bank.keys)
-            # Slice-assign so in-flight placements holding a reference
-            # to these lists observe the cleared tags.
-            bank.keys[:] = [None] * n
-            bank.dirty[:] = [False] * n
-            bank.lengths[:] = [0] * n
+            # Clear in place so in-flight placements and lookups holding
+            # a bank's tag dict observe the cleared tags.
+            bank.frames.clear()
         self._where.clear()
         self.dirty_frames = 0
         if self.observers:

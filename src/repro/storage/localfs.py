@@ -21,6 +21,18 @@ from repro.storage.vfs import CHUNK_SIZE, FileSystem, Inode
 
 __all__ = ["LocalFileSystem"]
 
+#: A page-cache key is one int, ``fileid << 32 | chunk``.  Keys stay
+#: unique while ``0 <= chunk < 2**32``: files up to 32 TiB at 8 KB
+#: chunks.  Each timed I/O checks its extent against this bound once
+#: per call, never per chunk.
+CHUNK_BITS = 32
+MAX_CACHED_OFFSET = (1 << CHUNK_BITS) * CHUNK_SIZE
+
+
+def _unkeyable(offset: int, end: int) -> ValueError:
+    return ValueError(f"I/O [{offset}, {end}) lies outside the page "
+                      f"cache's key range [0, {MAX_CACHED_OFFSET})")
+
 
 class LocalFileSystem:
     """Disk-timed access to an in-memory filesystem tree."""
@@ -54,19 +66,13 @@ class LocalFileSystem:
         self.readahead_fills = 0
 
     # -- page cache ------------------------------------------------------------
-    def _cache_key(self, inode: Inode, chunk_index: int):
-        return (inode.fileid, chunk_index)
+    def _cache_key(self, inode: Inode, chunk_index: int) -> int:
+        if not 0 <= chunk_index < 1 << CHUNK_BITS:
+            raise _unkeyable(chunk_index * CHUNK_SIZE,
+                             (chunk_index + 1) * CHUNK_SIZE)
+        return inode.fileid << CHUNK_BITS | chunk_index
 
-    def _cache_touch(self, key) -> bool:
-        """Return True on hit; refresh LRU position."""
-        if key in self._page_cache:
-            self._page_cache.move_to_end(key)
-            self.cache_hits += 1
-            return True
-        self.cache_misses += 1
-        return False
-
-    def _cache_insert(self, key) -> None:
+    def _cache_insert(self, key: int) -> None:
         self._page_cache[key] = True
         self._page_cache.move_to_end(key)
         while len(self._page_cache) > self._page_cache_capacity:
@@ -104,13 +110,16 @@ class LocalFileSystem:
         """
         size = inode.data.size
         end = min(offset + count, size)
+        if offset < 0 or end > MAX_CACHED_OFFSET:
+            raise _unkeyable(offset, end)
         fid = inode.fileid
         sequential = self._scan_pos.get(fid) == offset
         # Hot loop: one iteration per chunk of every timed read in the
-        # system.  The per-chunk cache bookkeeping is inlined (key
-        # tuples built in place, LRU methods bound once, hit/miss
-        # counters accumulated locally) — the chunk walk order and the
-        # disk yields are unchanged, so timing is identical.
+        # system.  The per-chunk cache bookkeeping is inlined (int keys
+        # built in place, LRU methods bound once, hit/miss counters
+        # accumulated locally) — the chunk walk order and the disk
+        # yields are unchanged, so timing is identical.
+        base = fid << CHUNK_BITS
         cache = self._page_cache
         move_to_end = cache.move_to_end
         popitem = cache.popitem
@@ -121,7 +130,7 @@ class LocalFileSystem:
         miss_start: Optional[int] = None
         while pos < end:
             idx = pos // CHUNK_SIZE
-            key = (fid, idx)
+            key = base | idx
             chunk_end = (idx + 1) * CHUNK_SIZE
             if chunk_end > end:
                 chunk_end = end
@@ -144,10 +153,12 @@ class LocalFileSystem:
         if miss_start is not None:
             read_end = end
             if sequential and end < size:
-                read_end = min(end + self.readahead_bytes, size)
+                # The window stops at the key bound, not past it.
+                read_end = min(end + self.readahead_bytes, size,
+                               MAX_CACHED_OFFSET)
                 ra_pos = end
                 while ra_pos < read_end:
-                    key = (fid, ra_pos // CHUNK_SIZE)
+                    key = base | ra_pos // CHUNK_SIZE
                     cache[key] = True
                     move_to_end(key)
                     while len(cache) > capacity:
@@ -174,25 +185,25 @@ class LocalFileSystem:
         length, each piece stored as it is (a chunk-aligned piece by
         reference, where one joined buffer would be sliced back into
         fresh copies)."""
-        if type(data) is list:
-            nbytes = 0
-            for piece in data:
-                inode.data.write(offset + nbytes, piece)
-                nbytes += len(piece)
-        else:
-            inode.data.write(offset, data)
-            nbytes = len(data)
+        pieces = data if type(data) is list else (data,)
+        nbytes = sum(map(len, pieces))
+        end = offset + nbytes
+        if offset < 0 or end > MAX_CACHED_OFFSET:
+            raise _unkeyable(offset, end)
+        pos = offset
+        for piece in pieces:
+            inode.data.write(pos, piece)
+            pos += len(piece)
         inode.touch()
-        fid = inode.fileid
+        base = inode.fileid << CHUNK_BITS
         cache = self._page_cache
         move_to_end = cache.move_to_end
         popitem = cache.popitem
         capacity = self._page_cache_capacity
         pos = offset
-        end = offset + nbytes
         while pos < end:
             idx = pos // CHUNK_SIZE
-            key = (fid, idx)
+            key = base | idx
             cache[key] = True
             move_to_end(key)
             while len(cache) > capacity:

@@ -269,8 +269,7 @@ def test_insert_many_orders_bank_writes_by_bank_file_not_by_address():
     blank = sorted((Inode.__new__(Inode) for _ in range(2)), key=id)
     for fileid, inode, block in zip((901, 900), blank, (7, 8)):
         inode.__init__(fileid, "file", lambda: env.now)
-        cache._banks[cache._index((fh, block))[0]] = _Bank(
-            inode, cache.config.frames_per_bank)
+        cache._banks[cache._index((fh, block))[0]] = _Bank(inode)
     assert blank[0].fileid > blank[1].fileid and id(blank[0]) < id(blank[1])
     order = []
     orig = cache.storage.timed_write_inode
@@ -409,6 +408,91 @@ def test_flush_tags_during_dirty_eviction_does_not_corrupt():
     env.run()
     assert done.value is None or done.value.key is None
     assert run(env, cache.lookup(c)).data == b"c" * 8192
+
+
+def _lookup_raced_by(act):
+    """Look up a block whose frame is cold on disk while a second
+    process runs ``act(cache)`` 1 µs later, mid bank-file read.  The
+    cache is one 2-way set, so a freed frame is the next one placed."""
+    env, cache = make_cache(capacity_bytes=2 * 8192, n_banks=1,
+                            associativity=2)
+    run(env, cache.insert((FH, 0), b"A" * 8192))
+    cache.storage.drop_caches()
+    cache.reset_stats()
+
+    def racer(env):
+        yield env.timeout(1e-6)
+        yield from act(cache)
+
+    env.process(racer(env))
+    hit = run(env, cache.lookup((FH, 0)))
+    return cache, hit
+
+
+def test_lookup_misses_when_its_frame_is_reused_mid_read():
+    def reuse(cache):
+        assert cache.discard((FH, 0))
+        yield from cache.insert((FH, 4), b"E" * 8192)
+        assert cache._where[(FH, 4)] == (0, 0)    # the frame just read
+
+    cache, hit = _lookup_raced_by(reuse)
+    assert hit is None                  # never (FH, 4)'s bytes as (FH, 0)
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
+@pytest.mark.parametrize("drop", ["flush_tags", "crash"])
+def test_lookup_misses_when_the_tags_are_dropped_mid_read(drop):
+    def dropped(cache):
+        getattr(cache, drop)()
+        yield from ()
+
+    cache, hit = _lookup_raced_by(dropped)
+    assert hit is None                  # never an empty "hit"
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
+def _tag_entries(cache):
+    return sum(len(bank.frames) for bank in cache._banks.values())
+
+
+def test_tags_follow_what_the_paper_geometry_holds():
+    """At §4.1's geometry (512 banks of 2,048 frames) a bank keeps a tag
+    per frame it holds: scattered blocks touching every bank add up to
+    ``cached_blocks`` tags, and none survive a flush or a crash."""
+    env, cache = make_cache(capacity_bytes=ProxyCacheConfig().capacity_bytes,
+                            n_banks=512, associativity=16)
+    assert cache.config.frames_per_bank == 2048
+    sets = cache.config.sets_per_bank
+    payload = b"s" * 512
+
+    def keys():
+        n = 0
+        while True:
+            fh = FileHandle("img", n % 61)
+            yield (fh, (n // 61) * sets + n * 37 % sets)
+            n += 1
+
+    def fill(dirty):
+        placed = 0
+        for key in keys():
+            if len(cache._banks) == 512 and placed >= 4096:
+                return
+            yield from cache.insert(key, payload,
+                                    dirty=dirty and placed % 2 == 1)
+            placed += 1
+
+    run(env, fill(dirty=False))
+    assert len(cache._banks) == 512
+    assert _tag_entries(cache) == cache.cached_blocks > 512
+    cache.flush_tags()
+    assert _tag_entries(cache) == cache.cached_blocks == 0
+
+    run(env, fill(dirty=True))
+    assert _tag_entries(cache) == cache.cached_blocks > 512
+    assert cache.dirty_frames > 0
+    cache.crash()
+    assert _tag_entries(cache) == cache.cached_blocks == 0
+    assert cache.dirty_frames == 0
 
 
 def test_config_requires_cache_attachment():

@@ -69,7 +69,7 @@ def test_blockcache_capacity_invariant(ops):
     assert cache.cached_blocks <= config.total_frames
     # Every indexed key is findable where the map says it is.
     for key, (bank, frame) in cache._where.items():
-        assert cache._banks[bank].keys[frame] == key
+        assert cache._banks[bank].frames[frame].key == key
 
 
 # -- BufferCache vs a dict+LRU reference model -----------------------------------

@@ -198,7 +198,7 @@ def test_exhausted_repairs_return_clean_io_error():
         client.layer("block-cache").discard_block((fh, 1))
         bc = l2.layer("block-cache").block_cache
         bank_index, frame_index = bc._where[(fh, 1)]
-        bc._banks[bank_index].dirty[frame_index] = True   # only copy: kept
+        bc._banks[bank_index].frames[frame_index].dirty = True  # only copy: kept
         bc.dirty_frames += 1
         assert bc.corrupt_frame((fh, 1))
         return (yield from read(client, fh, 1))

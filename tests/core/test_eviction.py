@@ -88,7 +88,7 @@ def test_capacity_invariants_hold(ops):
     assert cache.cached_blocks <= config.total_frames
     per_set = {}
     for key, (bank, frame) in cache._where.items():
-        assert cache._banks[bank].keys[frame] == key
+        assert cache._banks[bank].frames[frame].key == key
         per_set[bank, frame // config.associativity] = \
             per_set.get((bank, frame // config.associativity), 0) + 1
     assert all(n <= config.associativity for n in per_set.values())
@@ -97,7 +97,7 @@ def test_capacity_invariants_hold(ops):
 @given(ops=ops)
 @settings(max_examples=40, deadline=None)
 def test_lru_victims_match_the_reference_model(ops):
-    """The inline ``min(range(base, base + a), key=lru.__getitem__)``
+    """The inline ``min(range(base, base + a), key=…)`` last-touch
     victim choice is least-recent-touch within the set: a per-set
     recency-ordered reference model predicts every eviction."""
     env = Environment()

@@ -17,7 +17,9 @@ promises:
   by reference by the kernel client, each proxy and the origin alike,
   so no holder may be able to change another's bytes — and garbling
   one holder's frame leaves every other holder's bytes as they were;
-* the prefetch ledger: ``used + failed <= issued``, no dirty key in it.
+* the prefetch ledger: ``used + failed <= issued``, no dirty key in it;
+* each cache's bank tags and its ``key -> (bank, frame)`` map name the
+  same frames, and its dirty count is the number of dirty tags.
 
 Two write-path bugs are patched back in to show the checks bite: the
 flush that stopped at the client proxy (fixed in PR 22), and a
@@ -60,7 +62,7 @@ def frame(cache, key) -> bytes:
     bank_index, frame_index = cache._where[key]
     bank = cache._banks[bank_index]
     return bank.inode.data.read(cache._frame_offset(frame_index),
-                                bank.lengths[frame_index])
+                                bank.frames[frame_index].length)
 
 
 def watch(cache, handed: list) -> None:
@@ -192,6 +194,19 @@ class WritePath(RuleBasedStateMachine):
     @invariant()
     def prefetch_ledger_balances(self):
         self.guest.check_ledger()
+
+    @invariant()
+    def tags_match_the_reverse_map(self):
+        for cache in (self.cache, self.level):
+            if cache is None:
+                continue
+            tags = {(tag.key, b, f) for b, bank in cache._banks.items()
+                    for f, tag in bank.frames.items()}
+            assert tags == {(key, b, f)
+                            for key, (b, f) in cache._where.items()}
+            assert cache.dirty_frames == sum(
+                tag.dirty for bank in cache._banks.values()
+                for tag in bank.frames.values())
 
 
 class WritePathAtDepth2(WritePath):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import Environment
 from repro.storage.disk import Disk, DiskParams, SCSI_2003
-from repro.storage.localfs import LocalFileSystem
+from repro.storage.localfs import MAX_CACHED_OFFSET, LocalFileSystem
 from repro.storage.vfs import CHUNK_SIZE
 
 
@@ -236,3 +236,40 @@ def test_timed_read_inode_equivalent_to_path():
     lfs.fs.write("/f", b"abc123")
     box = run(env, lfs.timed_read_inode(inode, 2, 3))
     assert box["value"] == b"c12"
+
+
+# -- page-cache keys ----------------------------------------------------------
+
+def test_page_cache_keys_of_adjacent_files_stay_disjoint_at_the_bound():
+    """Keys pack ``fileid`` and chunk index into one int; at the largest
+    chunk index a file's keys must not run into the next file's."""
+    env = Environment()
+    lfs = LocalFileSystem(env)
+    a, b = lfs.fs.create("/a"), lfs.fs.create("/b")
+    assert b.fileid == a.fileid + 1
+    last = MAX_CACHED_OFFSET - CHUNK_SIZE
+    keys = {}
+    for inode in (a, b):
+        lfs.drop_caches()
+        run(env, lfs.timed_write_inode(inode, b"q" * CHUNK_SIZE, last))
+        lfs.drop_caches()
+        run(env, lfs.timed_scan_inode(inode, 0, CHUNK_SIZE))
+        run(env, lfs.timed_scan_inode(inode, last, CHUNK_SIZE))
+        keys[inode.fileid] = set(lfs._page_cache)
+    assert len(keys[a.fileid]) == len(keys[b.fileid]) == 2
+    assert keys[a.fileid].isdisjoint(keys[b.fileid])
+
+
+def test_timed_io_past_the_key_bound_is_rejected():
+    env = Environment()
+    lfs = LocalFileSystem(env)
+    inode = lfs.fs.create("/big", size=MAX_CACHED_OFFSET + CHUNK_SIZE)
+    with pytest.raises(ValueError, match="key range"):
+        run(env, lfs.timed_scan_inode(inode, MAX_CACHED_OFFSET, 1))
+    with pytest.raises(ValueError, match="key range"):
+        run(env, lfs.timed_write_inode(inode, b"x", MAX_CACHED_OFFSET))
+    with pytest.raises(ValueError, match="key range"):
+        run(env, lfs.timed_write_inode(
+            inode, [b"x" * CHUNK_SIZE, b"y"], MAX_CACHED_OFFSET - CHUNK_SIZE))
+    assert not lfs._page_cache
+    assert inode.data.read(MAX_CACHED_OFFSET - CHUNK_SIZE, 1) == b"\0"
