@@ -50,6 +50,14 @@ class ProxyFileCache:
     unbounded behavior.
     """
 
+    #: Bytes a read that misses the host page cache pulls off the disk
+    #: in one access: the aligned extent around it, clipped at the end
+    #: of the file.  A warm clone's scattered non-zero blocks then cost
+    #: one positioning per sweep; per-clone seconds on the benchmark's
+    #: warm clone were 56.7 per block, 31.2 at 512 KB, 30.2 at 1 MB and
+    #: 29.3 at 2 MB — past 1 MB the curve is flat.
+    READ_EXTENT = 1 << 20
+
     def __init__(self, env: Environment, storage: LocalFileSystem,
                  name: str = "filecache",
                  capacity_bytes: Optional[int] = None):
@@ -144,15 +152,29 @@ class ProxyFileCache:
 
     # -- data access ------------------------------------------------------------
     def read(self, fh: FileHandle, offset: int, count: int) -> Generator:
-        """Process: read from the cached copy (disk/page-cache timed)."""
+        """Process: read from the cached copy (disk/page-cache timed).
+
+        A read whose chunk is not in the host page cache first pulls the
+        aligned ``READ_EXTENT`` around it off the disk in one access, so
+        scattered reads sweeping the file cost one positioning, not one
+        per read.  If the entry was dropped or replaced during the disk
+        wait (a crash, an invalidation), the read is a miss: ``None``.
+        """
         entry = self._entries.get(fh)
         if entry is None:
             self.misses += 1
             return None
-        self.hits += 1
         self._touch(entry)
-        data = yield from self.storage.timed_read_inode(
-            entry.inode, offset, count)
+        inode = entry.inode
+        if not self.storage.page_cached(inode, offset):
+            # The scan stops at the end of the file by itself.
+            yield from self.storage.timed_scan_inode(
+                inode, offset - offset % self.READ_EXTENT, self.READ_EXTENT)
+        data = yield from self.storage.timed_read_inode(inode, offset, count)
+        if self._entries.get(fh) is not entry:
+            self.misses += 1
+            return None
+        self.hits += 1
         return data
 
     def write(self, fh: FileHandle, offset: int, data: bytes) -> Generator:

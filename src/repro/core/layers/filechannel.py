@@ -126,11 +126,13 @@ class FileChannelLayer(ProxyLayer):
 
     def _read_cached(self, fh: FileHandle, offset: int,
                      count: int) -> Generator:
+        entry = self.file_cache.entry(fh)
         data = yield from self.file_cache.read(fh, offset, count)
         if data is None:
             return None
         self.stats.file_cache_reads += 1
-        size = self.file_cache.entry(fh).size
+        # ``read`` returned bytes, so ``entry`` outlived the disk wait.
+        size = entry.size
         return NfsReply(NfsProc.READ, NfsStatus.OK, fh=fh, data=data,
                         count=len(data), eof=offset + len(data) >= size)
 

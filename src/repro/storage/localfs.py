@@ -78,6 +78,11 @@ class LocalFileSystem:
         while len(self._page_cache) > self._page_cache_capacity:
             self._page_cache.popitem(last=False)
 
+    def page_cached(self, inode: Inode, offset: int) -> bool:
+        """Whether the chunk holding byte ``offset`` of ``inode`` is in
+        the page cache (a query: the LRU order does not move)."""
+        return self._cache_key(inode, offset // CHUNK_SIZE) in self._page_cache
+
     def drop_caches(self) -> None:
         """Forget all cached pages (cold-cache experiment setup)."""
         self._page_cache.clear()

@@ -172,6 +172,22 @@ def test_drop_caches_forces_disk_again():
     assert box["value"] > 0
 
 
+def test_page_cached_reports_a_chunk_without_moving_the_lru():
+    env = Environment()
+    lfs = LocalFileSystem(env)
+    inode = lfs.fs.create("/f", size=4 * CHUNK_SIZE)
+    assert not lfs.page_cached(inode, 0)
+    run(env, lfs.timed_read_inode(inode, CHUNK_SIZE, CHUNK_SIZE))
+    assert lfs.page_cached(inode, CHUNK_SIZE)
+    assert lfs.page_cached(inode, 2 * CHUNK_SIZE - 1)
+    assert not lfs.page_cached(inode, 2 * CHUNK_SIZE + 1)  # next chunk
+    order = list(lfs._page_cache)
+    lfs.page_cached(inode, CHUNK_SIZE)
+    assert list(lfs._page_cache) == order
+    lfs.drop_caches()
+    assert not lfs.page_cached(inode, CHUNK_SIZE)
+
+
 def test_page_cache_eviction_lru():
     env = Environment()
     lfs = LocalFileSystem(env, page_cache_bytes=2 * CHUNK_SIZE)
