@@ -12,10 +12,12 @@ reproduction:
 * proxy cache block size sweep (up to the 32 KB protocol limit).
 """
 
+from dataclasses import replace
+
 import pytest
 from conftest import once
 
-from repro.core.config import CachePolicy, ProxyCacheConfig
+from repro.core.config import CachePolicy, ProxyCacheConfig, ProxyConfig
 from repro.core.metadata import generate_metadata, metadata_path_for
 from repro.core.session import GvfsSession, Scenario, ServerEndpoint
 from repro.net.topology import Testbed, make_paper_testbed
@@ -26,6 +28,10 @@ from repro.vm.monitor import VmMonitor
 MB = 1024 * 1024
 SMALL_CACHE = ProxyCacheConfig(capacity_bytes=64 * MB, n_banks=32,
                                associativity=4)
+#: Every ablation measures one mechanism, so the proxy's readahead
+#: (which postdates these tables) stays off: with it on, the block-size
+#: and geometry sweeps would measure prefetching instead.
+NO_READAHEAD = ProxyConfig(readahead_depth=0)
 
 
 def build_rig(metadata=True, policy=CachePolicy.WRITE_BACK,
@@ -46,7 +52,8 @@ def build_rig(metadata=True, policy=CachePolicy.WRITE_BACK,
                              policy=policy)
     session = GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                 endpoint=endpoint, cache_config=cache,
-                                metadata=metadata)
+                                proxy_config=replace(NO_READAHEAD,
+                                                     metadata=metadata))
     return testbed, endpoint, image, session
 
 
@@ -194,7 +201,8 @@ def test_ablation_cache_block_size(benchmark, save_table):
                                  associativity=4, block_size=bs)
         session = GvfsSession.build(
             testbed, Scenario.WAN_CACHED, endpoint=endpoint,
-            cache_config=cache, metadata=False,
+            cache_config=cache,
+            proxy_config=replace(NO_READAHEAD, metadata=False),
             mount_options=MountOptions(block_size=bs))
         monitor = VmMonitor(testbed.env, testbed.compute[0], block_size=bs)
 
@@ -239,7 +247,8 @@ def test_ablation_cache_capacity_and_associativity(benchmark, save_table):
                                  block_size=8192)
         session = GvfsSession.build(
             testbed, Scenario.WAN_CACHED, endpoint=endpoint,
-            cache_config=cache, metadata=False,
+            cache_config=cache,
+            proxy_config=replace(NO_READAHEAD, metadata=False),
             mount_options=MountOptions(cache_bytes=1 << 20))  # tiny kernel cache
 
         def job(env):

@@ -9,6 +9,8 @@ block) and with run coalescing (adjacent dirty blocks merged into large
 WRITEs, several in flight).
 """
 
+from dataclasses import replace
+
 from conftest import once
 
 from repro.core.config import ProxyCacheConfig, ProxyConfig
@@ -38,7 +40,8 @@ def run_job(proxy_config, job):
                             persistent=False, seed=17))
     session = GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                 endpoint=endpoint, cache_config=BENCH_CACHE,
-                                metadata=False, proxy_config=proxy_config)
+                                proxy_config=replace(proxy_config,
+                                                     metadata=False))
     box = {}
 
     def wrapper(env):

@@ -699,20 +699,6 @@ class ProxyBlockCache:
     def __contains__(self, key: BlockKey) -> bool:
         return key in self._where
 
-    def read_for_writeback(self, key: BlockKey) -> Generator:
-        """Process: fetch a dirty block's bytes for upstream write-back."""
-        where = self._where.get(key)
-        if where is None:
-            raise KeyError(f"{key} not cached")
-        bank_index, frame_index = where
-        bank = self._banks[bank_index]
-        data = yield from self.storage.timed_read_inode(
-            bank.inode, self._frame_offset(frame_index), self._block_size)
-        self.writebacks += 1
-        tag = bank.frames.get(frame_index)
-        length = tag.length if tag is not None else 0
-        return data if length == len(data) else data[:length]
-
     def flush_tags(self) -> None:
         """Drop every frame (cold-cache setup).  Dirty data is lost —
         callers flush upstream first, as the experiments do."""

@@ -70,16 +70,11 @@ class ProxyConfig:
     """Behaviour of one GVFS proxy."""
 
     name: str = "gvfs-proxy"
-    #: Attach a block cache with this geometry (None = forwarding only).
-    cache: Optional[ProxyCacheConfig] = None
     #: Enable meta-data handling (zero maps + file channel).
     metadata: bool = True
     #: Map incoming credentials to this local identity (server-side
     #: proxies allocate short-lived logical-user accounts, §3.1).
     identity: Optional[Tuple[int, int]] = None
-    #: Absorb client COMMITs when write-back caching (the middleware,
-    #: not the kernel client, decides when data reaches the server).
-    absorb_commits: bool = True
     #: Pipelined I/O — sequential readahead: how many blocks ahead of
     #: the reader the window *speculates*, beyond the evidence.  A run
     #: length the file handle's own history vouches for is fetched
@@ -87,10 +82,6 @@ class ProxyConfig:
     #: history, or past it, this is the window.  0 disables readahead,
     #: history and all.
     readahead_depth: int = 8
-    #: Evidence of a sequential reader the detector asks for before it
-    #: prefetches: a run of this many adjacent blocks — the current
-    #: one, or, from its first miss, the one the history vouches for.
-    readahead_min_run: int = 2
     #: Pipelined I/O — coalesced write-back: maximum bytes merged into
     #: one upstream WRITE RPC when flushing adjacent dirty blocks
     #: (values at or below the cache block size mean one RPC per block).
@@ -105,8 +96,6 @@ class ProxyConfig:
     def __post_init__(self):
         if self.readahead_depth < 0:
             raise ValueError("readahead_depth must be >= 0")
-        if self.readahead_min_run < 1:
-            raise ValueError("readahead_min_run must be >= 1")
         if self.write_coalesce_bytes < 0:
             raise ValueError("write_coalesce_bytes must be >= 0")
         if self.write_pipeline_depth < 1:

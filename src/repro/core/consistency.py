@@ -2,32 +2,33 @@
 
 Kernel NFS clients cannot safely keep long-term write-back state
 because they know nothing about sharing.  GVFS moves the decision up a
-layer: the proxy holds dirty data until the *middleware* — which knows
+layer: the proxies hold dirty data until the *middleware* — which knows
 tasks are independent (Condor-style scheduling) or that a session has
 ended — signals it.  The real implementation uses O/S signals; here the
-signal delivery is a method call that starts the corresponding proxy
-process, with a log the tests and experiments can inspect.
+signal delivery is a method call that runs the session's one flush
+walk (the mount, then every caching proxy up to the origin), with a
+log the tests and experiments can inspect.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Generator, List
+from typing import Generator, List, Optional
 
-from repro.core.proxy import GvfsProxy
+from repro.core.session import GvfsSession
 from repro.sim import Environment
 
 __all__ = ["ConsistencySignal", "MiddlewareConsistency"]
 
 
 class ConsistencySignal(enum.Enum):
-    """Signals middleware can deliver to a proxy."""
+    """Signals middleware can deliver to a session's proxies."""
 
     #: Write dirty cached data back to the server (keep caches warm).
     WRITE_BACK = "SIGUSR1"
-    #: Write back, then invalidate all cached contents (session end /
-    #: ownership handoff to another client).
+    #: Write back, then invalidate the client proxy's cached contents
+    #: (session end / ownership handoff to another client).
     FLUSH = "SIGUSR2"
 
 
@@ -37,7 +38,8 @@ class SignalRecord:
 
     time: float
     signal: ConsistencySignal
-    proxy_name: str
+    #: The session's client proxy (None: a session without one).
+    proxy_name: Optional[str]
     duration: float
 
 
@@ -48,24 +50,20 @@ class MiddlewareConsistency:
         self.env = env
         self.log: List[SignalRecord] = []
 
-    def signal(self, proxy: GvfsProxy,
+    def signal(self, session: GvfsSession,
                sig: ConsistencySignal) -> Generator:
-        """Process: deliver ``sig`` to ``proxy`` and wait for completion."""
+        """Process: deliver ``sig`` to ``session`` and wait for completion.
+
+        Either signal runs :meth:`GvfsSession.flush`, so dirty data
+        reaches the origin through every cascade level; ``FLUSH`` then
+        invalidates the client proxy's caches.
+        """
         start = self.env.now
-        yield self.env.process(proxy.flush())
-        if sig is ConsistencySignal.FLUSH:
+        yield self.env.process(session.flush())
+        proxy = session.client_proxy
+        if sig is ConsistencySignal.FLUSH and proxy is not None:
             proxy.invalidate_caches()
         self.log.append(SignalRecord(
-            time=start, signal=sig, proxy_name=proxy.config.name,
+            time=start, signal=sig,
+            proxy_name=proxy.config.name if proxy is not None else None,
             duration=self.env.now - start))
-
-    def session_end(self, proxies: List[GvfsProxy]) -> Generator:
-        """Process: flush every proxy of a session, client-side first."""
-        for proxy in proxies:
-            yield self.env.process(self.signal(proxy, ConsistencySignal.FLUSH))
-
-    def checkpoint(self, proxies: List[GvfsProxy]) -> Generator:
-        """Process: write back without invalidating (idle-time sync)."""
-        for proxy in proxies:
-            yield self.env.process(self.signal(proxy,
-                                               ConsistencySignal.WRITE_BACK))

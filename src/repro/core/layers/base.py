@@ -87,8 +87,8 @@ class ProxyLayer:
 
     @property
     def config(self):
-        """The stack's live config (re-read on every access: middleware
-        may replace it, e.g. to arm a dirty high-water mark)."""
+        """The stack's config: what its builder passed, fixed for the
+        stack's life."""
         return self.stack.config
 
     # ------------------------------------------------------------ the handle

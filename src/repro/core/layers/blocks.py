@@ -79,8 +79,7 @@ class BlockCacheLayer(ProxyLayer):
 
     @property
     def write_back(self) -> bool:
-        return (self.config.cache is not None
-                and self.config.cache.policy is CachePolicy.WRITE_BACK)
+        return self.block_cache.config.policy is CachePolicy.WRITE_BACK
 
     # ------------------------------------------------------------- fault port
     def inject_fault(self, kind: str, arg=None) -> None:
@@ -122,8 +121,7 @@ class BlockCacheLayer(ProxyLayer):
             return (yield from self._handle_read(request))
         if proc is NfsProc.WRITE:
             return (yield from self._handle_write(request))
-        if proc is NfsProc.COMMIT and self.write_back \
-                and self.config.absorb_commits:
+        if proc is NfsProc.COMMIT and self.write_back:
             self.stats.absorbed_commits += 1
             return NfsReply(proc, NfsStatus.OK, fh=request.fh)
         return (yield from self.next.handle(request))

@@ -36,6 +36,14 @@ from repro.sim import AllOf
 
 __all__ = ["ReadaheadLayer"]
 
+#: Evidence of a sequential reader the detector asks for before it
+#: prefetches: a run of this many adjacent blocks — the current one,
+#: or, from its first miss, the one the history vouches for.  A
+#: measured constant, not a knob: the cheapest detector that never
+#: fires on random access (docs/performance.md "Round seven" replays
+#: it at 1, 2 and 3).
+MIN_RUN = 2
+
 #: Completed runs remembered per file handle.  A measured constant, not
 #: a knob (docs/performance.md "Round eight"): a shorter history
 #: forgets a file's long runs between visits, and every run that then
@@ -125,10 +133,9 @@ class ReadaheadLayer(ProxyLayer):
             self.run_start[fh] = idx
             self.frontier.pop(fh, None)   # a new run, a new window
         self.run_last[fh] = idx
-        min_run = self.config.readahead_min_run
-        if idx - self.run_start[fh] + 1 >= min_run:
+        if idx - self.run_start[fh] + 1 >= MIN_RUN:
             self.extend_readahead(fh, idx, meta)
-        elif self.vouched(fh) >= min_run:
+        elif self.vouched(fh) >= MIN_RUN:
             self.extend_readahead(fh, idx, meta, on_history=True)
 
     def vouched(self, fh: FileHandle) -> int:

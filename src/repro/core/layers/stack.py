@@ -152,7 +152,8 @@ class ProxyStack:
 
     # ------------------------------------------------------ cross-layer state
     def block_size(self) -> int:
-        return self.config.cache.block_size if self.config.cache else 8192
+        cache = self.block_cache
+        return cache.config.block_size if cache is not None else 8192
 
     @property
     def names(self) -> Dict:

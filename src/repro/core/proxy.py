@@ -51,8 +51,6 @@ class GvfsProxy(ProxyStack):
                  block_cache: Optional[ProxyBlockCache] = None,
                  channel: Optional[FileChannel] = None,
                  peer_member=None, checksum=None):
-        if config.cache is not None and block_cache is None:
-            raise ValueError("config requests a cache but none was attached")
         super().__init__(env, upstream, config,
                          standard_layers(block_cache=block_cache,
                                          channel=channel,

@@ -15,10 +15,15 @@ proxy [identity map] -> (loopback) -> kernel NFS server.
 the LAN server is the WAN-S3 cloning scenario).
 
 Every caching proxy built here takes its policy from an explicit
-``proxy_config`` argument — a :class:`ProxyConfig` template whose
-``name``/``cache``/``metadata`` the builder fills in — so two sessions
-on one testbed can run different readahead or write-back settings
-(per-user / per-application policy, §3.2.1).
+``proxy_config`` argument — meta-data handling, readahead, write-back
+coalescing, the dirty high-water mark — so two sessions on one testbed
+can run different settings (per-user / per-application policy,
+§3.2.1).  Each setting has one owner: the builder fills in only the
+proxy's ``name``, the block cache owns its own geometry and write
+policy, and no stack's config changes after construction.  A session
+has one flush walk, :meth:`GvfsSession.flush` (the mount, then every
+caching proxy up to the origin), which the middleware's consistency
+signals run too.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from repro.core.filecache import ProxyFileCache
 from repro.core.layers.checksum import ChecksumLayer
 from repro.core.proxy import GvfsProxy
 from repro.net.ssh import ScpTransfer, SshTunnel
-from repro.net.topology import Host, NetworkConditions, Testbed, resolve_profile
+from repro.net.topology import Host, Testbed
 from repro.nfs.client import MountOptions, NfsClient
 from repro.nfs.protocol import FileHandle
 from repro.nfs.rpc import LoopbackTransport, RpcCircuitBreaker, RpcClient
@@ -43,9 +48,8 @@ from repro.sim import Environment
 from repro.storage.localfs import LocalFileSystem
 from repro.storage.vfs import FsError, Inode
 
-__all__ = ["CascadeLevel", "CascadeLevelSpec", "GvfsSession", "LocalFile",
-           "LocalMount", "Scenario", "ServerEndpoint", "build_cascade",
-           "connect_hop"]
+__all__ = ["CascadeLevel", "GvfsSession", "LocalFile", "LocalMount",
+           "Scenario", "ServerEndpoint", "build_cascade", "connect_hop"]
 
 
 class Scenario(enum.Enum):
@@ -270,7 +274,6 @@ def _build_hop(testbed: Testbed, endpoint: ServerEndpoint, host: Host,
                caching: bool = True,
                cache_config: Optional[ProxyCacheConfig] = None,
                shared_block_cache: Optional[ProxyBlockCache] = None,
-               metadata: bool = True,
                proxy_config: ProxyConfig = ProxyConfig(),
                peer_directory=None, integrity=None
                ) -> Union[CascadeLevel, RpcClient]:
@@ -279,6 +282,7 @@ def _build_hop(testbed: Testbed, endpoint: ServerEndpoint, host: Host,
     Without ``caching`` (the LAN and WAN scenarios) it stops at the
     transport and returns the RPC client a kernel client mounts
     through.  ``integrity`` puts a verify-mode checksum layer on top.
+    The proxy runs ``proxy_config`` as passed, renamed ``proxy_name``.
     """
     env = testbed.env
     upstream, file_channel = (
@@ -297,9 +301,7 @@ def _build_hop(testbed: Testbed, endpoint: ServerEndpoint, host: Host,
                    if peer_directory is not None else None)
     checksum = (ChecksumLayer(integrity, verify=True)
                 if integrity is not None else None)
-    proxy = GvfsProxy(env, upstream,
-                      replace(proxy_config, name=proxy_name,
-                              cache=block_cache.config, metadata=metadata),
+    proxy = GvfsProxy(env, upstream, replace(proxy_config, name=proxy_name),
                       block_cache=block_cache, channel=channel,
                       peer_member=peer_member, checksum=checksum)
     return CascadeLevel(name=name, host=host, proxy=proxy, channel=channel,
@@ -310,79 +312,33 @@ def _build_hop(testbed: Testbed, endpoint: ServerEndpoint, host: Host,
 # Cache cascades: intermediate caching-proxy levels between client and origin
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CascadeLevelSpec:
-    """Declarative description of one cascade level for
-    :func:`build_cascade`.
-
-    ``cache_config`` carries the level's block-cache geometry; ``host``
-    pins the level to an existing testbed host (default: the LAN image
-    server for the origin-adjacent level, a freshly attached LAN host
-    otherwise).
-
-    ``profile`` calibrates the level's *access link* when the cascade
-    provisions a fresh host for it: a :data:`repro.net.topology
-    .LINK_PROFILES` name (``"rack"``/``"site"``/``"lan"``/``"wan"``)
-    or explicit :class:`NetworkConditions` — so a rack-level cache one
-    gigabit hop away and a site cache across the campus backbone stop
-    sharing the single-switch LAN calibration.  Incompatible with
-    ``host`` (a pinned host keeps the access link it already has).
-    ``proxy_config`` overrides the cascade-wide policy template for
-    this level.
-    """
-
-    cache_config: Optional[ProxyCacheConfig] = None
-    host: Optional[Host] = None
-    name: Optional[str] = None
-    profile: Optional[Union[str, NetworkConditions]] = None
-    proxy_config: Optional[ProxyConfig] = None
-
-
 def build_cascade(testbed: Testbed, endpoint: ServerEndpoint,
-                  levels: Sequence[Union[CascadeLevelSpec, ProxyCacheConfig]],
+                  levels: Sequence[ProxyCacheConfig],
                   name: str = "cascade",
                   proxy_config: ProxyConfig = ProxyConfig()
                   ) -> List[CascadeLevel]:
     """Assemble an arbitrary-depth proxy-cache cascade (§3.2.3
     generalized): compute node → rack cache → … → site cache → origin.
 
-    ``levels`` lists the *intermediate* cache levels, ordered
-    client-ward → origin-ward; each entry is a :class:`CascadeLevelSpec`
-    (or a bare :class:`ProxyCacheConfig` as shorthand).  The levels are
+    ``levels`` lists the block-cache geometries of the *intermediate*
+    cache levels, ordered client-ward → origin-ward.  The levels are
     returned in that order; sessions attach with ``via=levels[0]`` (an
     empty list builds none: a plain caching client proxy).  The
-    origin-adjacent level defaults to the LAN image server host reaching
+    origin-adjacent level runs on the LAN image server host, reaching
     the origin across the WAN (§3.2.3's second-level proxy cache, "setup
-    on a LAN server ... to further exploit the locality"); additional
-    client-ward levels get their own LAN-attached hosts.
-    ``proxy_config`` is the policy template of every level that does
-    not carry its own.
+    on a LAN server ... to further exploit the locality"); each
+    client-ward level gets its own LAN-attached host ``{name}-l{k}``.
+    Every level runs ``proxy_config``.
     """
-    specs = [spec if isinstance(spec, CascadeLevelSpec)
-             else CascadeLevelSpec(cache_config=spec) for spec in levels]
     built: List[CascadeLevel] = []
     above: Optional[CascadeLevel] = None
-    for pos in range(len(specs) - 1, -1, -1):
-        spec = specs[pos]
-        level_no = pos + 2          # the client proxy is level 1
-        host = spec.host
-        if host is not None and spec.profile is not None:
-            raise ValueError(
-                f"cascade level {spec.name or level_no}: 'profile' only "
-                "applies when the cascade provisions the host; a pinned "
-                "host keeps its existing access link")
-        if host is None:
-            conditions = (resolve_profile(spec.profile)
-                          if spec.profile is not None else None)
-            if above is None and conditions is None:
-                host = testbed.lan_server
-            else:
-                host = testbed.add_host(f"{name}-l{level_no}",
-                                        conditions=conditions)
-        level_name = spec.name or f"{name}-l{level_no}"
+    for pos in range(len(levels) - 1, -1, -1):
+        level_name = f"{name}-l{pos + 2}"       # the client proxy is level 1
+        host = (testbed.lan_server if above is None
+                else testbed.add_host(level_name))
         above = _build_hop(testbed, endpoint, host, level_name, level_name,
-                           above=above, cache_config=spec.cache_config,
-                           proxy_config=spec.proxy_config or proxy_config)
+                           above=above, cache_config=levels[pos],
+                           proxy_config=proxy_config)
         built.append(above)
     built.reverse()
     return built
@@ -419,8 +375,7 @@ class GvfsSession:
     def harden_rpc(self, timeout: float = 1.0, max_retries: int = 5,
                    backoff: float = 2.0, max_timeout: float = 8.0,
                    breaker_threshold: Optional[int] = None,
-                   breaker_reset: float = 5.0,
-                   dirty_high_water_blocks: Optional[int] = None) -> RpcClient:
+                   breaker_reset: float = 5.0) -> RpcClient:
         """Enable failure handling on the session's WAN-facing RPC path.
 
         Sessions are built with ``timeout=None`` (no retransmission) —
@@ -428,8 +383,9 @@ class GvfsSession:
         fault injection the middleware calls this to switch the client
         proxy's upstream (or, with no proxy, the mount itself) to the
         retransmission ladder, optionally with a circuit breaker (which
-        also arms the proxy's degraded mode) and a dirty high-water
-        mark.  Returns the hardened :class:`RpcClient`.  A farm
+        also arms the proxy's degraded mode).  A dirty high-water mark
+        is proxy policy: pass it in ``proxy_config`` at :meth:`build`.
+        Returns the hardened :class:`RpcClient`.  A farm
         session has no one client to harden (its upstream fans out to
         one client per replica, and fails over by itself) and raises
         :class:`ValueError`.
@@ -448,11 +404,6 @@ class GvfsSession:
             client.breaker = RpcCircuitBreaker(
                 self.env, failure_threshold=breaker_threshold,
                 reset_after=breaker_reset)
-        if (dirty_high_water_blocks is not None
-                and self.client_proxy is not None):
-            self.client_proxy.config = replace(
-                self.client_proxy.config,
-                dirty_high_water_blocks=dirty_high_water_blocks)
         return client
 
     def cold_caches(self) -> Generator:
@@ -475,7 +426,6 @@ class GvfsSession:
               compute_index: int = 0,
               cache_config: Optional[ProxyCacheConfig] = None,
               mount_options: Optional[MountOptions] = None,
-              metadata: bool = True,
               via: Optional[CascadeLevel] = None,
               shared_block_cache: Optional[ProxyBlockCache] = None,
               peer_directory=None,
@@ -514,10 +464,10 @@ class GvfsSession:
         ``origin`` and ``via`` are mutually exclusive — a farm is
         already its own data plane.
 
-        ``proxy_config`` is the client proxy's policy template
-        (WAN_CACHED only): readahead depth, write coalescing and
-        pipelining, dirty high-water mark.  Its ``name``, ``cache`` and
-        ``metadata`` fields are overwritten by the session's own.
+        ``proxy_config`` is the client proxy's policy (WAN_CACHED
+        only): meta-data handling, readahead depth, write coalescing
+        and pipelining, dirty high-water mark.  The builder sets only
+        its ``name``.
         """
         env = testbed.env
         n = next(testbed.session_numbers)
@@ -541,7 +491,7 @@ class GvfsSession:
                          caching=scenario is Scenario.WAN_CACHED,
                          cache_config=cache_config,
                          shared_block_cache=shared_block_cache,
-                         metadata=metadata, proxy_config=proxy_config,
+                         proxy_config=proxy_config,
                          peer_directory=peer_directory,
                          integrity=endpoint.integrity)
         if isinstance(hop, CascadeLevel):

@@ -81,8 +81,8 @@ def run_application_benchmark(scenario: Scenario,
     ``build_cascade`` returned) stay warm, which is how the cascade
     experiments measure per-level locality.  ``endpoint`` reuses a caller-built
     image-server side (required when ``via`` points at a cascade built
-    against it).  ``proxy_config`` is the client proxy's policy
-    template (see ``GvfsSession.build``).
+    against it).  ``proxy_config`` is the client proxy's policy (see
+    ``GvfsSession.build``).
     """
     testbed = testbed or make_paper_testbed()
     env = testbed.env

@@ -139,22 +139,17 @@ class VmSessionManager:
     def end_session(self, session: VmSession) -> Generator:
         """Process: flush session state and release the identity lease.
 
-        The consistency point is middleware-driven: dirty write-back
-        data (redo logs, user files) reaches the image server before
-        the lease is released.
+        The consistency point is middleware-driven: one ``FLUSH`` signal
+        per GVFS session (the image session, then the data session)
+        drives dirty write-back data (redo logs, user files) to its
+        server before the lease is released.
         """
         if session.closed:
             raise RuntimeError("session already closed")
-        yield self.env.process(session.gvfs.flush())
-        if session.data_session is not None:
-            yield self.env.process(session.data_session.flush())
-            if session.data_session.client_proxy is not None:
+        for gvfs in (session.gvfs, session.data_session):
+            if gvfs is not None:
                 yield self.env.process(self.consistency.signal(
-                    session.data_session.client_proxy,
-                    ConsistencySignal.FLUSH))
-        if session.gvfs.client_proxy is not None:
-            yield self.env.process(self.consistency.signal(
-                session.gvfs.client_proxy, ConsistencySignal.FLUSH))
+                    gvfs, ConsistencySignal.FLUSH))
         self.accounts.release(session.user)
         if session.vm is not None:
             session.vm.running = False
@@ -213,7 +208,8 @@ class VmSessionManager:
                 "layer_totals": totals}
 
     def format_fleet_report(self, deep: bool = True) -> str:
-        """Human-readable fleet telemetry (the CLI's ``--fleet-report``)."""
+        """Human-readable fleet telemetry: one line per layer role with
+        its fleet-wide non-zero counters."""
         snap = self.fleet_snapshot(deep=deep)
         lines = [f"fleet: {snap['sessions']} session(s), "
                  f"{snap['active_sessions']} active"]

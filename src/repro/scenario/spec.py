@@ -272,7 +272,7 @@ class SessionSpec:
         return spec
 
     def proxy_config(self) -> ProxyConfig:
-        """The policy template of every proxy the spec builds (client
+        """The policy of every proxy the spec builds (client
         proxies and cascade levels alike)."""
         return ProxyConfig(readahead_depth=self.readahead_depth)
 

@@ -1,6 +1,8 @@
 """Shared wiring for GVFS core integration tests: a small testbed with
 a seeded image server and session builders per scenario."""
 
+from dataclasses import replace
+
 from repro.core.blockcache import ProxyBlockCache
 from repro.core.channel import FileChannel, RemoteFileLocator
 from repro.core.config import CachePolicy, ProxyCacheConfig, ProxyConfig
@@ -69,7 +71,7 @@ class ComposedSecondLevel:
                                    upload_scp=upload_scp)
         self.proxy = ProxyStack(
             env, upstream,
-            ProxyConfig(name=name, cache=cache_config, metadata=True),
+            ProxyConfig(name=name),
             [AttrPatchLayer(), ZeroMapLayer(),
              FileChannelLayer(self.channel),
              BlockCacheLayer(self.block_cache), ReadaheadLayer(),
@@ -77,7 +79,11 @@ class ComposedSecondLevel:
 
 
 class Rig:
-    """Testbed + WAN image server + one session."""
+    """Testbed + WAN image server + one session.
+
+    ``metadata`` is the sessions' ``ProxyConfig.metadata`` (it replaces
+    that field of ``proxy_config``); a second level runs
+    ``proxy_config`` as given."""
 
     def __init__(self, scenario=Scenario.WAN_CACHED, n_compute=1,
                  cache_config=SMALL_CACHE, mount_options=None,
@@ -96,9 +102,10 @@ class Rig:
         self.sessions = [
             GvfsSession.build(self.testbed, scenario, endpoint=self.endpoint,
                               compute_index=i, cache_config=cache_config,
-                              mount_options=mount_options, metadata=metadata,
+                              mount_options=mount_options,
                               via=self.second_level,
-                              proxy_config=proxy_config)
+                              proxy_config=replace(proxy_config,
+                                                   metadata=metadata))
             for i in range(n_compute)]
         self.session = self.sessions[0]
         self.mount = self.session.mount

@@ -1,12 +1,13 @@
 """Reference model for :class:`ReadaheadLayer`'s rules: PR 20's
 ``note_demand_miss`` and ``extend_readahead`` kept verbatim (comments
-aside) — armed by ``readahead_min_run`` adjacent blocks only, never
+aside, and the run threshold now read from the module constant
+``MIN_RUN``) — armed by ``MIN_RUN`` adjacent blocks only, never
 past ``readahead_depth``, the history used only to stop.  The oracle
 for ``test_readahead_bound.py`` and ``test_readahead_vouched.py``."""
 
 from collections import deque
 
-from repro.core.layers.readahead import RUN_HISTORY, ReadaheadLayer
+from repro.core.layers.readahead import MIN_RUN, RUN_HISTORY, ReadaheadLayer
 
 
 class Pr20ReadaheadLayer(ReadaheadLayer):
@@ -23,7 +24,7 @@ class Pr20ReadaheadLayer(ReadaheadLayer):
             self.run_start[fh] = idx
             self.frontier.pop(fh, None)
         self.run_last[fh] = idx
-        if idx - self.run_start[fh] + 1 >= self.config.readahead_min_run:
+        if idx - self.run_start[fh] + 1 >= MIN_RUN:
             self.extend_readahead(fh, idx, meta)
 
     def extend_readahead(self, fh, idx, meta) -> None:

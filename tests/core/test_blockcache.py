@@ -129,15 +129,6 @@ def test_dirty_tracking_and_mark_clean():
     assert cache.dirty_blocks(FH) == [(FH, 2)]
 
 
-def test_read_for_writeback():
-    env, cache = make_cache()
-    run(env, cache.insert((FH, 9), b"payload", dirty=True))
-    data = run(env, cache.read_for_writeback((FH, 9)))
-    assert data == b"payload"
-    with pytest.raises(KeyError):
-        run(env, cache.read_for_writeback((FH, 10)))
-
-
 def test_short_block_length_preserved():
     env, cache = make_cache()
     run(env, cache.insert((FH, 0), b"xy"))
@@ -494,11 +485,3 @@ def test_tags_follow_what_the_paper_geometry_holds():
     assert _tag_entries(cache) == cache.cached_blocks == 0
     assert cache.dirty_frames == 0
 
-
-def test_config_requires_cache_attachment():
-    from repro.core.proxy import GvfsProxy
-    from repro.core.config import ProxyConfig, ProxyCacheConfig
-    env = Environment()
-    with pytest.raises(ValueError):
-        GvfsProxy(env, upstream=None,
-                  config=ProxyConfig(cache=ProxyCacheConfig()))

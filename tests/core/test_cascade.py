@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.core.config import CachePolicy
+from repro.core.config import CachePolicy, ProxyConfig
 from repro.core.layers import (
     disable_stack_reports,
     enable_stack_reports,
@@ -186,8 +186,8 @@ def shared_level_rig(policy=CachePolicy.WRITE_BACK):
     level = build_cascade(rig.testbed, rig.endpoint, [level_cache])[0]
     sessions = [GvfsSession.build(rig.testbed, Scenario.WAN_CACHED,
                                   endpoint=rig.endpoint, compute_index=i,
-                                  cache_config=SMALL_CACHE, metadata=False,
-                                  via=level)
+                                  cache_config=SMALL_CACHE, via=level,
+                                  proxy_config=ProxyConfig(metadata=False))
                 for i in range(2)]
     return rig, level, sessions
 

@@ -2,6 +2,7 @@
 at the top of the client stack, and repair-by-refetch — including
 corruption that travels sideways through peer borrowing."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 from repro.core.layers import ChecksumRegistry
@@ -38,10 +39,11 @@ def make_rig(levels=(), client_cache=SMALL_CACHE, n_compute=1,
     directory = testbed.peer_directory() if peers else None
     sessions = [GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                   endpoint=endpoint, compute_index=i,
-                                  cache_config=client_cache, metadata=False,
+                                  cache_config=client_cache,
                                   via=cascade[0] if cascade else None,
                                   peer_directory=directory,
-                                  proxy_config=proxy_config)
+                                  proxy_config=replace(proxy_config,
+                                                       metadata=False))
                 for i in range(n_compute)]
     return SimpleNamespace(testbed=testbed, env=testbed.env,
                            registry=registry, endpoint=endpoint, image=image,

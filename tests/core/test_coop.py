@@ -7,6 +7,8 @@ coalesce on one WAN fetch — and a dirty eviction victim is written
 back, never dropped.
 """
 
+from dataclasses import replace
+
 from repro.core.config import ProxyCacheConfig
 from repro.core.session import (
     GvfsSession,
@@ -36,8 +38,9 @@ def make_cascade_rig(seed=11, proxy_config=NO_READAHEAD):
                             proxy_config=proxy_config)
     session = GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                 endpoint=endpoint, cache_config=TINY_CACHE,
-                                metadata=False, via=cascade[0],
-                                proxy_config=proxy_config)
+                                via=cascade[0],
+                                proxy_config=replace(proxy_config,
+                                                     metadata=False))
     return testbed, endpoint, image, cascade, session
 
 
@@ -50,9 +53,10 @@ def make_peer_rig(n_peers=2, seed=23, proxy_config=NO_READAHEAD):
     directory = testbed.peer_directory()
     sessions = [GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                   endpoint=endpoint, compute_index=i,
-                                  cache_config=SMALL_CACHE, metadata=False,
+                                  cache_config=SMALL_CACHE,
                                   peer_directory=directory,
-                                  proxy_config=proxy_config)
+                                  proxy_config=replace(proxy_config,
+                                                       metadata=False))
                 for i in range(n_peers)]
     return testbed, endpoint, image, directory, sessions
 

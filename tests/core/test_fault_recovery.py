@@ -6,7 +6,7 @@ import hashlib
 import random
 from dataclasses import replace
 
-from repro.core.config import ProxyCacheConfig
+from repro.core.config import ProxyConfig
 from repro.nfs.protocol import FileHandle, NfsProc, NfsRequest, NfsStatus
 from repro.nfs.rpc import RpcTimeout
 from repro.sim.faults import FaultInjector, FaultPlan
@@ -66,10 +66,10 @@ def test_cached_reads_survive_upstream_outage_in_degraded_mode():
 # --------------------------------------------------------------------------
 
 def test_high_water_drains_dirty_blocks_while_upstream_is_up():
-    rig = Rig(metadata=False)
+    rig = Rig(metadata=False,
+              proxy_config=ProxyConfig(dirty_high_water_blocks=4))
     proxy = rig.session.client_proxy
-    rig.session.harden_rpc(timeout=1.0, max_retries=3,
-                           dirty_high_water_blocks=4)
+    rig.session.harden_rpc(timeout=1.0, max_retries=3)
     fh = fh_for(rig)
 
     def job(env):
@@ -85,11 +85,11 @@ def test_high_water_drains_dirty_blocks_while_upstream_is_up():
 
 
 def test_high_water_rejects_writes_when_upstream_down():
-    rig = Rig(metadata=False)
+    rig = Rig(metadata=False,
+              proxy_config=ProxyConfig(dirty_high_water_blocks=2))
     proxy = rig.session.client_proxy
     client = rig.session.harden_rpc(timeout=0.25, max_retries=0,
-                                    breaker_threshold=1, breaker_reset=60.0,
-                                    dirty_high_water_blocks=2)
+                                    breaker_threshold=1, breaker_reset=60.0)
     fh = fh_for(rig)
 
     def job(env):

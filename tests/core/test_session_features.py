@@ -70,7 +70,7 @@ def test_write_back_signal_keeps_caches_warm():
         f = yield env.process(rig.mount.create("/images/golden/wb.bin"))
         yield env.process(f.write(0, b"W" * 8192))
         yield env.process(f.close())
-        yield env.process(consistency.signal(rig.session.client_proxy,
+        yield env.process(consistency.signal(rig.session,
                                              ConsistencySignal.WRITE_BACK))
         return rig.session.client_proxy.block_cache.cached_blocks
 
@@ -88,7 +88,7 @@ def test_flush_signal_invalidates():
         f = yield env.process(rig.mount.create("/images/golden/fl.bin"))
         yield env.process(f.write(0, b"F" * 100))
         yield env.process(f.close())
-        yield env.process(consistency.signal(rig.session.client_proxy,
+        yield env.process(consistency.signal(rig.session,
                                              ConsistencySignal.FLUSH))
         return rig.session.client_proxy.block_cache.cached_blocks
 
@@ -97,20 +97,36 @@ def test_flush_signal_invalidates():
     assert rig.endpoint.export.fs.read("/images/golden/fl.bin") == b"F" * 100
 
 
-def test_session_end_flushes_all_proxies():
-    rig = Rig(metadata=False)
+@pytest.mark.parametrize("sig", list(ConsistencySignal), ids=lambda s: s.name)
+@pytest.mark.parametrize("depth", [1, 2])
+def test_signal_flushes_to_the_origin_at_any_depth(depth, sig):
+    """A signal runs the session's one flush walk: the written bytes
+    reach the origin through a write-back cascade level too, no level
+    keeps a dirty frame, and FLUSH then empties the client's caches.
+    One signal, one log record."""
+    rig = Rig(metadata=False, via_second_level=depth == 2)
     consistency = MiddlewareConsistency(rig.env)
+    proxy = rig.session.client_proxy
+    levels = [proxy] + ([rig.second_level.proxy] if depth == 2 else [])
+    payload = b"S" * 8192
 
     def proc(env):
-        f = yield env.process(rig.mount.create("/images/golden/x.bin"))
-        yield env.process(f.write(0, b"X"))
+        f = yield env.process(rig.mount.create("/images/golden/sig.bin"))
+        yield env.process(f.write(0, payload))
         yield env.process(f.close())
-        yield env.process(consistency.session_end(
-            [rig.session.client_proxy]))
+        yield env.process(consistency.signal(rig.session, sig))
 
     rig.run(proc(rig.env))
-    assert len(consistency.log) == 1
-    assert consistency.log[0].duration >= 0
+    assert rig.endpoint.export.fs.read("/images/golden/sig.bin") == payload
+    assert [stack.block_cache.dirty_frames for stack in levels] \
+        == [0] * depth
+    if sig is ConsistencySignal.FLUSH:
+        assert proxy.block_cache.cached_blocks == 0
+        assert proxy.channel.file_cache.cached_files == 0
+    else:
+        assert proxy.block_cache.cached_blocks > 0
+    assert [(r.signal, r.proxy_name) for r in consistency.log] \
+        == [(sig, proxy.config.name)]
 
 
 # -- channel upload (file-cache write-back) ---------------------------------------
@@ -221,43 +237,46 @@ def test_collect_session_stats_local_scenario():
 
 def test_neighbouring_sessions_keep_their_own_proxy_config():
     """Policy is an argument of the proxy being built (per-user /
-    per-application, §3.2.1), not process state: two sessions and a
-    cascade level on one testbed each run the readahead depth they were
-    handed, and only the session that asked for readahead prefetches."""
-    from repro.core.config import ProxyConfig
-    from repro.core.session import (CascadeLevelSpec, ServerEndpoint,
-                                    build_cascade)
+    per-application, §3.2.1), not process state, and each setting has
+    one owner: the cascade's levels run the cascade's policy, each
+    session's client proxy runs the ``proxy_config`` it was handed
+    (the builder sets only its name), and the block cache alone owns
+    the frame size and the write policy."""
+    from dataclasses import replace
+
+    from repro.core.config import CachePolicy, ProxyConfig
+    from repro.core.session import ServerEndpoint, build_cascade
     from repro.net.topology import Testbed
+    from repro.nfs.protocol import FileHandle, NfsProc, NfsRequest
     from repro.sim import Environment
     from repro.vm.image import VmConfig, VmImage
 
-    testbed = Testbed(Environment(), n_compute=2)
+    testbed = Testbed(Environment(), n_compute=3)
     endpoint = ServerEndpoint(testbed.env, testbed.wan_server)
     VmImage.create(endpoint.export.fs, "/images/golden",
                    VmConfig(name="golden", memory_mb=2, disk_gb=0.01,
                             seed=7))
-    cascade = build_cascade(
-        testbed, endpoint,
-        [CascadeLevelSpec(cache_config=SMALL_CACHE,
-                          proxy_config=ProxyConfig(readahead_depth=3)),
-         SMALL_CACHE],
-        proxy_config=ProxyConfig(readahead_depth=5))
-    depths = (0, 8)
+    cascade = build_cascade(testbed, endpoint, [SMALL_CACHE, SMALL_CACHE],
+                            proxy_config=ProxyConfig(readahead_depth=5))
+    configs = [ProxyConfig(readahead_depth=0, metadata=False),
+               ProxyConfig(readahead_depth=8),
+               ProxyConfig(readahead_depth=0, metadata=False)]
+    caches = [replace(SMALL_CACHE, block_size=4096), SMALL_CACHE,
+              replace(SMALL_CACHE, policy=CachePolicy.WRITE_THROUGH)]
     sessions = [GvfsSession.build(
         testbed, Scenario.WAN_CACHED, endpoint=endpoint, compute_index=i,
-        cache_config=SMALL_CACHE, metadata=False, via=cascade[0],
-        proxy_config=ProxyConfig(readahead_depth=depth))
-        for i, depth in enumerate(depths)]
+        cache_config=cache, via=cascade[0], proxy_config=config)
+        for i, (config, cache) in enumerate(zip(configs, caches))]
+    proxies = [s.client_proxy for s in sessions]
 
-    assert [s.client_proxy.config.readahead_depth
-            for s in sessions] == [0, 8]
-    assert [level.proxy.config.readahead_depth
-            for level in cascade] == [3, 5]
-    # The builder still owns the fields that describe *this* proxy.
-    assert sessions[0].client_proxy.config.cache is SMALL_CACHE
-    assert sessions[0].client_proxy.config.metadata is False
-    assert (sessions[0].client_proxy.config.name
-            != sessions[1].client_proxy.config.name)
+    assert [level.proxy.config for level in cascade] == [
+        ProxyConfig(name=level.name, readahead_depth=5)
+        for level in cascade]
+    assert [p.config for p in proxies] == [
+        replace(config, name=f"s{i + 1}.client-proxy")
+        for i, config in enumerate(configs)]
+    assert [p.block_size() for p in proxies] == [4096, 8192, 8192]
+    assert [p.block_cache.config for p in proxies] == caches
 
     def stream(session):
         def gen(env):
@@ -267,11 +286,29 @@ def test_neighbouring_sessions_keep_their_own_proxy_config():
                 yield env.process(f.read(block * 8192, 8192))
         return gen
 
-    for session in sessions:
+    for session in sessions[:2]:
         testbed.env.process(stream(session)(testbed.env))
     testbed.env.run()
-    assert sessions[0].client_proxy.layer("readahead").stats.prefetch_issued == 0
-    assert sessions[1].client_proxy.layer("readahead").stats.prefetch_issued > 0
+    assert [p.layer("readahead").stats.prefetch_issued > 0
+            for p in proxies[:2]] == [False, True]
+
+    fh = FileHandle("images",
+                    endpoint.export.fs.lookup("/images/golden/disk.vmdk")
+                    .fileid)
+
+    def commit(proxy):
+        def gen(env):
+            reply = yield from proxy.handle(NfsRequest(NfsProc.COMMIT,
+                                                       fh=fh))
+            assert reply.ok
+        return gen
+
+    for proxy in proxies[1:]:
+        testbed.env.process(commit(proxy)(testbed.env))
+    testbed.env.run()
+    # Write-back absorbs the COMMIT; write-through forwards it.
+    assert [p.layer("block-cache").stats.absorbed_commits
+            for p in proxies[1:]] == [1, 0]
 
 
 def test_session_names_are_numbered_per_testbed():

@@ -41,10 +41,9 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
-from repro.core.config import ProxyCacheConfig
+from repro.core.config import ProxyCacheConfig, ProxyConfig
 from repro.core.layers.checksum import ChecksumRegistry
 from repro.core.session import (
-    CascadeLevelSpec,
     GvfsSession,
     Scenario,
     ServerEndpoint,
@@ -64,6 +63,8 @@ TINY_CACHE = ProxyCacheConfig(capacity_bytes=8 * 8192,
 #: Peer / second-level cache: holds the whole working set.
 BIG_CACHE = ProxyCacheConfig(capacity_bytes=64 * 1024 * 1024,
                              n_banks=32, associativity=4)
+#: Block-path sessions: no zero maps, no file channel.
+NO_METADATA = ProxyConfig(metadata=False)
 
 #: A faulted run may be slower than its clean baseline by at most this
 #: many simulated seconds (outages are <= 3 s; the retry ladder adds
@@ -268,16 +269,16 @@ class _Rig:
 
         self.cascade = build_cascade(
             self.testbed, self.endpoint,
-            [CascadeLevelSpec(cache_config=BIG_CACHE, name="l2")])
+            [BIG_CACHE])
         peers = self.testbed.peer_directory()
         self.s0 = GvfsSession.build(
             self.testbed, Scenario.WAN_CACHED, endpoint=self.endpoint,
-            compute_index=0, cache_config=TINY_CACHE, metadata=False,
-            via=self.cascade[0], peer_directory=peers)
+            compute_index=0, cache_config=TINY_CACHE, via=self.cascade[0],
+            peer_directory=peers, proxy_config=NO_METADATA)
         self.s1 = GvfsSession.build(
             self.testbed, Scenario.WAN_CACHED, endpoint=self.endpoint,
-            compute_index=1, cache_config=BIG_CACHE, metadata=False,
-            via=self.cascade[0], peer_directory=peers)
+            compute_index=1, cache_config=BIG_CACHE, via=self.cascade[0],
+            peer_directory=peers, proxy_config=NO_METADATA)
         for session in (self.s0, self.s1):
             session.harden_rpc(timeout=0.5, max_retries=10, backoff=2.0,
                                max_timeout=8.0)
@@ -388,8 +389,7 @@ def _run_upload_cell(cell: Optional[Dict], seed: int,
     marker = _payload(seed + 3, 64)
 
     session = GvfsSession.build(testbed, Scenario.WAN_CACHED,
-                                endpoint=endpoint, cache_config=BIG_CACHE,
-                                metadata=True)
+                                endpoint=endpoint, cache_config=BIG_CACHE)
     session.harden_rpc(timeout=0.5, max_retries=10, backoff=2.0,
                        max_timeout=8.0)
     injector = FaultInjector(env)

@@ -111,7 +111,7 @@ def _run_kernel_compile(quick: bool = False) -> Sample:
 
 
 def _run_flush_storm(quick: bool = False) -> Sample:
-    from repro.core.config import ProxyCacheConfig
+    from repro.core.config import ProxyCacheConfig, ProxyConfig
     from repro.core.session import GvfsSession, Scenario, ServerEndpoint
     from repro.net.topology import Testbed
     from repro.sim import Environment
@@ -128,7 +128,7 @@ def _run_flush_storm(quick: bool = False) -> Sample:
                              n_banks=32, associativity=4)
     session = GvfsSession.build(testbed, Scenario.WAN_CACHED,
                                 endpoint=endpoint, cache_config=cache,
-                                metadata=False)
+                                proxy_config=ProxyConfig(metadata=False))
     marks: List[float] = []
 
     def storm(env, blocks_per_file: int):

@@ -1,5 +1,5 @@
-"""Per-hop link profiles: named calibrations for added hosts and
-cascade levels (rack vs site vs WAN)."""
+"""Per-hop link profiles: named calibrations for added hosts (rack vs
+site vs WAN), as the replicated origin farm attaches its servers."""
 
 import pytest
 
@@ -58,61 +58,3 @@ def test_add_host_with_profile_conditions():
     assert r_site.links[-1].latency == SITE_2003.latency
     assert r_rack.links[0].bandwidth == LAN_2003.bandwidth
 
-
-def test_cascade_spec_profile_threads_to_host_link():
-    from repro.core.session import (CascadeLevelSpec, ServerEndpoint,
-                                    build_cascade)
-    testbed = make_paper_testbed()
-    endpoint = ServerEndpoint(testbed.env, testbed.wan_server)
-    cascade = build_cascade(testbed, endpoint, levels=[
-        CascadeLevelSpec(profile="rack", name="rack-l2"),
-        CascadeLevelSpec(profile="site", name="site-l3"),
-    ])
-    assert len(cascade) == 2
-    rack_host = cascade[0].host
-    site_host = cascade[1].host
-    assert rack_host is not testbed.lan_server
-    rack_link = testbed.route(testbed.compute[0], rack_host).links[-1]
-    site_link = testbed.route(rack_host, site_host).links[-1]
-    assert rack_link.bandwidth == RACK_2003.bandwidth
-    assert site_link.latency == SITE_2003.latency
-
-
-def test_cascade_spec_profile_conflicts_with_pinned_host():
-    from repro.core.session import (CascadeLevelSpec, ServerEndpoint,
-                                    build_cascade)
-    testbed = make_paper_testbed()
-    endpoint = ServerEndpoint(testbed.env, testbed.wan_server)
-    with pytest.raises(ValueError):
-        build_cascade(testbed, endpoint, levels=[
-            CascadeLevelSpec(host=testbed.lan_server, profile="rack")])
-
-
-def test_cascade_profiled_level_still_serves_traffic():
-    """A rack-profiled cascade level carries a session end to end."""
-    from repro.core.session import (CascadeLevelSpec, GvfsSession, Scenario,
-                                    ServerEndpoint, build_cascade)
-    testbed = make_paper_testbed()
-    env = testbed.env
-    endpoint = ServerEndpoint(env, testbed.wan_server)
-    fs = endpoint.export.fs
-    fs.mkdir("/data", parents=True)
-    fs.create("/data/blob", size=256 * 1024)
-    cascade = build_cascade(testbed, endpoint, levels=[
-        CascadeLevelSpec(profile="rack")])
-    session = GvfsSession.build(testbed, Scenario.WAN_CACHED,
-                                endpoint=endpoint, via=cascade[0],
-                                metadata=False)
-    got = {}
-
-    def driver(env):
-        f = yield env.process(session.mount.open("/data/blob"))
-        data = yield env.process(f.read(0, 64 * 1024))
-        got["n"] = len(data)
-
-    env.process(driver(env))
-    env.run()
-    assert got["n"] == 64 * 1024
-    snap = cascade[0].proxy.stats_snapshot()
-    assert any(counters.get("forwarded", 0) or counters.get("requests", 0)
-               for counters in snap.values() if isinstance(counters, dict))

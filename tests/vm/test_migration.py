@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import ProxyConfig
 from repro.core.session import (GvfsSession, LocalMount, Scenario,
                                 ServerEndpoint, build_cascade)
 from repro.net.topology import Testbed
@@ -172,7 +173,7 @@ def test_destination_memory_is_what_the_source_suspended(depth, mode,
                                   cache_config=SMALL_CACHE,
                                   via=cascade[0] if cascade else None,
                                   peer_directory=directory,
-                                  metadata=metadata)
+                                  proxy_config=ProxyConfig(metadata=metadata))
                 for i in range(n)]
     monitors = [VmMonitor(env, testbed.compute[i]) for i in range(n)]
 
